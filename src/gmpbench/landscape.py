@@ -9,6 +9,17 @@ log-sine warp of the rotated offset and weighted per axis by ``widths``:
 The warp ``T`` (see :func:`irregularity_transform`) leaves 0, 1 and -1 fixed
 and is the identity when ``tau == 0``; nonzero ``tau``/``eta`` make the
 component irregular, multimodal and (with unequal ``eta``) asymmetric.
+
+A :class:`Landscape` holds its components stacked, one row per component:
+``centers`` (m, d), ``rotations`` (m, d, d), ``widths`` (m, d),
+``heights`` (m,), ``tau`` (m,) and ``eta`` (m, 4). One private kernel
+scores a block of points against all components at once, with a single
+:func:`transform_vector` call; :func:`evaluate_raw` is a one-row block,
+:func:`evaluate_batch` a sequence of bounded blocks and
+:func:`component_value` a one-component landscape. The formula itself lives
+only in the scalar :func:`irregularity_transform`, the tests' oracle, and
+in :func:`transform_vector`.
+
 Evaluation never mutates landscape state; all mutation goes through the
 dynamics module between environments.
 """
@@ -133,8 +144,15 @@ class ScenarioConfig:
             bad.append("num_components must be an integer >= 1")
         for name in ("shift_severity", "height_severity", "width_severity",
                      "angle_severity", "tau_severity", "eta_severity"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                bad.append(f"{name} must be finite")
+            elif value < 0:
                 bad.append(f"{name} must be nonnegative")
+        for name in ("search_range", "height_range", "width_range",
+                     "angle_range", "tau_range", "eta_range"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                bad.append(f"{name} bounds must be finite")
         if not self.search_range[0] < self.search_range[1]:
             bad.append("search_range must satisfy lower < upper")
         for name in ("height_range", "width_range", "angle_range",
@@ -167,24 +185,34 @@ class Landscape:
     The optimum is analytic: a component's value never exceeds its height and
     attains it only at the center, so the global maximum is the largest
     height, located at that component's center (ties: lowest index).
+
+    The stacked arrays hold the components' parameters, row ``k`` for
+    component ``k``; evaluation reads only these.
     """
 
     environment_index: int
     components: tuple[ComponentState, ...]
     optimum_value: float
     optimum_position: np.ndarray
+    centers: np.ndarray
+    rotations: np.ndarray
+    widths: np.ndarray
+    heights: np.ndarray
+    tau: np.ndarray
+    eta: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return self.components[0].dimension
+        return self.centers.shape[1]
 
     @property
     def num_components(self) -> int:
-        return len(self.components)
+        return self.heights.shape[0]
 
 
 def make_landscape(environment_index: int, components: Sequence[ComponentState]) -> Landscape:
-    """Assemble a landscape, computing the cached optimum from the heights."""
+    """Assemble a landscape: stack the component parameters and compute the
+    cached optimum from the heights."""
     components = tuple(components)
     if not components:
         raise ValueError("landscape needs at least one component")
@@ -195,6 +223,12 @@ def make_landscape(environment_index: int, components: Sequence[ComponentState])
         components=components,
         optimum_value=float(heights[k]),
         optimum_position=components[k].center.copy(),
+        centers=np.stack([c.center for c in components]),
+        rotations=np.stack([c.rotation for c in components]),
+        widths=np.stack([c.widths for c in components]),
+        heights=heights,
+        tau=np.array([c.tau for c in components]),
+        eta=np.stack([c.eta for c in components]),
     )
 
 
@@ -217,58 +251,77 @@ def irregularity_transform(y: float, tau: float, eta: Sequence[float]) -> float:
     return out if y > 0.0 else -out
 
 
-def transform_vector(y: np.ndarray, tau: float, eta: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`irregularity_transform` over an array of offsets."""
+def transform_vector(y: np.ndarray, tau, eta: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`irregularity_transform` over an array of offsets.
+
+    ``tau`` and each ``eta[..., j]`` broadcast against ``y``, so one call can
+    warp the offsets of many components, each with its own parameters.
+    """
     y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
+    eta = np.asarray(eta, dtype=float)
     pos = y > 0.0
-    if pos.any():
-        ly = np.log(y[pos])
-        out[pos] = np.exp(ly + tau * (np.sin(eta[0] * ly) + np.sin(eta[1] * ly)))
-    neg = y < 0.0
-    if neg.any():
-        ly = np.log(-y[neg])
-        out[neg] = -np.exp(ly + tau * (np.sin(eta[2] * ly) + np.sin(eta[3] * ly)))
+    # log|y|, with a zero offset read as 1 so that it needs no mask: it maps
+    # to sign(0) * exp(0) = 0
+    ly = np.abs(y)
+    ly += y == 0.0
+    np.log(ly, out=ly)
+    out = np.where(pos, eta[..., 0], eta[..., 2])
+    out *= ly
+    np.sin(out, out=out)
+    wave = np.where(pos, eta[..., 1], eta[..., 3])
+    wave *= ly
+    np.sin(wave, out=wave)
+    out += wave
+    out *= tau
+    out += ly
+    np.exp(out, out=out)
+    out *= np.sign(y)
     return out
+
+
+# Cap on the (component, point, axis) elements of one kernel call, so that
+# the temporaries of evaluate_batch stay a few hundred KiB however many
+# points it is given.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _peak_values(points: np.ndarray, landscape: Landscape) -> np.ndarray:
+    """Landscape objective at each row of an ``(n, d)`` block of points."""
+    # y[k, i] = R_k (x_i - c_k); the offset form keeps a center's value exact
+    y = (points[None, :, :] - landscape.centers[:, None, :]) @ landscape.rotations.transpose(0, 2, 1)
+    t = transform_vector(y, landscape.tau[:, None, None], landscape.eta[:, None, None, :])
+    # one (widths * t) . t dot product per component and point
+    values = ((landscape.widths[:, None, :] * t)[:, :, None, :] @ t[:, :, :, None])[:, :, 0, 0]
+    np.sqrt(values, out=values)
+    np.subtract(landscape.heights[:, None], values, out=values)
+    return values.max(axis=0)
 
 
 def component_value(x: np.ndarray, comp: ComponentState) -> float:
     """Value of a single component at ``x``; at most ``comp.height``, with
     equality exactly at the center."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (comp.dimension,):
-        raise ValueError(f"point of dimension {x.shape} does not match component dimension {comp.dimension}")
-    y = comp.rotation @ (x - comp.center)
-    t = transform_vector(y, comp.tau, comp.eta)
-    return float(comp.height - math.sqrt(float((comp.widths * t) @ t)))
+    return evaluate_raw(x, make_landscape(0, [comp]))
 
 
 def evaluate_raw(x: np.ndarray, landscape: Landscape) -> float:
-    """Landscape objective at ``x``: max over components (ties: lowest index)."""
+    """Landscape objective at ``x``: max over components."""
     x = np.asarray(x, dtype=float)
     if x.shape != (landscape.dimension,):
         raise ValueError(f"point of shape {x.shape} does not match landscape dimension {landscape.dimension}")
-    best = -math.inf
-    for comp in landscape.components:
-        y = comp.rotation @ (x - comp.center)
-        t = transform_vector(y, comp.tau, comp.eta)
-        v = comp.height - math.sqrt(float((comp.widths * t) @ t))
-        if v > best:
-            best = v
-    return best
+    return float(_peak_values(x[None, :], landscape)[0])
 
 
 def evaluate_batch(points: np.ndarray, landscape: Landscape) -> np.ndarray:
-    """Vectorized :func:`evaluate_raw` over an ``(n, d)`` array of points."""
+    """:func:`evaluate_raw` over an ``(n, d)`` array of points, scored in
+    blocks of bounded size."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != landscape.dimension:
         raise ValueError(f"points of shape {points.shape} do not match landscape dimension {landscape.dimension}")
-    best = np.full(points.shape[0], -np.inf)
-    for comp in landscape.components:
-        y = (points - comp.center) @ comp.rotation.T
-        t = transform_vector(y, comp.tau, comp.eta)
-        np.maximum(best, comp.height - np.sqrt((t * t) @ comp.widths), out=best)
-    return best
+    rows = max(1, _BLOCK_ELEMENTS // landscape.centers.size)
+    values = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], rows):
+        values[start:start + rows] = _peak_values(points[start:start + rows], landscape)
+    return values
 
 
 def optimum(landscape: Landscape) -> tuple[float, np.ndarray]:

@@ -153,6 +153,7 @@ class MQSO:
         self.config = config
         self.history: list[dict] = [] if track_history else None
         self.iteration = 0
+        self.change_detected = False  # whether the current step detected a change
         self.swarms = [self._new_swarm() for _ in range(config.num_swarms)]
 
     # -- swarm construction -------------------------------------------------
@@ -192,15 +193,17 @@ class MQSO:
     def change_reaction(self) -> bool:
         """Sentinel-check each swarm's gbest; on a mismatch, refresh memory.
 
-        Returns whether a change was detected. Reaction re-evaluates every
-        personal best under the new environment and resets each swarm's
-        global best from them.
+        Returns whether a change was detected, and notes a detection in
+        :attr:`change_detected` as soon as it is made, so that it is kept
+        even when the budget runs out during the reaction. Reaction
+        re-evaluates every personal best under the new environment and
+        resets each swarm's global best from them.
         """
         detected = False
         for swarm in self.swarms:
             value = self.session.evaluate(swarm.gbest_position)
             if abs(value - swarm.gbest_value) > CHANGE_DETECTION_TOL:
-                detected = True
+                detected = self.change_detected = True
                 break
         if detected:
             for swarm in self.swarms:
@@ -273,19 +276,27 @@ class MQSO:
     # -- driving ------------------------------------------------------------
 
     def step(self):
-        detected = self.change_reaction()
-        self.solver_step()
-        self.exclusion()
-        self.anti_convergence()
-        self.iteration += 1
-        if self.history is not None:
-            self.history.append({
-                "iteration": self.iteration,
-                "environment_index": self.session.landscape.environment_index,
-                "change_detected": detected,
-                "generations": tuple(s.generation for s in self.swarms),
-                "gbest_values": tuple(s.gbest_value for s in self.swarms),
-            })
+        """Run the four phases once.
+
+        The history entry is recorded even when ``ScenarioComplete`` cuts
+        the step short, so a detection made in the final step is not lost.
+        """
+        self.change_detected = False
+        try:
+            self.change_reaction()
+            self.solver_step()
+            self.exclusion()
+            self.anti_convergence()
+        finally:
+            self.iteration += 1
+            if self.history is not None:
+                self.history.append({
+                    "iteration": self.iteration,
+                    "environment_index": self.session.landscape.environment_index,
+                    "change_detected": self.change_detected,
+                    "generations": tuple(s.generation for s in self.swarms),
+                    "gbest_values": tuple(s.gbest_value for s in self.swarms),
+                })
 
     def run(self):
         """Step until the session budget is exhausted."""

@@ -147,11 +147,16 @@ class BenchmarkSession:
 
         The evaluation that exhausts an environment's quota is scored there;
         the landscape then advances without notice. Raises
-        :class:`ScenarioComplete` once the total budget is spent.
+        :class:`ScenarioComplete` once the total budget is spent, and
+        ``ValueError``, spending no budget, for a point with a NaN or
+        infinite coordinate.
         """
         if self.ledger.complete:
             raise ScenarioComplete(offline_error(self.ledger),
                                    best_before_change_error(self.ledger))
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError(f"point has a non-finite coordinate: {x}")
         value = evaluate_raw(x, self.landscape)
         self.ledger.record(value, self.landscape.optimum_value)
         if (self.ledger.env_eval_count == 0

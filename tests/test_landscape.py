@@ -18,7 +18,10 @@ from gmpbench import (
     make_landscape,
     optimum,
     transform_vector,
+    validate_config,
 )
+from gmpbench.cli import main
+from gmpbench.landscape import _BLOCK_ELEMENTS
 
 ETA0 = np.zeros(4)
 
@@ -29,6 +32,16 @@ def plain_component(center, height, widths, d=None):
                           widths=np.asarray(widths, dtype=float),
                           angle=0.0, tau=0.0, eta=ETA0,
                           rotation=np.eye(len(center)))
+
+
+def oracle_value(x, landscape):
+    """The landscape formula, component by component on the scalar warp."""
+    best = -math.inf
+    for comp in landscape.components:
+        y = comp.rotation @ (x - comp.center)
+        t = [irregularity_transform(v, comp.tau, comp.eta) for v in y]
+        best = max(best, comp.height - math.sqrt(sum(w * v * v for w, v in zip(comp.widths, t))))
+    return best
 
 
 def random_component(rng, d=2):
@@ -135,12 +148,28 @@ class TestEvaluateRaw:
         assert (vals <= ls.optimum_value).all()
 
     def test_batch_matches_single(self):
+        # (dimension, components, rotation, points); the first case spans
+        # two full blocks of evaluate_batch plus a partial one
+        rows = _BLOCK_ELEMENTS // (3 * 5)
+        cases = [(3, 5, True, 2 * rows + 7), (4, 1, True, 40), (1, 6, True, 40),
+                 (5, 4, False, 40)]
         rng = np.random.default_rng(22)
-        ls = init_landscape(ScenarioConfig(dimension=3, num_components=5), rng)
-        xs = rng.uniform(-100, 100, (40, 3))
-        batch = evaluate_batch(xs, ls)
-        single = np.array([evaluate_raw(x, ls) for x in xs])
-        np.testing.assert_allclose(batch, single, rtol=1e-12)
+        for d, m, rotation, n in cases:
+            ls = init_landscape(ScenarioConfig(dimension=d, num_components=m,
+                                               rotation_enabled=rotation), rng)
+            xs = rng.uniform(-100, 100, (n, d))
+            xs[::7][:m] = ls.centers
+            batch = evaluate_batch(xs, ls)
+            single = np.array([evaluate_raw(x, ls) for x in xs])
+            expect = np.array([oracle_value(x, ls) for x in xs])
+            # stacked sums round differently; values are at most about 1e3
+            np.testing.assert_allclose(batch, expect, rtol=1e-12, atol=1e-10)
+            np.testing.assert_allclose(single, expect, rtol=1e-12, atol=1e-10)
+            for k, comp in enumerate(ls.components):
+                alone = make_landscape(0, [comp])
+                assert evaluate_raw(comp.center, alone) == comp.height
+                assert evaluate_batch(xs, alone)[7 * k] == comp.height
+            assert evaluate_raw(ls.optimum_position, ls) == ls.optimum_value
 
     def test_dimension_mismatch(self):
         ls = make_landscape(0, [plain_component([0.0, 0.0], 50.0, [1.0, 1.0])])
@@ -238,6 +267,20 @@ class TestScenarioConfig:
         assert "dimension" in bad
         assert "width range must be positive" in bad
         assert "shift_severity" in bad
+
+    def test_non_finite_values_are_violations(self, tmp_path, capsys):
+        # Python's json reads NaN and Infinity as floats
+        path = tmp_path / "scenario.json"
+        path.write_text('{"shift_severity": NaN, "tau_severity": Infinity, '
+                        '"search_range": [-Infinity, 100], "height_range": [30, NaN]}')
+        _, problems = validate_config(path)
+        bad = "; ".join(problems)
+        for name in ("shift_severity", "tau_severity", "search_range", "height_range"):
+            assert f"{name} must be finite" in bad or f"{name} bounds must be finite" in bad
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "shift_severity must be finite" in err
+        assert "height_range bounds must be finite" in err
 
     def test_validate_raises(self):
         with pytest.raises(ValueError, match="change_frequency"):

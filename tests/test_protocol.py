@@ -166,6 +166,14 @@ class TestSession:
         s.evaluate(s.landscape.optimum_position)
         assert s.ledger.errors[0] == 0.0
 
+    def test_non_finite_point_rejected_without_spending_budget(self):
+        s = BenchmarkSession(self.cfg())
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                s.evaluate(np.array([0.0, bad]))
+        assert s.total_evaluations == 0
+        assert s.budget_remaining == 15
+
     def test_best_resets_across_change(self):
         s = BenchmarkSession(self.cfg(seed=4))
         for _ in range(5):
