@@ -23,7 +23,6 @@ from .landscape import (
 from .dynamics import (
     ScenarioExhausted,
     advance_environment,
-    givens_matrix,
     gram_schmidt,
     init_landscape,
     initial_rotation,
@@ -60,10 +59,9 @@ __all__ = [
     "ComponentState", "Landscape", "ScenarioConfig",
     "component_value", "evaluate_batch", "evaluate_raw",
     "irregularity_transform", "make_landscape", "optimum", "transform_vector",
-    "ScenarioExhausted", "advance_environment", "givens_matrix",
-    "gram_schmidt", "init_landscape", "initial_rotation",
-    "orthogonality_error", "plane_pairs", "reflect", "update_component",
-    "update_rotation",
+    "ScenarioExhausted", "advance_environment", "gram_schmidt",
+    "init_landscape", "initial_rotation", "orthogonality_error",
+    "plane_pairs", "reflect", "update_component", "update_rotation",
     "BenchmarkSession", "EvaluationLedger", "IncompleteLedgerError",
     "ScenarioComplete", "best_before_change_error", "offline_error",
     "MQSO", "SolverConfig", "Swarm",

@@ -4,9 +4,17 @@ All randomness flows through a single ``numpy.random.Generator`` per run with
 a fixed draw order, so a scenario's full trajectory is a pure function of its
 seed. Draw order during initialization, per component: center, height,
 widths, angle, eta, tau, rotation source matrix (skipped when rotation is
-disabled). Draw order per update, per component: shift direction, height,
-widths, angle, eta, tau, plane permutation (skipped when rotation is
-disabled).
+disabled). Draw order per update, per component in index order: shift
+direction (redrawn while its norm is below 1e-12), then height, widths,
+angle, eta and tau in one ``standard_normal(d + 7)`` call, then the plane
+permutation (skipped when rotation is disabled).
+
+Only the draws are made component by component. The arithmetic of a change
+is stacked: :func:`advance_environment` perturbs, reflects and rotates all
+``m`` components with array operations on the :class:`Landscape` arrays,
+applying each of the d(d-1)/2 plane steps to every rotation matrix with one
+batched 2x2 matmul. :func:`update_component` and :func:`update_rotation` are
+the same code on a single component.
 """
 
 from __future__ import annotations
@@ -18,11 +26,9 @@ import numpy as np
 from .landscape import ComponentState, Landscape, ScenarioConfig, make_landscape
 
 __all__ = [
-    "RngStream",
     "ScenarioExhausted",
     "ORTHOGONALITY_TOL",
     "plane_pairs",
-    "givens_matrix",
     "orthogonality_error",
     "gram_schmidt",
     "initial_rotation",
@@ -32,10 +38,6 @@ __all__ = [
     "advance_environment",
     "init_landscape",
 ]
-
-# Deterministic PCG64 stream; identical seeds give identical trajectories
-# across platforms.
-RngStream = np.random.Generator
 
 ORTHOGONALITY_TOL = 1e-9
 _PIVOT_TOL = 1e-12
@@ -50,28 +52,15 @@ def plane_pairs(d: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(d) for q in range(p + 1, d)]
 
 
-def givens_matrix(d: int, pair: tuple[int, int], theta: float) -> np.ndarray:
-    """Plane rotation by ``theta`` in the (p, q) coordinate plane.
-
-    Identity except entries (p,p) = (q,q) = cos(theta), (p,q) = -sin(theta),
-    (q,p) = sin(theta); orthogonal with determinant 1.
-    """
-    p, q = pair
-    if not (0 <= p < q < d):
-        raise ValueError(f"plane pair {pair} invalid for dimension {d}")
-    g = np.eye(d)
-    c, s = math.cos(theta), math.sin(theta)
-    g[p, p] = c
-    g[q, q] = c
-    g[p, q] = -s
-    g[q, p] = s
-    return g
+def _orthogonality_errors(rotations: np.ndarray) -> np.ndarray:
+    """:func:`orthogonality_error` of each matrix in an (m, d, d) stack."""
+    d = rotations.shape[1]
+    return np.abs(rotations.transpose(0, 2, 1) @ rotations - np.eye(d)).max(axis=(1, 2))
 
 
 def orthogonality_error(r: np.ndarray) -> float:
     """Max-abs entry of R^T R - I."""
-    d = r.shape[0]
-    return float(np.abs(r.T @ r - np.eye(d)).max())
+    return float(_orthogonality_errors(np.asarray(r)[None])[0])
 
 
 def gram_schmidt(a: np.ndarray) -> np.ndarray:
@@ -88,7 +77,7 @@ def gram_schmidt(a: np.ndarray) -> np.ndarray:
     return q
 
 
-def initial_rotation(d: int, rng: RngStream, rotation_enabled: bool = True) -> np.ndarray:
+def initial_rotation(d: int, rng: np.random.Generator, rotation_enabled: bool = True) -> np.ndarray:
     """Random orthogonal matrix from Gram-Schmidt on normal entries.
 
     Returns the identity when rotation is disabled (no draws consumed). A
@@ -105,7 +94,31 @@ def initial_rotation(d: int, rng: RngStream, rotation_enabled: bool = True) -> n
             continue
 
 
-def update_rotation(r: np.ndarray, theta: float, rng: RngStream) -> np.ndarray:
+def _rotate(rotations: np.ndarray, angles: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Stacked :func:`update_rotation`: matrix ``k`` of ``rotations`` is
+    left-multiplied by the plane rotations at ``angles[k]``, taken in the
+    permuted plane order ``orders[k]``."""
+    out = np.array(rotations, dtype=float)
+    m, d, _ = out.shape
+    rot2 = np.empty((m, 2, 2))
+    rot2[:, 0, 0] = rot2[:, 1, 1] = [math.cos(a) for a in angles]
+    rot2[:, 1, 0] = [math.sin(a) for a in angles]
+    rot2[:, 0, 1] = -rot2[:, 1, 0]
+    pairs = np.array(plane_pairs(d), dtype=np.intp).reshape(-1, 2)
+    # product[order[0]] @ product[order[1]] @ ... @ r applies the last factor
+    # first. Step j updates rows (p_k, q_k) of every matrix k, found as rows
+    # of the (m*d, d) stack; each gets the same 2x2 matmul as a lone matrix,
+    # so the result is bit-identical to rotating one matrix at a time.
+    flat = out.reshape(m * d, d)
+    for pq in pairs[orders[:, ::-1].T] + d * np.arange(m)[:, None]:
+        flat[pq] = rot2 @ flat.take(pq, axis=0)
+    for k in np.flatnonzero(_orthogonality_errors(out) > ORTHOGONALITY_TOL):
+        out[k] = gram_schmidt(out[k])
+        assert orthogonality_error(out[k]) <= ORTHOGONALITY_TOL
+    return out
+
+
+def update_rotation(r: np.ndarray, theta: float, rng: np.random.Generator) -> np.ndarray:
     """Left-multiply ``r`` by the product of all plane rotations at ``theta``.
 
     The product runs over every coordinate plane in a fresh random
@@ -115,19 +128,31 @@ def update_rotation(r: np.ndarray, theta: float, rng: RngStream) -> np.ndarray:
     Gram-Schmidt re-orthonormalization.
     """
     d = r.shape[0]
-    pairs = plane_pairs(d)
-    order = rng.permutation(len(pairs))
-    out = np.array(r, dtype=float)
-    c, s = math.cos(theta), math.sin(theta)
-    rot2 = np.array([[c, -s], [s, c]])
-    # product[order[0]] @ product[order[1]] @ ... @ r applies the last factor first
-    for idx in order[::-1]:
-        p, q = pairs[idx]
-        out[[p, q]] = rot2 @ out[[p, q]]
-    if orthogonality_error(out) > ORTHOGONALITY_TOL:
-        out = gram_schmidt(out)
-        assert orthogonality_error(out) <= ORTHOGONALITY_TOL
-    return out
+    order = rng.permutation(d * (d - 1) // 2)
+    return _rotate(np.asarray(r)[None], [theta], order[None])[0]
+
+
+def _fold(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Mirror the values of ``v`` at the edges of [lo, hi] until inside.
+
+    A mirror at the lower edge (``2*lo - v``) and then one at the upper edge
+    (``2*hi - v``) are the first passes of a mirror loop, and bring in every
+    value less than a range width outside. The few still outside are folded
+    by the closed-form triangle wave of period ``2*(hi - lo)``, clipped
+    against rounding, so no delta is too large.
+    """
+    if lo > hi:
+        raise ValueError(f"invalid range: lo={lo} > hi={hi}")
+    if lo == hi:
+        return np.full_like(v, lo)
+    v = np.where(v < lo, 2.0 * lo - v, v)
+    v = np.where(v > hi, 2.0 * hi - v, v)
+    out = (v < lo) | (v > hi)
+    if out.any():
+        width = hi - lo
+        t = np.mod(v[out] - lo, 2.0 * width)
+        v[out] = np.clip(lo + np.minimum(t, 2.0 * width - t), lo, hi)
+    return v
 
 
 def reflect(value: float, delta: float, lo: float, hi: float) -> float:
@@ -135,28 +160,54 @@ def reflect(value: float, delta: float, lo: float, hi: float) -> float:
 
     In-range results pass through; a result below ``lo`` maps to
     ``2*lo - value - delta``, above ``hi`` to ``2*hi - value - delta``, and the
-    reflection repeats so the output lies in [lo, hi] even for deltas larger
-    than the range width.
+    reflection repeats (in closed form) so the output lies in [lo, hi] however
+    large the delta is.
     """
-    if lo > hi:
-        raise ValueError(f"invalid range: lo={lo} > hi={hi}")
-    if lo == hi:
-        return lo
-    v = value + delta
-    while v < lo or v > hi:
-        if v < lo:
-            v = 2.0 * lo - v
-        else:
-            v = 2.0 * hi - v
-    return v
+    return float(_fold(np.array([value + delta]), lo, hi)[0])
 
 
-def _reflect_each(values: np.ndarray, deltas: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return np.array([reflect(float(v), float(dv), lo, hi)
-                     for v, dv in zip(values, deltas)])
+def _advance(landscape: Landscape, cfg: ScenarioConfig, rng: np.random.Generator) -> Landscape:
+    """One environment change of every component, as the next landscape.
+
+    The draws are made component by component in the documented order; all
+    the arithmetic on them is done on the stacked (m, ...) arrays.
+    """
+    m, d = landscape.centers.shape
+    num_pairs = d * (d - 1) // 2
+    shifts = np.empty((m, d))
+    norms = np.empty(m)
+    draws = np.empty((m, d + 7))
+    orders = np.empty((m, num_pairs), dtype=np.intp)
+    for k in range(m):
+        r = rng.standard_normal(d)
+        norm = float(np.linalg.norm(r))
+        while norm < _PIVOT_TOL:
+            r = rng.standard_normal(d)
+            norm = float(np.linalg.norm(r))
+        shifts[k] = r
+        norms[k] = norm
+        # height, widths (d), angle, eta (4), tau
+        draws[k] = rng.standard_normal(d + 7)
+        if cfg.rotation_enabled:
+            orders[k] = rng.permutation(num_pairs)
+
+    lb, ub = cfg.search_range
+    angles = _fold(landscape.angles + cfg.angle_severity * draws[:, d + 1], *cfg.angle_range)
+    return Landscape(
+        environment_index=landscape.environment_index + 1,
+        centers=_fold(landscape.centers + cfg.shift_severity * shifts / norms[:, None], lb, ub),
+        heights=_fold(landscape.heights + cfg.height_severity * draws[:, 0], *cfg.height_range),
+        widths=_fold(landscape.widths + cfg.width_severity * draws[:, 1:d + 1], *cfg.width_range),
+        angles=angles,
+        eta=_fold(landscape.eta + cfg.eta_severity * draws[:, d + 2:d + 6], *cfg.eta_range),
+        tau=_fold(landscape.tau + cfg.tau_severity * draws[:, d + 6], *cfg.tau_range),
+        rotations=(_rotate(landscape.rotations, angles, orders) if cfg.rotation_enabled
+                   else landscape.rotations),
+    )
 
 
-def update_component(comp: ComponentState, cfg: ScenarioConfig, rng: RngStream) -> ComponentState:
+def update_component(comp: ComponentState, cfg: ScenarioConfig,
+                     rng: np.random.Generator) -> ComponentState:
     """One environment change for a single component.
 
     The center moves a step of exactly ``shift_severity`` along a uniformly
@@ -165,44 +216,20 @@ def update_component(comp: ComponentState, cfg: ScenarioConfig, rng: RngStream) 
     reflected back into its range, per dimension where applicable. The
     rotation matrix is advanced with the *new* angle.
     """
-    d = comp.dimension
-    r = rng.standard_normal(d)
-    norm = float(np.linalg.norm(r))
-    while norm < _PIVOT_TOL:
-        r = rng.standard_normal(d)
-        norm = float(np.linalg.norm(r))
-    height_draw = float(rng.standard_normal())
-    width_draws = rng.standard_normal(d)
-    angle_draw = float(rng.standard_normal())
-    eta_draws = rng.standard_normal(4)
-    tau_draw = float(rng.standard_normal())
-
-    lb, ub = cfg.search_range
-    center = _reflect_each(comp.center, cfg.shift_severity * r / norm, lb, ub)
-    height = reflect(comp.height, cfg.height_severity * height_draw, *cfg.height_range)
-    widths = _reflect_each(comp.widths, cfg.width_severity * width_draws, *cfg.width_range)
-    angle = reflect(comp.angle, cfg.angle_severity * angle_draw, *cfg.angle_range)
-    eta = _reflect_each(comp.eta, cfg.eta_severity * eta_draws, *cfg.eta_range)
-    tau = reflect(comp.tau, cfg.tau_severity * tau_draw, *cfg.tau_range)
-
-    if cfg.rotation_enabled:
-        rotation = update_rotation(comp.rotation, angle, rng)
-    else:
-        rotation = comp.rotation
-    return ComponentState(center=center, height=height, widths=widths,
-                          angle=angle, tau=tau, eta=eta, rotation=rotation)
+    return _advance(make_landscape(0, [comp]), cfg, rng).components[0]
 
 
-def advance_environment(landscape: Landscape, cfg: ScenarioConfig, rng: RngStream) -> Landscape:
-    """Update every component in index order and recompute the optimum."""
+def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
+                        rng: np.random.Generator) -> Landscape:
+    """Update every component (see :func:`update_component`); the new
+    landscape caches its optimum."""
     if landscape.environment_index >= cfg.num_environments - 1:
         raise ScenarioExhausted(
             f"environment {landscape.environment_index} is the last of {cfg.num_environments}")
-    comps = [update_component(c, cfg, rng) for c in landscape.components]
-    return make_landscape(landscape.environment_index + 1, comps)
+    return _advance(landscape, cfg, rng)
 
 
-def init_landscape(cfg: ScenarioConfig, rng: RngStream) -> Landscape:
+def init_landscape(cfg: ScenarioConfig, rng: np.random.Generator) -> Landscape:
     """Draw the initial environment: all parameters uniform in their ranges."""
     cfg.validate()
     lb, ub = cfg.search_range

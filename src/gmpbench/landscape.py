@@ -12,10 +12,10 @@ component irregular, multimodal and (with unequal ``eta``) asymmetric.
 
 A :class:`Landscape` holds its components stacked, one row per component:
 ``centers`` (m, d), ``rotations`` (m, d, d), ``widths`` (m, d),
-``heights`` (m,), ``tau`` (m,) and ``eta`` (m, 4). One private kernel
-scores a block of points against all components at once, with a single
-:func:`transform_vector` call; :func:`evaluate_raw` is a one-row block,
-:func:`evaluate_batch` a sequence of bounded blocks and
+``heights`` (m,), ``angles`` (m,), ``tau`` (m,) and ``eta`` (m, 4). One
+private kernel scores a block of points against all components at once,
+with a single :func:`transform_vector` call; :func:`evaluate_raw` is a
+one-row block, :func:`evaluate_batch` a sequence of bounded blocks and
 :func:`component_value` a one-component landscape. The formula itself lives
 only in the scalar :func:`irregularity_transform`, the tests' oracle, and
 in :func:`transform_vector`.
@@ -180,26 +180,35 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class Landscape:
-    """One static environment: component set plus its cached global optimum.
+    """One static environment, held as stacked component arrays.
 
-    The optimum is analytic: a component's value never exceeds its height and
-    attains it only at the center, so the global maximum is the largest
-    height, located at that component's center (ties: lowest index).
+    Row ``k`` of each array belongs to component ``k``: ``centers`` (m, d),
+    ``rotations`` (m, d, d), ``widths`` (m, d), ``heights`` (m,), ``angles``
+    (m,), ``tau`` (m,) and ``eta`` (m, 4). Evaluation reads only these, and
+    the dynamics module advances them all at once.
 
-    The stacked arrays hold the components' parameters, row ``k`` for
-    component ``k``; evaluation reads only these.
+    The optimum is analytic and cached at construction: a component's value
+    never exceeds its height and attains it only at the center, so the
+    global maximum is the largest height, located at that component's center
+    (ties: lowest index).
     """
 
     environment_index: int
-    components: tuple[ComponentState, ...]
-    optimum_value: float
-    optimum_position: np.ndarray
     centers: np.ndarray
     rotations: np.ndarray
     widths: np.ndarray
     heights: np.ndarray
+    angles: np.ndarray
     tau: np.ndarray
     eta: np.ndarray
+    optimum_value: float = field(init=False)
+    optimum_position: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        k = int(np.argmax(self.heights))
+        object.__setattr__(self, "environment_index", int(self.environment_index))
+        object.__setattr__(self, "optimum_value", float(self.heights[k]))
+        object.__setattr__(self, "optimum_position", self.centers[k].copy())
 
     @property
     def dimension(self) -> int:
@@ -209,24 +218,28 @@ class Landscape:
     def num_components(self) -> int:
         return self.heights.shape[0]
 
+    @property
+    def components(self) -> tuple[ComponentState, ...]:
+        """One :class:`ComponentState` per row of the stacked arrays."""
+        return tuple(ComponentState(center=self.centers[k], height=self.heights[k],
+                                    widths=self.widths[k], angle=self.angles[k],
+                                    tau=self.tau[k], eta=self.eta[k],
+                                    rotation=self.rotations[k])
+                     for k in range(self.num_components))
+
 
 def make_landscape(environment_index: int, components: Sequence[ComponentState]) -> Landscape:
-    """Assemble a landscape: stack the component parameters and compute the
-    cached optimum from the heights."""
+    """Assemble a landscape by stacking the parameters of ``components``."""
     components = tuple(components)
     if not components:
         raise ValueError("landscape needs at least one component")
-    heights = np.array([c.height for c in components])
-    k = int(np.argmax(heights))
     return Landscape(
-        environment_index=int(environment_index),
-        components=components,
-        optimum_value=float(heights[k]),
-        optimum_position=components[k].center.copy(),
+        environment_index=environment_index,
         centers=np.stack([c.center for c in components]),
         rotations=np.stack([c.rotation for c in components]),
         widths=np.stack([c.widths for c in components]),
-        heights=heights,
+        heights=np.array([c.height for c in components]),
+        angles=np.array([c.angle for c in components]),
         tau=np.array([c.tau for c in components]),
         eta=np.stack([c.eta for c in components]),
     )

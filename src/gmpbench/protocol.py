@@ -6,6 +6,10 @@ an environment's quota is scored under that environment, after which the
 landscape silently advances (solvers get no notification; change detection
 is their job). Errors are best-so-far within the current environment, so the
 per-evaluation error sequence is non-increasing between changes.
+
+Only points inside the search box are scored. A point with a coordinate
+outside ``search_range``, NaN or infinite is rejected with ``ValueError``
+and costs no evaluation; it is not clamped into the box.
 """
 
 from __future__ import annotations
@@ -149,14 +153,21 @@ class BenchmarkSession:
         the landscape then advances without notice. Raises
         :class:`ScenarioComplete` once the total budget is spent, and
         ``ValueError``, spending no budget, for a point with a NaN or
-        infinite coordinate.
+        infinite coordinate or one outside the search box. Such points are
+        rejected rather than clamped: a clamped point would be scored at a
+        position the solver never asked for, so a solver must keep its own
+        points inside :attr:`bounds` (the box edges included).
         """
         if self.ledger.complete:
             raise ScenarioComplete(offline_error(self.ledger),
                                    best_before_change_error(self.ledger))
         x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
-            raise ValueError(f"point has a non-finite coordinate: {x}")
+        lb, ub = self.config.search_range
+        # one range check; a NaN fails both comparisons
+        if not (lb <= x.min() and x.max() <= ub):
+            if not np.isfinite(x).all():
+                raise ValueError(f"point has a non-finite coordinate: {x}")
+            raise ValueError(f"point lies outside the search box [{lb}, {ub}]: {x}")
         value = evaluate_raw(x, self.landscape)
         self.ledger.record(value, self.landscape.optimum_value)
         if (self.ledger.env_eval_count == 0

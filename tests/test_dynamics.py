@@ -1,17 +1,22 @@
 """Rotation machinery, reflect bounding, and environment updates."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gmpbench
 from gmpbench import (
+    ComponentState,
     ScenarioConfig,
     ScenarioExhausted,
     advance_environment,
-    givens_matrix,
     gram_schmidt,
     init_landscape,
     initial_rotation,
@@ -34,6 +39,79 @@ def in_ranges(comp, cfg):
         ((comp.eta >= cfg.eta_range[0]) & (comp.eta <= cfg.eta_range[1])).all(),
     ]
     return all(checks)
+
+
+def givens_matrix(d, pair, theta):
+    """Plane rotation by ``theta`` in the (p, q) coordinate plane.
+
+    Identity except entries (p,p) = (q,q) = cos(theta), (p,q) = -sin(theta),
+    (q,p) = sin(theta); orthogonal with determinant 1.
+    """
+    p, q = pair
+    if not (0 <= p < q < d):
+        raise ValueError(f"plane pair {pair} invalid for dimension {d}")
+    g = np.eye(d)
+    c, s = math.cos(theta), math.sin(theta)
+    g[p, p] = c
+    g[q, q] = c
+    g[p, q] = -s
+    g[q, p] = s
+    return g
+
+
+# -- per-component oracle: the environment change one component at a time,
+# with the mirror loop of reflect, as the stacked dynamics must reproduce it
+
+def oracle_reflect(value, delta, lo, hi):
+    if lo == hi:
+        return lo
+    v = value + delta
+    while v < lo or v > hi:
+        v = 2.0 * lo - v if v < lo else 2.0 * hi - v
+    return v
+
+
+def oracle_update_rotation(r, theta, rng):
+    pairs = plane_pairs(r.shape[0])
+    order = rng.permutation(len(pairs))
+    out = np.array(r, dtype=float)
+    c, s = math.cos(theta), math.sin(theta)
+    rot2 = np.array([[c, -s], [s, c]])
+    for idx in order[::-1]:
+        p, q = pairs[idx]
+        out[[p, q]] = rot2 @ out[[p, q]]
+    if orthogonality_error(out) > 1e-9:
+        out = gram_schmidt(out)
+    return out
+
+
+def oracle_update_component(comp, cfg, rng):
+    d = comp.dimension
+    r = rng.standard_normal(d)
+    norm = float(np.linalg.norm(r))
+    while norm < 1e-12:
+        r = rng.standard_normal(d)
+        norm = float(np.linalg.norm(r))
+    height_draw = float(rng.standard_normal())
+    width_draws = rng.standard_normal(d)
+    angle_draw = float(rng.standard_normal())
+    eta_draws = rng.standard_normal(4)
+    tau_draw = float(rng.standard_normal())
+
+    def each(values, deltas, lo, hi):
+        return np.array([oracle_reflect(float(v), float(dv), lo, hi)
+                         for v, dv in zip(values, deltas)])
+
+    angle = oracle_reflect(comp.angle, cfg.angle_severity * angle_draw, *cfg.angle_range)
+    return ComponentState(
+        center=each(comp.center, cfg.shift_severity * r / norm, *cfg.search_range),
+        height=oracle_reflect(comp.height, cfg.height_severity * height_draw, *cfg.height_range),
+        widths=each(comp.widths, cfg.width_severity * width_draws, *cfg.width_range),
+        angle=angle,
+        eta=each(comp.eta, cfg.eta_severity * eta_draws, *cfg.eta_range),
+        tau=oracle_reflect(comp.tau, cfg.tau_severity * tau_draw, *cfg.tau_range),
+        rotation=(oracle_update_rotation(comp.rotation, angle, rng)
+                  if cfg.rotation_enabled else comp.rotation))
 
 
 class TestGivens:
@@ -145,6 +223,34 @@ class TestUpdateRotation:
 
 
 class TestReflect:
+    def test_huge_deltas_land_inside(self):
+        # a mirror loop never ends on these; run them in a child process so
+        # a hang fails the test instead of stalling the suite
+        code = (
+            "import numpy as np\n"
+            "from gmpbench import ScenarioConfig, advance_environment, init_landscape, reflect\n"
+            "v = reflect(0.0, 1e300, -1.0, 1.0)\n"
+            "assert -1.0 <= v <= 1.0, v\n"
+            "cfg = ScenarioConfig(dimension=3, num_components=4, height_severity=1e12,\n"
+            "                     num_environments=3)\n"
+            "rng = np.random.default_rng(0)\n"
+            "ls = advance_environment(init_landscape(cfg, rng), cfg, rng)\n"
+            "lo, hi = cfg.height_range\n"
+            "assert ((ls.heights >= lo) & (ls.heights <= hi)).all(), ls.heights\n"
+            "print('inside')\n")
+        src = str(Path(gmpbench.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "inside"
+
+    @given(value=st.floats(-50, 50), delta=st.floats(-100, 100))
+    def test_one_mirror_matches_the_loop(self, value, delta):
+        # within a range width of an edge the fold is the exact mirror
+        assert reflect(value, delta, -50.0, 50.0) == oracle_reflect(value, delta, -50.0, 50.0)
+
     def test_in_range_passes_through(self):
         assert reflect(5.0, 2.0, 0.0, 10.0) == 7.0
 
@@ -230,6 +336,40 @@ class TestUpdateComponent:
         np.testing.assert_array_equal(a.center, b.center)
         np.testing.assert_array_equal(a.rotation, b.rotation)
         assert a.height == b.height
+
+
+class TestStackedDynamics:
+    @pytest.mark.parametrize("rotation", [True, False])
+    @pytest.mark.parametrize("d,m", [(d, m) for d in (1, 2, 5, 20) for m in (1, 3, 50)])
+    def test_bit_identical_to_per_component_oracle(self, d, m, rotation):
+        cfg = ScenarioConfig(dimension=d, num_components=m, num_environments=21,
+                             rotation_enabled=rotation, seed=d * 100 + m)
+        rng = np.random.default_rng(cfg.seed)
+        oracle_rng = np.random.default_rng(cfg.seed)
+        ls = init_landscape(cfg, rng)
+        comps = init_landscape(cfg, oracle_rng).components
+        for env in range(1, cfg.num_environments):
+            ls = advance_environment(ls, cfg, rng)
+            comps = [oracle_update_component(c, cfg, oracle_rng) for c in comps]
+            assert ls.environment_index == env
+            for name, attr in (("centers", "center"), ("rotations", "rotation"),
+                               ("widths", "widths"), ("heights", "height"),
+                               ("angles", "angle"), ("tau", "tau"), ("eta", "eta")):
+                expect = np.stack([np.asarray(getattr(c, attr)) for c in comps])
+                assert np.array_equal(getattr(ls, name), expect), (env, name)
+            k = int(np.argmax([c.height for c in comps]))
+            assert ls.optimum_value == comps[k].height
+            assert np.array_equal(ls.optimum_position, comps[k].center)
+        # both generators consumed the same draws
+        assert rng.standard_normal() == oracle_rng.standard_normal()
+
+    def test_update_component_is_a_one_component_change(self):
+        cfg = ScenarioConfig(dimension=4, num_components=1)
+        comp = init_landscape(cfg, np.random.default_rng(6)).components[0]
+        new = update_component(comp, cfg, np.random.default_rng(60))
+        expect = oracle_update_component(comp, cfg, np.random.default_rng(60))
+        for attr in ("center", "rotation", "widths", "height", "angle", "tau", "eta"):
+            assert np.array_equal(getattr(new, attr), getattr(expect, attr)), attr
 
 
 class TestLandscapeLifecycle:

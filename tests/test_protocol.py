@@ -174,6 +174,17 @@ class TestSession:
         assert s.total_evaluations == 0
         assert s.budget_remaining == 15
 
+    def test_point_outside_box_rejected_without_spending_budget(self):
+        s = BenchmarkSession(self.cfg())
+        for bad in ([100.5, 0.0], [0.0, -100.0 - 1e-9], [1e300, -1e300]):
+            with pytest.raises(ValueError, match="outside the search box"):
+                s.evaluate(np.array(bad))
+        assert s.total_evaluations == 0
+        assert s.budget_remaining == 15
+        # the box edges belong to the box
+        s.evaluate(np.array([-100.0, 100.0]))
+        assert s.total_evaluations == 1
+
     def test_best_resets_across_change(self):
         s = BenchmarkSession(self.cfg(seed=4))
         for _ in range(5):
