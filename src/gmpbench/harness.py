@@ -44,6 +44,7 @@ _RANGE_FIELDS = ("search_range", "height_range", "width_range",
                  "angle_range", "tau_range", "eta_range")
 _INT_FIELDS = ("dimension", "num_components", "change_frequency",
                "num_environments", "seed")
+_RANDOM_BLOCK_ROWS = 16
 
 
 class ExperimentError(RuntimeError):
@@ -51,7 +52,12 @@ class ExperimentError(RuntimeError):
 
 
 class RandomSearch:
-    """Uniform random sampling of the search box, one point per evaluation."""
+    """Uniform random sampling of the search box, one point per evaluation.
+
+    Points are drawn and sent in blocks of ``_RANDOM_BLOCK_ROWS``, which
+    draws the same stream as one point at a time; rows the session did not
+    consume are sent again.
+    """
 
     def __init__(self, session: BenchmarkSession, rng: np.random.Generator):
         self.session = session
@@ -60,9 +66,12 @@ class RandomSearch:
     def run(self):
         lb, ub = self.session.bounds
         d = self.session.dimension
+        pending = np.empty((0, d))
         try:
             while True:
-                self.session.evaluate(self.rng.uniform(lb, ub, d))
+                if not pending.shape[0]:
+                    pending = self.rng.uniform(lb, ub, (_RANDOM_BLOCK_ROWS, d))
+                pending = pending[self.session.evaluate(pending).shape[0]:]
         except ScenarioComplete:
             return
 
@@ -96,6 +105,14 @@ def _solver_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, 1])
 
 
+def _resolved_solver_config(scenario: ScenarioConfig,
+                            solver_config: SolverConfig | None) -> SolverConfig:
+    """``solver_config`` (default: :class:`SolverConfig`) with the radii it
+    leaves open tied to ``scenario``."""
+    given = solver_config if solver_config is not None else SolverConfig()
+    return SolverConfig.for_scenario(scenario, **dataclasses.asdict(given))
+
+
 def run_session(scenario: ScenarioConfig, solver: str = "mqso",
                 solver_config: SolverConfig | None = None,
                 seed: int | None = None) -> tuple[dict, BenchmarkSession]:
@@ -111,9 +128,7 @@ def run_session(scenario: ScenarioConfig, solver: str = "mqso",
     rng = _solver_rng(scenario.seed)
     try:
         if solver == "mqso":
-            resolved = (solver_config if solver_config is not None else SolverConfig())
-            resolved = SolverConfig.for_scenario(scenario, **dataclasses.asdict(resolved))
-            MQSO(session, resolved, rng).run()
+            MQSO(session, _resolved_solver_config(scenario, solver_config), rng).run()
         elif solver == "random":
             RandomSearch(session, rng).run()
         else:
@@ -154,9 +169,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         runs.append(record)
     solver_params = {}
     if spec.solver == "mqso":
-        resolved = (spec.solver_config if spec.solver_config is not None else SolverConfig())
-        resolved = SolverConfig.for_scenario(spec.scenario, **dataclasses.asdict(resolved))
-        solver_params = dataclasses.asdict(resolved)
+        solver_params = dataclasses.asdict(
+            _resolved_solver_config(spec.scenario, spec.solver_config))
     result = {
         "artifact_version": __version__,
         "scenario": scenario_to_dict(spec.scenario),
@@ -226,15 +240,17 @@ def export_grid(scenario: ScenarioConfig, env_index: int, resolution: int,
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     chunk_rows = max(1, 200_000 // resolution)
+    # each axis value is formatted once; a grid line is written at a time
+    labels = [repr(v) for v in axis.tolist()]
     with open(out_path, "w") as fh:
         fh.write("x1,x2,f\n")
         for start in range(0, resolution, chunk_rows):
             x1 = axis[start:start + chunk_rows]
             g1, g2 = np.meshgrid(x1, axis, indexing="ij")
             points = np.column_stack([g1.ravel(), g2.ravel()])
-            values = evaluate_batch(points, landscape)
-            for (a, b), v in zip(points, values):
-                fh.write(f"{float(a)!r},{float(b)!r},{float(v)!r}\n")
+            values = evaluate_batch(points, landscape).reshape(len(x1), resolution)
+            for a, line in zip(labels[start:start + chunk_rows], values):
+                fh.writelines(f"{a},{b},{v!r}\n" for b, v in zip(labels, line.tolist()))
     meta = {
         "environment_index": landscape.environment_index,
         "resolution": resolution,

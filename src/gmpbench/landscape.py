@@ -14,11 +14,12 @@ A :class:`Landscape` holds its components stacked, one row per component:
 ``centers`` (m, d), ``rotations`` (m, d, d), ``widths`` (m, d),
 ``heights`` (m,), ``angles`` (m,), ``tau`` (m,) and ``eta`` (m, 4). One
 private kernel scores a block of points against all components at once,
-with a single :func:`transform_vector` call; :func:`evaluate_raw` is a
-one-row block, :func:`evaluate_batch` a sequence of bounded blocks and
-:func:`component_value` a one-component landscape. The formula itself lives
-only in the scalar :func:`irregularity_transform`, the tests' oracle, and
-in :func:`transform_vector`.
+with a single :func:`transform_vector` call. A row's value does not depend
+on the block around it, so :func:`evaluate_raw` of a point, of any block
+holding it, and :func:`evaluate_batch` (a sequence of bounded blocks) agree
+bit for bit; :func:`component_value` is a one-component landscape. The
+formula itself lives only in the scalar :func:`irregularity_transform`, the
+tests' oracle, and in :func:`transform_vector`.
 
 Evaluation never mutates landscape state; all mutation goes through the
 dynamics module between environments.
@@ -95,6 +96,11 @@ class ComponentState:
         return float(self.widths.max() / self.widths.min())
 
 
+# Bound on the magnitude of one standard normal draw that a severity scales:
+# numpy's draws stay far below it (|z| > 64 has probability below 1e-890).
+_MAX_DRAW = 64.0
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Scenario parameters; defaults are the standard benchmark settings.
@@ -149,10 +155,17 @@ class ScenarioConfig:
                 bad.append(f"{name} must be finite")
             elif value < 0:
                 bad.append(f"{name} must be nonnegative")
+            elif not math.isfinite(_MAX_DRAW * value):
+                # a change's step (severity times a standard normal draw)
+                # would overflow
+                bad.append(f"{name} is too large: {_MAX_DRAW:g} * {name} must be finite")
         for name in ("search_range", "height_range", "width_range",
                      "angle_range", "tau_range", "eta_range"):
-            if not all(math.isfinite(v) for v in getattr(self, name)):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 bad.append(f"{name} bounds must be finite")
+            elif not math.isfinite(hi - lo):
+                bad.append(f"{name} width (upper - lower) must be finite")
         if not self.search_range[0] < self.search_range[1]:
             bad.append("search_range must satisfy lower < upper")
         for name in ("height_range", "width_range", "angle_range",
@@ -299,9 +312,16 @@ _BLOCK_ELEMENTS = 1 << 15
 
 
 def _peak_values(points: np.ndarray, landscape: Landscape) -> np.ndarray:
-    """Landscape objective at each row of an ``(n, d)`` block of points."""
+    """Landscape objective at each row of an ``(n, d)`` block of points.
+
+    A row's value does not depend on the other rows of the block: every
+    product below is one vector-matrix or vector-vector product per
+    (component, point). A single ``(m, n, d) @ (m, d, d)`` product would
+    round differently for ``n == 1`` (gemv) and ``n >= 2`` (gemm).
+    """
     # y[k, i] = R_k (x_i - c_k); the offset form keeps a center's value exact
-    y = (points[None, :, :] - landscape.centers[:, None, :]) @ landscape.rotations.transpose(0, 2, 1)
+    offsets = points[None, :, :] - landscape.centers[:, None, :]
+    y = (offsets[:, :, None, :] @ landscape.rotations.transpose(0, 2, 1)[:, None])[:, :, 0, :]
     t = transform_vector(y, landscape.tau[:, None, None], landscape.eta[:, None, None, :])
     # one (widths * t) . t dot product per component and point
     values = ((landscape.widths[:, None, :] * t)[:, :, None, :] @ t[:, :, :, None])[:, :, 0, 0]
@@ -316,11 +336,17 @@ def component_value(x: np.ndarray, comp: ComponentState) -> float:
     return evaluate_raw(x, make_landscape(0, [comp]))
 
 
-def evaluate_raw(x: np.ndarray, landscape: Landscape) -> float:
-    """Landscape objective at ``x``: max over components."""
+def evaluate_raw(x: np.ndarray, landscape: Landscape):
+    """Landscape objective at ``x``: max over components.
+
+    A ``(d,)`` point gives a float; an ``(n, d)`` block gives an ``(n,)``
+    array, each row equal to the value of that point alone.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (landscape.dimension,):
+    if x.shape[-1:] != (landscape.dimension,) or x.ndim > 2:
         raise ValueError(f"point of shape {x.shape} does not match landscape dimension {landscape.dimension}")
+    if x.ndim == 2:
+        return _peak_values(x, landscape)
     return float(_peak_values(x[None, :], landscape)[0])
 
 

@@ -12,6 +12,15 @@ anti-convergence reinitializes the worst swarm once every swarm has
 contracted. Changes are detected by re-evaluating each swarm's global best
 once per iteration, since the session gives no change signal.
 
+Each swarm's moves are scored as blocks, speculatively and exactly. All of
+a swarm's random draws are made first, in the order of a particle-by-particle
+step; the moves of the particles not yet scored are then computed from the
+current global best and sent as one block that the session stops after the
+first row beating that global best. The consumed rows are committed, and the
+rest are recomputed around the new global best and sent again. Every
+particle therefore moves, and every evaluation lands in the ledger, exactly
+as in the particle-by-particle step.
+
 The solver touches the benchmark only through the black-box session surface
 (evaluate / bounds / dimension / budget), and is single-threaded: evaluation
 order determines the error ledger, so it must be reproducible from the seed.
@@ -19,11 +28,12 @@ order determines the error ledger, so it must be reproducible from the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .protocol import BenchmarkSession
+from .protocol import BenchmarkSession, ScenarioComplete
 
 __all__ = ["SolverConfig", "Swarm", "MQSO", "CHANGE_DETECTION_TOL"]
 
@@ -168,8 +178,7 @@ class MQSO:
         n = self.config.neutral_count + self.config.quantum_count
         positions = self.rng.uniform(lb, ub, (n, d))
         values = np.empty(n)
-        for i in range(n):
-            values[i] = self.session.evaluate(positions[i])
+        self._evaluate_into(positions, values)
         return Swarm(positions=positions,
                      velocities=np.zeros((n, d)),
                      pbest_positions=positions.copy(),
@@ -181,16 +190,32 @@ class MQSO:
         self.swarms[index] = self._new_swarm()
         self.swarms[index].generation = generation + 1
 
-    def _sample_ball(self, center: np.ndarray) -> np.ndarray:
-        """Uniform sample from the ball of ``cloud_radius`` around ``center``."""
-        d = center.shape[0]
-        v = self.rng.standard_normal(d)
-        norm = float(np.linalg.norm(v))
-        while norm < 1e-12:
+    def _evaluate_into(self, points: np.ndarray, out: np.ndarray):
+        """Score every row of ``points`` into ``out``, block by block, so
+        that the rows scored before the budget runs out are kept."""
+        done = 0
+        while done < points.shape[0]:
+            values = self.session.evaluate(points[done:])
+            out[done:done + values.shape[0]] = values
+            done += values.shape[0]
+
+    def _ball_offsets(self, count: int, d: int) -> np.ndarray:
+        """Offsets of ``count`` uniform samples from the ball of
+        ``cloud_radius`` around the origin, one per row.
+
+        The draws are made sample by sample: a normal direction (redrawn
+        while its norm is below 1e-12), then a uniform radius.
+        """
+        offsets = np.empty((count, d))
+        for k in range(count):
             v = self.rng.standard_normal(d)
-            norm = float(np.linalg.norm(v))
-        radius = self.cloud_radius * float(self.rng.uniform(0.0, 1.0)) ** (1.0 / d)
-        return center + (radius / norm) * v
+            norm = math.sqrt(v.dot(v))  # what np.linalg.norm computes
+            while norm < 1e-12:
+                v = self.rng.standard_normal(d)
+                norm = math.sqrt(v.dot(v))
+            radius = self.cloud_radius * float(self.rng.uniform(0.0, 1.0)) ** (1.0 / d)
+            np.multiply(radius / norm, v, out=offsets[k])
+        return offsets
 
     # -- the four phases ----------------------------------------------------
 
@@ -211,8 +236,7 @@ class MQSO:
                 break
         if detected:
             for swarm in self.swarms:
-                for i in range(swarm.size):
-                    swarm.pbest_values[i] = self.session.evaluate(swarm.pbest_positions[i])
+                self._evaluate_into(swarm.pbest_positions, swarm.pbest_values)
                 swarm.refresh_gbest()
         return detected
 
@@ -231,33 +255,53 @@ class MQSO:
         Branke, 2006). When a later particle improves the global best, an
         earlier quantum particle may therefore end the step up to
         ``2 * cloud_radius`` from it.
+
+        The moves are scored in blocks: those of all particles not yet
+        scored, computed from the current global best, stopped by the
+        session after the first row that beats it. Positions, velocities
+        and bests are exactly those of a particle-by-particle step.
         """
         lb, ub = self.session.bounds
         cfg = self.config
+        d = self.session.dimension
         for swarm in self.swarms:
-            for i in range(swarm.size):
-                if i < swarm.neutral_count:
-                    u1 = self.rng.uniform(0.0, 1.0, self.session.dimension)
-                    u2 = self.rng.uniform(0.0, 1.0, self.session.dimension)
-                    v = cfg.chi * (swarm.velocities[i]
-                                   + cfg.c1 * u1 * (swarm.pbest_positions[i] - swarm.positions[i])
-                                   + cfg.c2 * u2 * (swarm.gbest_position - swarm.positions[i]))
-                    x = swarm.positions[i] + v
-                    out = (x < lb) | (x > ub)
-                    if out.any():
-                        x = np.clip(x, lb, ub)
-                        v = np.where(out, 0.0, v)
-                    swarm.velocities[i] = v
-                else:
-                    x = np.clip(self._sample_ball(swarm.gbest_position), lb, ub)
-                swarm.positions[i] = x
-                value = self.session.evaluate(x)
-                if value > swarm.pbest_values[i]:
-                    swarm.pbest_values[i] = value
-                    swarm.pbest_positions[i] = x.copy()
-                    if value > swarm.gbest_value:
-                        swarm.gbest_value = value
-                        swarm.gbest_position = x.copy()
+            nc = swarm.neutral_count
+            # the draws of a particle-by-particle step, in its order: u1 and
+            # u2 per neutral particle, then a ball sample per quantum particle
+            u = self.rng.uniform(0.0, 1.0, (nc, 2, d))
+            offsets = self._ball_offsets(swarm.size - nc, d)
+            # the neutral update, v = chi * (inertia + pull * (gbest - x)),
+            # up to its global-best term
+            x0 = swarm.positions[:nc].copy()
+            inertia = swarm.velocities[:nc] + cfg.c1 * u[:, 0] * (swarm.pbest_positions[:nc] - x0)
+            pull = cfg.c2 * u[:, 1]
+            start = 0
+            while start < swarm.size:
+                # the moves of the particles not yet scored, around the
+                # current global best
+                v = cfg.chi * (inertia[start:] + pull[start:] * (swarm.gbest_position - x0[start:]))
+                x = np.concatenate([x0[start:] + v,
+                                    swarm.gbest_position + offsets[max(0, start - nc):]])
+                neutral = x[:v.shape[0]]
+                v[(neutral < lb) | (neutral > ub)] = 0.0
+                np.clip(x, lb, ub, out=x)
+                # the first move is stored before it is scored, as a
+                # particle-by-particle step does, should the budget run out
+                swarm.positions[start] = x[0]
+                swarm.velocities[start:nc][:1] = v[:1]
+                values = self.session.evaluate(x, stop_above=swarm.gbest_value)
+                k = values.shape[0]
+                stop = start + k
+                swarm.positions[start:stop] = x[:k]
+                swarm.velocities[start:nc][:k] = v[:k]
+                better = values > swarm.pbest_values[start:stop]
+                swarm.pbest_values[start:stop][better] = values[better]
+                swarm.pbest_positions[start:stop][better] = x[:k][better]
+                # only the last consumed row can beat the global best
+                if better[-1] and values[-1] > swarm.gbest_value:
+                    swarm.gbest_value = float(values[-1])
+                    swarm.gbest_position = x[k - 1].copy()
+                start = stop
 
     def exclusion(self):
         """Reinitialize the worse of any two swarms with colliding bests.
@@ -309,7 +353,6 @@ class MQSO:
 
     def run(self):
         """Step until the session budget is exhausted."""
-        from .protocol import ScenarioComplete
         try:
             while True:
                 self.step()

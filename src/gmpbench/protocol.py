@@ -10,6 +10,16 @@ per-evaluation error sequence is non-increasing between changes.
 Only points inside the search box are scored. A point with a coordinate
 outside ``search_range``, NaN or infinite is rejected with ``ValueError``
 and costs no evaluation; it is not clamped into the box.
+
+A solver may hand the session a block of points, one per row. The rows are
+scored in order, exactly as if they had been sent one at a time: a block may
+run across environment changes (the rows after a change are scored under the
+new environment, and the call does not end there, which would tell the
+solver that the environment changed). The block is range-checked as a whole,
+so one bad row rejects the call and spends nothing. A call ends early only
+when the budget runs out, or after the first row that scores strictly above
+the caller's ``stop_above``; rows after that are neither recorded nor
+returned, so a solver can send speculative moves and resend the rest.
 """
 
 from __future__ import annotations
@@ -74,18 +84,26 @@ class EvaluationLedger:
     def complete(self) -> bool:
         return self.total == self.capacity
 
-    def record(self, value: float, optimum_value: float) -> float:
-        """Record one evaluation; returns the best-so-far error it leaves."""
-        if self.total >= self.capacity:
+    def record(self, values, optimum_value: float) -> float:
+        """Record one evaluation, or a block of evaluations in order, all in
+        the current environment; returns the best-so-far error the last one
+        leaves."""
+        values = np.asarray(values, dtype=float).reshape(-1)
+        n = values.shape[0]
+        if self.total + n > self.capacity:
             raise ValueError("ledger is full")
-        if value > self._best_value:
-            self._best_value = value
-        error = optimum_value - self._best_value
-        self.errors[self.total] = error
-        self.values[self.total] = value
-        self.optima[self.total] = optimum_value
-        self.total += 1
-        self.env_eval_count += 1
+        if self.env_eval_count + n > self.change_frequency:
+            raise ValueError("block runs past the end of the environment")
+        best = np.maximum.accumulate(values)
+        np.maximum(best, self._best_value, out=best)
+        span = slice(self.total, self.total + n)
+        np.subtract(optimum_value, best, out=self.errors[span])
+        self.values[span] = values
+        self.optima[span] = optimum_value
+        error = self.errors[self.total + n - 1]
+        self._best_value = best[-1]
+        self.total += n
+        self.env_eval_count += n
         if self.env_eval_count == self.change_frequency:
             self.env_final_errors[self.environments_completed] = error
             self.environments_completed += 1
@@ -146,14 +164,21 @@ class BenchmarkSession:
     def budget_remaining(self) -> int:
         return self.ledger.capacity - self.ledger.total
 
-    def evaluate(self, x) -> float:
+    def evaluate(self, x, stop_above: float = math.inf):
         """Objective value of ``x`` under the current environment.
+
+        ``x`` is one ``(d,)`` point, which gives a float, or an ``(n, d)``
+        block of points, which gives the values of the rows consumed, in
+        order. The rows are scored as if sent one by one, across environment
+        changes; the call stops after the first row scoring strictly above
+        ``stop_above``, or when the budget runs out, and the rows after it
+        are not scored.
 
         The evaluation that exhausts an environment's quota is scored there;
         the landscape then advances without notice. Raises
         :class:`ScenarioComplete` once the total budget is spent, and
-        ``ValueError``, spending no budget, for a point with a NaN or
-        infinite coordinate or one outside the search box. Such points are
+        ``ValueError``, spending no budget, when any point has a NaN or
+        infinite coordinate or lies outside the search box. Such points are
         rejected rather than clamped: a clamped point would be scored at a
         position the solver never asked for, so a solver must keep its own
         points inside :attr:`bounds` (the box edges included).
@@ -162,18 +187,34 @@ class BenchmarkSession:
             raise ScenarioComplete(offline_error(self.ledger),
                                    best_before_change_error(self.ledger))
         x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dimension:
+            raise ValueError(f"points of shape {x.shape} do not match dimension {self.dimension}")
+        points = x if x.ndim == 2 else x[None, :]
         lb, ub = self.config.search_range
         # one range check; a NaN fails both comparisons
-        if not (lb <= x.min() and x.max() <= ub):
-            if not np.isfinite(x).all():
+        if not (lb <= points.min() and points.max() <= ub):
+            if not np.isfinite(points).all():
                 raise ValueError(f"point has a non-finite coordinate: {x}")
             raise ValueError(f"point lies outside the search box [{lb}, {ub}]: {x}")
-        value = evaluate_raw(x, self.landscape)
-        self.ledger.record(value, self.landscape.optimum_value)
-        if (self.ledger.env_eval_count == 0
-                and self.ledger.environments_completed < self.config.num_environments):
-            self.landscape = advance_environment(self.landscape, self.config, self.rng)
-        return value
+        ledger = self.ledger
+        n = points.shape[0]
+        values = np.empty(n)
+        done = 0
+        # one kernel call per environment the block reaches
+        while done < n and not ledger.complete:
+            end = min(n, done + ledger.change_frequency - ledger.env_eval_count)
+            values[done:end] = evaluate_raw(points[done:end], self.landscape)
+            if stop_above < math.inf:
+                above = values[done:end] > stop_above
+                if above.any():
+                    # the rows after the first one above are dropped
+                    end = n = done + int(above.argmax()) + 1
+            ledger.record(values[done:end], self.landscape.optimum_value)
+            if (ledger.env_eval_count == 0
+                    and ledger.environments_completed < self.config.num_environments):
+                self.landscape = advance_environment(self.landscape, self.config, self.rng)
+            done = end
+        return values[:done] if x.ndim == 2 else float(values[0])
 
     def indicators(self, partial: bool = False) -> tuple[float, float]:
         """(offline error, best-before-change error) for this run."""

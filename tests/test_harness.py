@@ -1,0 +1,62 @@
+"""Experiment runner and grid export: solvers, resolved parameters, CSV text."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from gmpbench import (
+    BenchmarkSession,
+    ExperimentSpec,
+    RandomSearch,
+    ScenarioComplete,
+    ScenarioConfig,
+    SolverConfig,
+    evaluate_raw,
+    export_grid,
+    landscape_at,
+    run_experiment,
+)
+
+
+class TestRandomSearch:
+    @pytest.mark.parametrize("change_frequency, environments", [(7, 5), (16, 2), (100, 3)])
+    def test_blocks_match_one_point_at_a_time(self, change_frequency, environments):
+        config = ScenarioConfig(dimension=3, num_components=4, change_frequency=change_frequency,
+                                num_environments=environments, seed=2)
+        oracle = BenchmarkSession(config)
+        rng = np.random.default_rng(5)
+        with pytest.raises(ScenarioComplete):
+            while True:
+                oracle.evaluate(rng.uniform(*oracle.bounds, 3))
+        session = BenchmarkSession(config)
+        RandomSearch(session, np.random.default_rng(5)).run()
+        assert session.ledger.complete
+        for name in ("values", "errors", "optima", "env_final_errors"):
+            np.testing.assert_array_equal(getattr(session.ledger, name),
+                                          getattr(oracle.ledger, name))
+
+
+class TestExperiment:
+    def test_solver_params_are_the_resolved_config(self):
+        scenario = ScenarioConfig(dimension=2, num_components=4, change_frequency=60,
+                                  num_environments=2)
+        spec = ExperimentSpec(scenario=scenario, solver_config=SolverConfig(num_swarms=2),
+                              run_count=1)
+        result = run_experiment(spec)
+        resolved = SolverConfig.for_scenario(scenario, num_swarms=2)
+        assert result["solver_params"] == dataclasses.asdict(resolved)
+        assert run_experiment(dataclasses.replace(spec, solver="random"))["solver_params"] == {}
+
+
+class TestExportGrid:
+    def test_csv_rows_are_grid_points_and_their_exact_values(self, tmp_path):
+        scenario = ScenarioConfig(dimension=2, num_components=5, num_environments=3, seed=4)
+        csv_path, _ = export_grid(scenario, 2, 7, tmp_path / "grid.csv")
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "x1,x2,f"
+        axis = np.linspace(-100.0, 100.0, 7)
+        land = landscape_at(scenario, 2)
+        expected = [f"{a!r},{b!r},{evaluate_raw(np.array([a, b]), land)!r}"
+                    for a in axis.tolist() for b in axis.tolist()]
+        assert lines[1:] == expected

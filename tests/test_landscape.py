@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gmpbench import (
     ComponentState,
     ScenarioConfig,
+    advance_environment,
     component_value,
     evaluate_batch,
     evaluate_raw,
@@ -163,8 +164,13 @@ class TestEvaluateRaw:
             single = np.array([evaluate_raw(x, ls) for x in xs])
             expect = np.array([oracle_value(x, ls) for x in xs])
             # stacked sums round differently; values are at most about 1e3
-            np.testing.assert_allclose(batch, expect, rtol=1e-12, atol=1e-10)
             np.testing.assert_allclose(single, expect, rtol=1e-12, atol=1e-10)
+            # a row's value does not depend on the block it is scored in
+            np.testing.assert_array_equal(batch, single)
+            for size in range(1, 34):
+                for start in range(0, 40, size):
+                    np.testing.assert_array_equal(evaluate_raw(xs[start:start + size], ls),
+                                                  single[start:start + size])
             for k, comp in enumerate(ls.components):
                 alone = make_landscape(0, [comp])
                 assert evaluate_raw(comp.center, alone) == comp.height
@@ -281,6 +287,27 @@ class TestScenarioConfig:
         err = capsys.readouterr().err
         assert "shift_severity must be finite" in err
         assert "height_range bounds must be finite" in err
+
+    def test_overflowing_severities_and_range_widths_are_violations(self):
+        # 64 standard deviations bound every draw a severity scales
+        bad = "; ".join(ScenarioConfig(height_severity=1e308).violations())
+        assert "height_severity is too large" in bad
+        bad = "; ".join(ScenarioConfig(search_range=(-1e308, 1e308),
+                                       eta_range=(-1e308, 1e308)).violations())
+        assert "search_range width" in bad and "eta_range width" in bad
+        assert not ScenarioConfig(height_severity=1e306, search_range=(-8e307, 8e307)).violations()
+
+    def test_large_severity_keeps_the_landscape_finite(self):
+        cfg = ScenarioConfig(dimension=2, num_components=3, height_severity=1e306,
+                             num_environments=30).validate()
+        rng = np.random.default_rng(0)
+        ls = init_landscape(cfg, rng)
+        for _ in range(29):
+            ls = advance_environment(ls, cfg, rng)
+            for name in ("centers", "rotations", "widths", "heights", "angles", "tau", "eta"):
+                assert np.isfinite(getattr(ls, name)).all()
+            assert math.isfinite(ls.optimum_value)
+        assert ls.environment_index == 29
 
     def test_validate_raises(self):
         with pytest.raises(ValueError, match="change_frequency"):

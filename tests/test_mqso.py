@@ -9,7 +9,9 @@ from gmpbench import (
     ScenarioComplete,
     ScenarioConfig,
     SolverConfig,
+    Swarm,
 )
+from gmpbench.mqso import CHANGE_DETECTION_TOL
 
 
 def make_session(**kw):
@@ -60,13 +62,18 @@ class TestInitialization:
 
 
 def record_evaluations(session):
-    """Wrap ``session.evaluate`` to log each ``(x, value)`` in call order."""
+    """Wrap ``session.evaluate`` to log each scored ``(x, value)`` in call
+    order; a block logs each row it consumed."""
     calls = []
     evaluate = session.evaluate
 
-    def recording(x):
-        value = evaluate(x)
-        calls.append((np.array(x, dtype=float), value))
+    def recording(x, **kwargs):
+        value = evaluate(x, **kwargs)
+        x = np.array(x, dtype=float)
+        if x.ndim == 1:
+            calls.append((x, value))
+        else:
+            calls.extend(zip(x, value))
         return value
 
     session.evaluate = recording
@@ -108,7 +115,7 @@ class TestSolverStep:
         s = make_session()
         solver = make_solver(s, rng_seed=3)
         center = np.array([10.0, -20.0])
-        samples = np.array([solver._sample_ball(center) for _ in range(10_000)])
+        samples = center + solver._ball_offsets(10_000, 2)
         dists = np.linalg.norm(samples - center, axis=1)
         assert (dists <= solver.cloud_radius).all()
         # uniform in the ball, not on the sphere: interior mass present
@@ -278,3 +285,125 @@ class TestFullRun:
         with pytest.raises(ScenarioComplete):
             make_solver(session)  # 100-particle init exceeds the 30-eval budget
         assert session.ledger.complete
+
+
+class PerParticleMQSO(MQSO):
+    """The particle-by-particle solver, one evaluation per call: the oracle
+    that the block-scoring :class:`MQSO` must reproduce bit for bit."""
+
+    def _new_swarm(self):
+        lb, ub = self.session.bounds
+        d = self.session.dimension
+        n = self.config.neutral_count + self.config.quantum_count
+        positions = self.rng.uniform(lb, ub, (n, d))
+        values = np.empty(n)
+        for i in range(n):
+            values[i] = self.session.evaluate(positions[i])
+        return Swarm(positions=positions, velocities=np.zeros((n, d)),
+                     pbest_positions=positions.copy(), pbest_values=values,
+                     neutral_count=self.config.neutral_count)
+
+    def _sample_ball(self, center):
+        d = center.shape[0]
+        v = self.rng.standard_normal(d)
+        norm = float(np.linalg.norm(v))
+        while norm < 1e-12:
+            v = self.rng.standard_normal(d)
+            norm = float(np.linalg.norm(v))
+        radius = self.cloud_radius * float(self.rng.uniform(0.0, 1.0)) ** (1.0 / d)
+        return center + (radius / norm) * v
+
+    def change_reaction(self):
+        detected = False
+        for swarm in self.swarms:
+            value = self.session.evaluate(swarm.gbest_position)
+            if abs(value - swarm.gbest_value) > CHANGE_DETECTION_TOL:
+                detected = self.change_detected = True
+                break
+        if detected:
+            for swarm in self.swarms:
+                for i in range(swarm.size):
+                    swarm.pbest_values[i] = self.session.evaluate(swarm.pbest_positions[i])
+                swarm.refresh_gbest()
+        return detected
+
+    def solver_step(self):
+        lb, ub = self.session.bounds
+        cfg = self.config
+        for swarm in self.swarms:
+            for i in range(swarm.size):
+                if i < swarm.neutral_count:
+                    u1 = self.rng.uniform(0.0, 1.0, self.session.dimension)
+                    u2 = self.rng.uniform(0.0, 1.0, self.session.dimension)
+                    v = cfg.chi * (swarm.velocities[i]
+                                   + cfg.c1 * u1 * (swarm.pbest_positions[i] - swarm.positions[i])
+                                   + cfg.c2 * u2 * (swarm.gbest_position - swarm.positions[i]))
+                    x = swarm.positions[i] + v
+                    out = (x < lb) | (x > ub)
+                    if out.any():
+                        x = np.clip(x, lb, ub)
+                        v = np.where(out, 0.0, v)
+                    swarm.velocities[i] = v
+                else:
+                    x = np.clip(self._sample_ball(swarm.gbest_position), lb, ub)
+                swarm.positions[i] = x
+                value = self.session.evaluate(x)
+                if value > swarm.pbest_values[i]:
+                    swarm.pbest_values[i] = value
+                    swarm.pbest_positions[i] = x.copy()
+                    if value > swarm.gbest_value:
+                        swarm.gbest_value = value
+                        swarm.gbest_position = x.copy()
+
+
+def log_blocks(session):
+    """Wrap ``session.evaluate`` to log (rows sent, values, stop_above) of
+    each block call."""
+    blocks = []
+    evaluate = session.evaluate
+
+    def logging(x, stop_above=np.inf):
+        values = evaluate(x, stop_above=stop_above)
+        if np.ndim(x) == 2:
+            blocks.append((len(x), values, stop_above))
+        return values
+
+    session.evaluate = logging
+    return blocks
+
+
+class TestBlockScoring:
+    # the environment counts make each budget end inside a block
+    @pytest.mark.parametrize("d, m, environments, solver_kw", [
+        (1, 4, 5, {}),
+        (2, 3, 4, {"num_swarms": 5, "neutral_count": 3, "quantum_count": 4}),
+        (10, 10, 5, {}),
+        (20, 12, 4, {"neutral_count": 0, "quantum_count": 6}),
+    ])
+    def test_bit_identical_to_per_particle_oracle(self, d, m, environments, solver_kw):
+        config = ScenarioConfig(dimension=d, num_components=m, change_frequency=137,
+                                num_environments=environments, seed=40 + d)
+        runs = []
+        for cls in (PerParticleMQSO, MQSO):
+            session = BenchmarkSession(config)
+            blocks = log_blocks(session)
+            solver = cls(session, SolverConfig.for_scenario(config, **solver_kw),
+                         np.random.default_rng(d), track_history=True)
+            solver.run()
+            runs.append((session, solver, blocks))
+        (s_old, old, _), (s_new, new, blocks) = runs
+        # the budget ran out inside a block that no row of it had stopped
+        n, values, stop_above = blocks[-1]
+        assert len(values) < n and (values <= stop_above).all()
+        assert s_new.ledger.complete and s_old.ledger.complete
+        for name in ("values", "errors", "optima", "env_final_errors"):
+            np.testing.assert_array_equal(getattr(s_new.ledger, name), getattr(s_old.ledger, name))
+        assert new.history == old.history
+        for a, b in zip(new.swarms, old.swarms):
+            for name in ("positions", "velocities", "pbest_positions", "pbest_values",
+                         "gbest_position"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            assert a.gbest_value == b.gbest_value
+            assert a.generation == b.generation
+        # moves were scored as blocks, some of them cut short by a new gbest
+        assert any(len(v) < rows and v[-1] > stop for rows, v, stop in blocks)

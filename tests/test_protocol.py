@@ -202,3 +202,100 @@ class TestSession:
                 s.evaluate(rng.uniform(-100, 100, 2))
             results.append((s.indicators(), s.ledger.values.tolist()))
         assert results[0] == results[1]
+
+
+class TestBlockEvaluation:
+    def cfg(self, **kw):
+        base = dict(dimension=3, num_components=4, change_frequency=5,
+                    num_environments=4, seed=19)
+        base.update(kw)
+        return ScenarioConfig(**base)
+
+    def assert_same_state(self, a, b):
+        for name in ("values", "errors", "optima", "env_final_errors"):
+            np.testing.assert_array_equal(getattr(a.ledger, name), getattr(b.ledger, name))
+        assert a.total_evaluations == b.total_evaluations
+        assert a.landscape.environment_index == b.landscape.environment_index
+        for name in ("centers", "rotations", "widths", "heights", "angles", "tau", "eta"):
+            np.testing.assert_array_equal(getattr(a.landscape, name), getattr(b.landscape, name))
+
+    def test_blocks_match_point_by_point(self):
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(-100, 100, (20, 3))
+        by_point = BenchmarkSession(self.cfg())
+        single = np.array([by_point.evaluate(x) for x in xs])
+        for sizes in ([20], [1, 19], [3, 7, 2, 8], [4, 1, 5, 10]):
+            by_block = BenchmarkSession(self.cfg())
+            cuts = np.cumsum([0] + sizes)
+            got = np.concatenate([by_block.evaluate(xs[a:b]) for a, b in zip(cuts, cuts[1:])])
+            np.testing.assert_array_equal(got, single)
+            self.assert_same_state(by_block, by_point)
+        with pytest.raises(ScenarioComplete):
+            by_point.evaluate(xs[:2])
+
+    def test_block_crosses_environment_changes_without_stopping(self):
+        s = BenchmarkSession(self.cfg())
+        values = s.evaluate(np.zeros((12, 3)))
+        assert values.shape == (12,)
+        assert s.total_evaluations == 12
+        assert s.landscape.environment_index == 2
+        # each row is scored under the environment it falls in
+        assert s.ledger.optima[4] != s.ledger.optima[5]
+        assert values[4] != values[5]
+
+    def test_stops_after_first_row_strictly_above(self):
+        twin = BenchmarkSession(self.cfg())
+        low, high = np.full(3, 90.0), np.full(3, -90.0)
+        v_low, v_high = twin.evaluate(low), twin.evaluate(high)
+        if v_low > v_high:
+            low, high, v_low, v_high = high, low, v_high, v_low
+        s = BenchmarkSession(self.cfg())
+        best = s.landscape.optimum_position
+        block = np.array([low, high, high, best, low])
+        values = s.evaluate(block, stop_above=v_high)  # equal rows do not stop
+        np.testing.assert_array_equal(values, [v_low, v_high, v_high, s.landscape.optimum_value])
+        assert s.total_evaluations == 4
+        np.testing.assert_array_equal(s.ledger.values[:4], values)
+        assert np.isnan(s.ledger.values[4])  # the row after the stop is not recorded
+
+    def test_stop_on_an_environment_last_row_ends_the_call(self):
+        s = BenchmarkSession(self.cfg())
+        block = np.zeros((8, 3))
+        block[4] = s.landscape.optimum_position
+        values = s.evaluate(block, stop_above=s.landscape.optimum_value - 1e-6)
+        assert values.shape == (5,)
+        assert s.total_evaluations == 5
+        assert s.landscape.environment_index == 1
+
+    def test_budget_end_returns_the_consumed_prefix(self):
+        s = BenchmarkSession(self.cfg())
+        values = s.evaluate(np.ones((23, 3)))
+        assert values.shape == (20,)
+        assert s.ledger.complete
+        with pytest.raises(ScenarioComplete):
+            s.evaluate(np.ones((1, 3)))
+
+    def test_one_bad_row_spends_nothing(self):
+        s = BenchmarkSession(self.cfg())
+        for bad in ([0.0, 100.5, 0.0], [0.0, np.nan, 0.0]):
+            block = np.zeros((6, 3))
+            block[4] = bad
+            with pytest.raises(ValueError, match="outside the search box|non-finite"):
+                s.evaluate(block)
+        with pytest.raises(ValueError, match="dimension"):
+            s.evaluate(np.zeros((2, 4)))
+        assert s.total_evaluations == 0
+        assert np.isnan(s.ledger.values).all()
+
+    def test_ledger_block_matches_value_by_value(self):
+        rng = np.random.default_rng(8)
+        values = rng.uniform(-50, 70, 12)
+        one = EvaluationLedger(4, 3)
+        feed(one, [(v, 75.0) for v in values])
+        blocks = EvaluationLedger(4, 3)
+        for a, b in ((0, 3), (3, 4), (4, 8), (8, 9), (9, 12)):
+            blocks.record(values[a:b], 75.0)
+        for name in ("errors", "values", "optima", "env_final_errors"):
+            np.testing.assert_array_equal(getattr(blocks, name), getattr(one, name))
+        with pytest.raises(ValueError, match="environment"):
+            EvaluationLedger(4, 3).record(values[:5], 75.0)
