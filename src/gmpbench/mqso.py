@@ -19,7 +19,9 @@ current global best and sent as one block that the session stops after the
 first row beating that global best. The consumed rows are committed, and the
 rest are recomputed around the new global best and sent again. Every
 particle therefore moves, and every evaluation lands in the ledger, exactly
-as in the particle-by-particle step.
+as in the particle-by-particle step. The change-detection sentinels, one per
+swarm, go out as one block too, which the session stops after the first
+sentinel whose value differs from the remembered one.
 
 The solver touches the benchmark only through the black-box session surface
 (evaluate / bounds / dimension / budget), and is single-threaded: evaluation
@@ -136,12 +138,35 @@ class Swarm:
         return float(np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1).max())
 
 
+def _above(best: float):
+    """Stop rule for a block of moves: the rows scoring strictly above
+    ``best``."""
+    return lambda values, rows: values > best
+
+
+def _differs_from(remembered: np.ndarray):
+    """Stop rule for a block of sentinels: the rows whose value differs from
+    the value remembered for that row by more than the detection tolerance,
+    as ``abs(value - remembered) > CHANGE_DETECTION_TOL``."""
+    return lambda values, rows: np.abs(values - remembered[rows]) > CHANGE_DETECTION_TOL
+
+
+def _gbest_gaps(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between every pair of rows of ``points``.
+
+    Each distance is ``sqrt`` of one vector-vector product, equal bit for
+    bit to ``np.linalg.norm`` of the difference.
+    """
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+
+
 class MQSO:
     """Drives a benchmark session with the multi-swarm solver.
 
     Each :meth:`step` runs change detection (one sentinel evaluation per
-    swarm, short-circuited on the first hit), particle moves, exclusion and
-    anti-convergence. Swarm reinitializations evaluate the fresh particles
+    swarm, in one block cut short after the first hit), particle moves,
+    exclusion and anti-convergence. Swarm reinitializations evaluate the fresh particles
     right away, so the ledger accounts for every evaluation the solver
     causes. Budget exhaustion surfaces as ``ScenarioComplete`` from any
     evaluating call; a partially executed step is valid.
@@ -207,14 +232,15 @@ class MQSO:
         while its norm is below 1e-12), then a uniform radius.
         """
         offsets = np.empty((count, d))
-        for k in range(count):
-            v = self.rng.standard_normal(d)
-            norm = math.sqrt(v.dot(v))  # what np.linalg.norm computes
+        scales = []
+        for v in offsets:
+            norm = 0.0
             while norm < 1e-12:
-                v = self.rng.standard_normal(d)
-                norm = math.sqrt(v.dot(v))
-            radius = self.cloud_radius * float(self.rng.uniform(0.0, 1.0)) ** (1.0 / d)
-            np.multiply(radius / norm, v, out=offsets[k])
+                self.rng.standard_normal(d, out=v)
+                norm = math.sqrt(v.dot(v))  # what np.linalg.norm computes
+            radius = self.cloud_radius * self.rng.random() ** (1.0 / d)
+            scales.append(radius / norm)
+        offsets *= np.array(scales)[:, None]
         return offsets
 
     # -- the four phases ----------------------------------------------------
@@ -222,19 +248,29 @@ class MQSO:
     def change_reaction(self) -> bool:
         """Sentinel-check each swarm's gbest; on a mismatch, refresh memory.
 
+        The gbests are sent as one block of sentinels, in swarm order, with
+        the stop rule ``abs(value - gbest_value) > CHANGE_DETECTION_TOL``, so
+        the session stops after the first sentinel that detects a change and
+        the evaluations are those of sentinels sent one at a time.
+
         Returns whether a change was detected, and notes a detection in
         :attr:`change_detected` as soon as it is made, so that it is kept
         even when the budget runs out during the reaction. Reaction
         re-evaluates every personal best under the new environment and
         resets each swarm's global best from them.
         """
+        sentinels = np.array([swarm.gbest_position for swarm in self.swarms])
+        remembered = np.array([swarm.gbest_value for swarm in self.swarms])
         detected = False
-        for swarm in self.swarms:
-            value = self.session.evaluate(swarm.gbest_position)
-            if abs(value - swarm.gbest_value) > CHANGE_DETECTION_TOL:
-                detected = self.change_detected = True
-                break
+        done = 0
+        # a block cut short without a detection was cut by the budget, and
+        # the next call raises ScenarioComplete
+        while not detected and done < len(self.swarms):
+            values = self.session.evaluate(sentinels[done:], stop=_differs_from(remembered[done:]))
+            done += values.shape[0]
+            detected = bool(abs(values[-1] - remembered[done - 1]) > CHANGE_DETECTION_TOL)
         if detected:
+            self.change_detected = True
             for swarm in self.swarms:
                 self._evaluate_into(swarm.pbest_positions, swarm.pbest_values)
                 swarm.refresh_gbest()
@@ -268,37 +304,48 @@ class MQSO:
             nc = swarm.neutral_count
             # the draws of a particle-by-particle step, in its order: u1 and
             # u2 per neutral particle, then a ball sample per quantum particle
-            u = self.rng.uniform(0.0, 1.0, (nc, 2, d))
+            u = self.rng.random((nc, 2, d))
             offsets = self._ball_offsets(swarm.size - nc, d)
             # the neutral update, v = chi * (inertia + pull * (gbest - x)),
             # up to its global-best term
             x0 = swarm.positions[:nc].copy()
             inertia = swarm.velocities[:nc] + cfg.c1 * u[:, 0] * (swarm.pbest_positions[:nc] - x0)
             pull = cfg.c2 * u[:, 1]
+            # row i holds particle i's move, recomputed from row ``start`` on
+            moves = np.empty((swarm.size, d))
+            velocities = np.empty((nc, d))
             start = 0
             while start < swarm.size:
                 # the moves of the particles not yet scored, around the
                 # current global best
-                v = cfg.chi * (inertia[start:] + pull[start:] * (swarm.gbest_position - x0[start:]))
-                x = np.concatenate([x0[start:] + v,
-                                    swarm.gbest_position + offsets[max(0, start - nc):]])
-                neutral = x[:v.shape[0]]
+                gbest = swarm.gbest_position
+                v = velocities[start:]
+                np.subtract(gbest, x0[start:], out=v)
+                v *= pull[start:]
+                v += inertia[start:]
+                v *= cfg.chi
+                neutral = moves[start:nc]
+                np.add(x0[start:], v, out=neutral)
+                np.add(gbest, offsets[max(0, start - nc):], out=moves[max(start, nc):])
                 v[(neutral < lb) | (neutral > ub)] = 0.0
-                np.clip(x, lb, ub, out=x)
+                x = moves[start:]
+                np.maximum(x, lb, out=x)
+                np.minimum(x, ub, out=x)
                 # the first move is stored before it is scored, as a
                 # particle-by-particle step does, should the budget run out
                 swarm.positions[start] = x[0]
                 swarm.velocities[start:nc][:1] = v[:1]
-                values = self.session.evaluate(x, stop_above=swarm.gbest_value)
+                best = swarm.gbest_value
+                values = self.session.evaluate(x, stop=_above(best))
                 k = values.shape[0]
                 stop = start + k
                 swarm.positions[start:stop] = x[:k]
                 swarm.velocities[start:nc][:k] = v[:k]
                 better = values > swarm.pbest_values[start:stop]
-                swarm.pbest_values[start:stop][better] = values[better]
-                swarm.pbest_positions[start:stop][better] = x[:k][better]
+                np.copyto(swarm.pbest_values[start:stop], values, where=better)
+                np.copyto(swarm.pbest_positions[start:stop], x[:k], where=better[:, None])
                 # only the last consumed row can beat the global best
-                if better[-1] and values[-1] > swarm.gbest_value:
+                if better[-1] and values[-1] > best:
                     swarm.gbest_value = float(values[-1])
                     swarm.gbest_position = x[k - 1].copy()
                 start = stop
@@ -308,16 +355,19 @@ class MQSO:
 
         Pairs are scanned in index order; ties send the higher index back to
         random. The fresh swarm is evaluated immediately, so its new best
-        participates in the remaining comparisons.
+        participates in the remaining comparisons. The gaps between all
+        pairs are computed at once, and again after each reinitialization.
         """
         n = len(self.swarms)
+        bests = np.array([swarm.gbest_position for swarm in self.swarms])
+        gaps = _gbest_gaps(bests).tolist()
         for i in range(n - 1):
             for j in range(i + 1, n):
-                gap = float(np.linalg.norm(self.swarms[i].gbest_position
-                                           - self.swarms[j].gbest_position))
-                if gap < self.exclusion_radius:
+                if gaps[i][j] < self.exclusion_radius:
                     worse = j if self.swarms[j].gbest_value <= self.swarms[i].gbest_value else i
                     self._reinitialize(worse)
+                    bests[worse] = self.swarms[worse].gbest_position
+                    gaps = _gbest_gaps(bests).tolist()
 
     def anti_convergence(self):
         """If every swarm has contracted, reinitialize the worst one."""

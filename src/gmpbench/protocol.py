@@ -17,9 +17,11 @@ run across environment changes (the rows after a change are scored under the
 new environment, and the call does not end there, which would tell the
 solver that the environment changed). The block is range-checked as a whole,
 so one bad row rejects the call and spends nothing. A call ends early only
-when the budget runs out, or after the first row that scores strictly above
-the caller's ``stop_above``; rows after that are neither recorded nor
-returned, so a solver can send speculative moves and resend the rest.
+when the budget runs out, or after the first row that meets the caller's
+stop rule, a predicate on the scored values and their row indices (for
+example "beats my best" or "differs from the value I remembered"); rows
+after that are neither recorded nor returned, so a solver can send
+speculative moves and resend the rest.
 """
 
 from __future__ import annotations
@@ -88,28 +90,34 @@ class EvaluationLedger:
         """Record one evaluation, or a block of evaluations in order, all in
         the current environment; returns the best-so-far error the last one
         leaves."""
-        values = np.asarray(values, dtype=float).reshape(-1)
+        if type(values) is not np.ndarray or values.ndim != 1 or values.dtype != np.float64:
+            values = np.asarray(values, dtype=float).reshape(-1)
         n = values.shape[0]
-        if self.total + n > self.capacity:
+        if n == 0:
+            raise ValueError("cannot record an empty block of evaluations")
+        start = self.total
+        end = start + n
+        if end > self.capacity:
             raise ValueError("ledger is full")
         if self.env_eval_count + n > self.change_frequency:
             raise ValueError("block runs past the end of the environment")
-        best = np.maximum.accumulate(values)
-        np.maximum(best, self._best_value, out=best)
-        span = slice(self.total, self.total + n)
-        np.subtract(optimum_value, best, out=self.errors[span])
-        self.values[span] = values
-        self.optima[span] = optimum_value
-        error = self.errors[self.total + n - 1]
-        self._best_value = best[-1]
-        self.total += n
+        # the best-so-far values, then the errors, in place in the error slots
+        errors = self.errors[start:end]
+        np.maximum.accumulate(values, out=errors)
+        np.maximum(errors, self._best_value, out=errors)
+        self._best_value = errors[-1]
+        np.subtract(optimum_value, errors, out=errors)
+        self.values[start:end] = values
+        self.optima[start:end] = optimum_value
+        error = float(errors[-1])
+        self.total = end
         self.env_eval_count += n
         if self.env_eval_count == self.change_frequency:
             self.env_final_errors[self.environments_completed] = error
             self.environments_completed += 1
             self.env_eval_count = 0
             self._best_value = -math.inf
-        return float(error)
+        return error
 
 
 def offline_error(ledger: EvaluationLedger, partial: bool = False) -> float:
@@ -164,15 +172,20 @@ class BenchmarkSession:
     def budget_remaining(self) -> int:
         return self.ledger.capacity - self.ledger.total
 
-    def evaluate(self, x, stop_above: float = math.inf):
+    def evaluate(self, x, stop=None):
         """Objective value of ``x`` under the current environment.
 
         ``x`` is one ``(d,)`` point, which gives a float, or an ``(n, d)``
         block of points, which gives the values of the rows consumed, in
-        order. The rows are scored as if sent one by one, across environment
-        changes; the call stops after the first row scoring strictly above
-        ``stop_above``, or when the budget runs out, and the rows after it
-        are not scored.
+        order (an empty block gives an empty array and spends nothing). The
+        rows are scored as if sent one by one, across environment changes.
+
+        ``stop`` is the caller's stop rule. It is called once per
+        environment segment of the block as ``stop(values, rows)``, with the
+        segment's values and ``rows``, the slice of the block's row indices
+        they belong to, and returns a boolean array over the segment. The
+        call ends after the first row where it is true, or when the budget
+        runs out; the rows after it are neither recorded nor returned.
 
         The evaluation that exhausts an environment's quota is scored there;
         the landscape then advances without notice. Raises
@@ -183,36 +196,42 @@ class BenchmarkSession:
         position the solver never asked for, so a solver must keep its own
         points inside :attr:`bounds` (the box edges included).
         """
-        if self.ledger.complete:
-            raise ScenarioComplete(offline_error(self.ledger),
-                                   best_before_change_error(self.ledger))
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.dimension:
-            raise ValueError(f"points of shape {x.shape} do not match dimension {self.dimension}")
+        ledger = self.ledger
+        if ledger.complete:
+            raise ScenarioComplete(offline_error(ledger), best_before_change_error(ledger))
+        if type(x) is not np.ndarray or x.dtype != np.float64:
+            x = np.asarray(x, dtype=float)
+        config = self.config
+        if x.ndim not in (1, 2) or x.shape[-1] != config.dimension:
+            raise ValueError(f"points of shape {x.shape} do not match dimension {config.dimension}")
         points = x if x.ndim == 2 else x[None, :]
-        lb, ub = self.config.search_range
+        n = points.shape[0]
+        if n == 0:
+            return np.empty(0)
+        lb, ub = config.search_range
         # one range check; a NaN fails both comparisons
         if not (lb <= points.min() and points.max() <= ub):
             if not np.isfinite(points).all():
                 raise ValueError(f"point has a non-finite coordinate: {x}")
             raise ValueError(f"point lies outside the search box [{lb}, {ub}]: {x}")
-        ledger = self.ledger
-        n = points.shape[0]
         values = np.empty(n)
         done = 0
         # one kernel call per environment the block reaches
         while done < n and not ledger.complete:
             end = min(n, done + ledger.change_frequency - ledger.env_eval_count)
-            values[done:end] = evaluate_raw(points[done:end], self.landscape)
-            if stop_above < math.inf:
-                above = values[done:end] > stop_above
-                if above.any():
-                    # the rows after the first one above are dropped
-                    end = n = done + int(above.argmax()) + 1
-            ledger.record(values[done:end], self.landscape.optimum_value)
+            segment = values[done:end]
+            segment[:] = evaluate_raw(points[done:end], self.landscape)
+            if stop is not None:
+                hit = stop(segment, slice(done, end))
+                first = int(hit.argmax())
+                if hit[first]:
+                    # the rows after the first hit are dropped
+                    end = n = done + first + 1
+                    segment = segment[:first + 1]
+            ledger.record(segment, self.landscape.optimum_value)
             if (ledger.env_eval_count == 0
-                    and ledger.environments_completed < self.config.num_environments):
-                self.landscape = advance_environment(self.landscape, self.config, self.rng)
+                    and ledger.environments_completed < config.num_environments):
+                self.landscape = advance_environment(self.landscape, config, self.rng)
             done = end
         return values[:done] if x.ndim == 2 else float(values[0])
 

@@ -11,7 +11,7 @@ from gmpbench import (
     SolverConfig,
     Swarm,
 )
-from gmpbench.mqso import CHANGE_DETECTION_TOL
+from gmpbench.mqso import CHANGE_DETECTION_TOL, _gbest_gaps
 
 
 def make_session(**kw):
@@ -203,6 +203,38 @@ class TestExclusion:
                                  or solver.swarms[j].generation > gens[j])
                     assert gap >= solver.exclusion_radius or refreshed
 
+    def test_reinitialization_mid_scan_matches_per_pair_loop(self):
+        # Swarms 0 and 1 collide and 0 is the worse; swarm 3 sits where the
+        # fresh swarm 0 lands, so the second collision, (0, 3), exists only
+        # for a scan that sees the reinitialized swarm.
+        def excluded(cls, spot_3):
+            s = make_session(seed=29)
+            solver = cls(s, SolverConfig.for_scenario(s.config, num_swarms=4),
+                         np.random.default_rng(3))
+            places = [[10.0, 10.0], [10.0, 10.0], [-80.0, 80.0], spot_3]
+            for sw, place, value in zip(solver.swarms, places, [1.0, 2.0, 3.0, -1e9]):
+                sw.gbest_position = np.array(place)
+                sw.gbest_value = value
+            solver.exclusion()
+            return s, solver
+
+        _, dry = excluded(MQSO, [80.0, -80.0])
+        assert [sw.generation for sw in dry.swarms] == [1, 0, 0, 0]
+        landing = dry.swarms[0].gbest_position
+        runs = [excluded(cls, landing) for cls in (PerParticleMQSO, MQSO)]
+        (s_old, old), (s_new, new) = runs
+        assert [sw.generation for sw in new.swarms] == [1, 0, 0, 1]
+        assert_same_run(s_new, new, s_old, old)
+
+    def test_stacked_gaps_equal_norm(self):
+        rng = np.random.default_rng(17)
+        for d in (1, 2, 3, 5, 10, 20, 33, 64):
+            bests = rng.uniform(-100, 100, (12, d))
+            bests[5] = bests[2] + rng.uniform(-1e-6, 1e-6, d)  # a near collision
+            bests[7] = bests[4]
+            norms = np.array([[np.linalg.norm(a - b) for b in bests] for a in bests])
+            np.testing.assert_array_equal(_gbest_gaps(bests), norms)
+
 
 class TestAntiConvergence:
     def collapse(self, swarm, spot):
@@ -327,6 +359,16 @@ class PerParticleMQSO(MQSO):
                 swarm.refresh_gbest()
         return detected
 
+    def exclusion(self):
+        n = len(self.swarms)
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                gap = float(np.linalg.norm(self.swarms[i].gbest_position
+                                           - self.swarms[j].gbest_position))
+                if gap < self.exclusion_radius:
+                    worse = j if self.swarms[j].gbest_value <= self.swarms[i].gbest_value else i
+                    self._reinitialize(worse)
+
     def solver_step(self):
         lb, ub = self.session.bounds
         cfg = self.config
@@ -357,19 +399,39 @@ class PerParticleMQSO(MQSO):
 
 
 def log_blocks(session):
-    """Wrap ``session.evaluate`` to log (rows sent, values, stop_above) of
-    each block call."""
+    """Wrap ``session.evaluate`` to log (rows sent, values, stop rule) of
+    each block call; every keyword is passed on."""
     blocks = []
     evaluate = session.evaluate
 
-    def logging(x, stop_above=np.inf):
-        values = evaluate(x, stop_above=stop_above)
+    def logging(x, **kwargs):
+        values = evaluate(x, **kwargs)
         if np.ndim(x) == 2:
-            blocks.append((len(x), values, stop_above))
+            blocks.append((len(x), values, kwargs.get("stop")))
         return values
 
     session.evaluate = logging
     return blocks
+
+
+def stopped(values, stop):
+    """Per consumed row of a logged block, whether its stop rule fired."""
+    if stop is None:
+        return np.zeros(len(values), dtype=bool)
+    return stop(values, slice(0, len(values)))
+
+
+def assert_same_run(s_new, new, s_old, old):
+    """The two sessions' ledgers and the two solvers are equal bit for bit."""
+    for name in ("values", "errors", "optima", "env_final_errors"):
+        np.testing.assert_array_equal(getattr(s_new.ledger, name), getattr(s_old.ledger, name))
+    assert new.history == old.history
+    for a, b in zip(new.swarms, old.swarms, strict=True):
+        for name in ("positions", "velocities", "pbest_positions", "pbest_values",
+                     "gbest_position"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.gbest_value == b.gbest_value
+        assert a.generation == b.generation
 
 
 class TestBlockScoring:
@@ -393,17 +455,82 @@ class TestBlockScoring:
             runs.append((session, solver, blocks))
         (s_old, old, _), (s_new, new, blocks) = runs
         # the budget ran out inside a block that no row of it had stopped
-        n, values, stop_above = blocks[-1]
-        assert len(values) < n and (values <= stop_above).all()
+        n, values, stop = blocks[-1]
+        assert len(values) < n and not stopped(values, stop).any()
         assert s_new.ledger.complete and s_old.ledger.complete
-        for name in ("values", "errors", "optima", "env_final_errors"):
-            np.testing.assert_array_equal(getattr(s_new.ledger, name), getattr(s_old.ledger, name))
-        assert new.history == old.history
-        for a, b in zip(new.swarms, old.swarms):
-            for name in ("positions", "velocities", "pbest_positions", "pbest_values",
-                         "gbest_position"):
-                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-            assert a.gbest_value == b.gbest_value
-            assert a.generation == b.generation
+        assert_same_run(s_new, new, s_old, old)
         # moves were scored as blocks, some of them cut short by a new gbest
-        assert any(len(v) < rows and v[-1] > stop for rows, v, stop in blocks)
+        assert any(len(v) < rows and stopped(v, stop)[-1] for rows, v, stop in blocks)
+
+
+class TestSentinelBlock:
+    """The change-detection sentinels, sent as one block, against the
+    oracle's one sentinel per call."""
+
+    SOLVER = dict(num_swarms=5, neutral_count=3, quantum_count=2)
+    STEPS = 4  # steps before the one whose sentinels are checked
+
+    def config(self, **kw):
+        return ScenarioConfig(dimension=2, num_components=3, seed=61, **kw)
+
+    def sentinel_start(self):
+        """Ledger position of the first sentinel of step ``STEPS``, from a
+        run in a static environment: the same up to the first change."""
+        session = BenchmarkSession(self.config(change_frequency=10_000, num_environments=1))
+        solver = make_solver(session, rng_seed=7, **self.SOLVER)
+        for _ in range(self.STEPS):
+            solver.step()
+        return session.total_evaluations
+
+    def run_both(self, config, perturb=None):
+        """Both solvers on ``config``; ``perturb`` names a swarm whose
+        remembered gbest value is raised before step ``STEPS``, so that its
+        sentinel detects a change that did not happen."""
+        runs = []
+        for cls in (PerParticleMQSO, MQSO):
+            session = BenchmarkSession(config)
+            solver = cls(session, SolverConfig.for_scenario(config, **self.SOLVER),
+                         np.random.default_rng(7), track_history=True)
+            for _ in range(self.STEPS):
+                solver.step()
+            if perturb is not None:
+                solver.swarms[perturb].gbest_value += 1.0
+            blocks = log_blocks(session)
+            solver.run()
+            runs.append((session, solver, blocks))
+        (s_old, old, _), (s_new, new, blocks) = runs
+        assert_same_run(s_new, new, s_old, old)
+        n, values, stop = blocks[0]  # the sentinel block of step STEPS
+        assert n == self.SOLVER["num_swarms"]
+        return new, values, stopped(values, stop)
+
+    def test_detection_at_a_later_sentinel(self):
+        config = self.config(change_frequency=2000, num_environments=2)
+        new, values, hits = self.run_both(config, perturb=3)
+        assert len(values) == 4 and hits[-1] and not hits[:-1].any()
+        assert new.history[self.STEPS]["change_detected"]
+
+    def test_block_across_a_change_detects_on_its_first_new_row(self):
+        # sentinels 0-2 are scored before the change, sentinel 3 after it
+        start = self.sentinel_start()
+        config = self.config(change_frequency=start + 3, num_environments=2)
+        new, values, hits = self.run_both(config)
+        assert len(values) == 4 and hits[-1] and not hits[:-1].any()
+        assert new.history[self.STEPS]["change_detected"]
+        assert new.history[self.STEPS]["environment_index"] == 1
+
+    def test_budget_ends_inside_the_block(self):
+        start = self.sentinel_start()
+        config = self.config(change_frequency=start + 3, num_environments=1)
+        new, values, hits = self.run_both(config)
+        assert len(values) == 3 and not hits.any()
+        assert len(new.history) == self.STEPS + 1
+        assert not new.history[-1]["change_detected"]
+
+    def test_detection_on_the_last_row_of_the_budget(self):
+        start = self.sentinel_start()
+        config = self.config(change_frequency=start + 4, num_environments=1)
+        new, values, hits = self.run_both(config, perturb=3)
+        assert len(values) == 4 and hits[-1]
+        assert len(new.history) == self.STEPS + 1
+        assert new.history[-1]["change_detected"]

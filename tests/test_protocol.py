@@ -75,6 +75,12 @@ class TestLedger:
         with pytest.raises(ValueError, match="full"):
             led.record(1, 2)
 
+    def test_empty_block_rejected(self):
+        led = EvaluationLedger(4, 2)
+        with pytest.raises(ValueError, match="empty block"):
+            led.record([], 75.0)
+        assert led.total == 0 and led.env_eval_count == 0
+
     def test_incomplete_indicators_raise(self):
         led = EvaluationLedger(4, 2)
         led.record(1.0, 2.0)
@@ -252,7 +258,7 @@ class TestBlockEvaluation:
         s = BenchmarkSession(self.cfg())
         best = s.landscape.optimum_position
         block = np.array([low, high, high, best, low])
-        values = s.evaluate(block, stop_above=v_high)  # equal rows do not stop
+        values = s.evaluate(block, stop=lambda v, rows: v > v_high)  # equal rows do not stop
         np.testing.assert_array_equal(values, [v_low, v_high, v_high, s.landscape.optimum_value])
         assert s.total_evaluations == 4
         np.testing.assert_array_equal(s.ledger.values[:4], values)
@@ -262,10 +268,33 @@ class TestBlockEvaluation:
         s = BenchmarkSession(self.cfg())
         block = np.zeros((8, 3))
         block[4] = s.landscape.optimum_position
-        values = s.evaluate(block, stop_above=s.landscape.optimum_value - 1e-6)
+        threshold = s.landscape.optimum_value - 1e-6
+        values = s.evaluate(block, stop=lambda v, rows: v > threshold)
         assert values.shape == (5,)
         assert s.total_evaluations == 5
         assert s.landscape.environment_index == 1
+
+    def test_stop_rule_sees_each_segment_with_its_rows(self):
+        s = BenchmarkSession(self.cfg())
+        block = np.zeros((12, 3))
+        calls = []
+
+        def stop(values, rows):
+            calls.append(rows)
+            return np.arange(rows.start, rows.stop) == 7
+
+        values = s.evaluate(block, stop=stop)
+        assert calls == [slice(0, 5), slice(5, 10)]
+        assert values.shape == (8,)
+        assert s.total_evaluations == 8
+        np.testing.assert_array_equal(s.ledger.values[:8], values)
+
+    def test_empty_block_spends_nothing(self):
+        s = BenchmarkSession(self.cfg())
+        values = s.evaluate(np.empty((0, 3)))
+        assert values.shape == (0,)
+        assert s.total_evaluations == 0
+        assert np.isnan(s.ledger.values).all()
 
     def test_budget_end_returns_the_consumed_prefix(self):
         s = BenchmarkSession(self.cfg())
