@@ -140,7 +140,8 @@ class Swarm:
 
 def _above(best: float):
     """Stop rule for a block of moves: the rows scoring strictly above
-    ``best``."""
+    ``best``. Built by a function, not written inline, so that each rule
+    keeps its own threshold once the caller's variable moves on."""
     return lambda values, rows: values > best
 
 
