@@ -9,12 +9,12 @@ direction (redrawn while its norm is below 1e-12), then height, widths,
 angle, eta and tau in one ``standard_normal(d + 7)`` call, then the plane
 permutation (skipped when rotation is disabled).
 
-Only the draws are made component by component. The arithmetic of a change
-is stacked: :func:`advance_environment` perturbs, reflects and rotates all
-``m`` components with array operations on the :class:`Landscape` arrays,
-applying each of the d(d-1)/2 plane steps to every rotation matrix with one
-batched 2x2 matmul. :func:`update_component` and :func:`update_rotation` are
-the same code on a single component.
+Only the draws are made component by component: :func:`init_landscape`
+writes each component's draws into row ``k`` of the :class:`Landscape`
+arrays, and :func:`advance_environment` perturbs, reflects and rotates all
+``m`` rows with array operations, applying each of the d(d-1)/2 plane steps
+to every rotation matrix with one batched 2x2 matmul. A one-component
+landscape is the change of a single component.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .landscape import ComponentState, Landscape, ScenarioConfig, make_landscape
+from .landscape import Landscape, ScenarioConfig
 
 __all__ = [
     "ScenarioExhausted",
@@ -34,7 +34,6 @@ __all__ = [
     "initial_rotation",
     "update_rotation",
     "reflect",
-    "update_component",
     "advance_environment",
     "init_landscape",
 ]
@@ -95,7 +94,7 @@ def initial_rotation(d: int, rng: np.random.Generator, rotation_enabled: bool = 
 
 
 def _rotate(rotations: np.ndarray, angles: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Stacked :func:`update_rotation`: matrix ``k`` of ``rotations`` is
+    """Rotation step of a change: matrix ``k`` of ``rotations`` is
     left-multiplied by the plane rotations at ``angles[k]``, taken in the
     permuted plane order ``orders[k]``."""
     out = np.array(rotations, dtype=float)
@@ -126,6 +125,10 @@ def update_rotation(r: np.ndarray, theta: float, rng: np.random.Generator) -> np
     factor is applied as a two-row update, which is the exact product in the
     permuted order. Floating-point drift beyond ORTHOGONALITY_TOL triggers a
     Gram-Schmidt re-orthonormalization.
+
+    :func:`advance_environment` does not call this function: it rotates all
+    matrices at once with the same code. It stays as a one-matrix entry
+    point, and as the name that the benchmark's tracer hooks.
     """
     d = r.shape[0]
     order = rng.permutation(d * (d - 1) // 2)
@@ -162,16 +165,31 @@ def reflect(value: float, delta: float, lo: float, hi: float) -> float:
     ``2*lo - value - delta``, above ``hi`` to ``2*hi - value - delta``, and the
     reflection repeats (in closed form) so the output lies in [lo, hi] however
     large the delta is.
+
+    :func:`advance_environment` folds whole arrays with the same code and
+    does not call this function; it stays as a scalar entry point, and as
+    the name that the benchmark's tracer hooks.
     """
     return float(_fold(np.array([value + delta]), lo, hi)[0])
 
 
-def _advance(landscape: Landscape, cfg: ScenarioConfig, rng: np.random.Generator) -> Landscape:
-    """One environment change of every component, as the next landscape.
+def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
+                        rng: np.random.Generator) -> Landscape:
+    """The landscape after one environment change of every component.
+
+    Each center moves a step of exactly ``shift_severity`` along a uniformly
+    random direction; heights, widths, angles, eta and tau get independent
+    Gaussian perturbations scaled by their severities. Every parameter is
+    reflected back into its range, per dimension where applicable. Each
+    rotation matrix is advanced with its component's *new* angle. The new
+    landscape caches its optimum.
 
     The draws are made component by component in the documented order; all
     the arithmetic on them is done on the stacked (m, ...) arrays.
     """
+    if landscape.environment_index >= cfg.num_environments - 1:
+        raise ScenarioExhausted(
+            f"environment {landscape.environment_index} is the last of {cfg.num_environments}")
     m, d = landscape.centers.shape
     num_pairs = d * (d - 1) // 2
     shifts = np.empty((m, d))
@@ -206,42 +224,26 @@ def _advance(landscape: Landscape, cfg: ScenarioConfig, rng: np.random.Generator
     )
 
 
-def update_component(comp: ComponentState, cfg: ScenarioConfig,
-                     rng: np.random.Generator) -> ComponentState:
-    """One environment change for a single component.
-
-    The center moves a step of exactly ``shift_severity`` along a uniformly
-    random direction; height, widths, angle, eta and tau get independent
-    Gaussian perturbations scaled by their severities. Every parameter is
-    reflected back into its range, per dimension where applicable. The
-    rotation matrix is advanced with the *new* angle.
-    """
-    return _advance(make_landscape(0, [comp]), cfg, rng).components[0]
-
-
-def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
-                        rng: np.random.Generator) -> Landscape:
-    """Update every component (see :func:`update_component`); the new
-    landscape caches its optimum."""
-    if landscape.environment_index >= cfg.num_environments - 1:
-        raise ScenarioExhausted(
-            f"environment {landscape.environment_index} is the last of {cfg.num_environments}")
-    return _advance(landscape, cfg, rng)
-
-
 def init_landscape(cfg: ScenarioConfig, rng: np.random.Generator) -> Landscape:
-    """Draw the initial environment: all parameters uniform in their ranges."""
+    """Draw the initial environment: all parameters uniform in their ranges,
+    component by component, each written into its row of the arrays."""
     cfg.validate()
     lb, ub = cfg.search_range
-    comps = []
-    for _ in range(cfg.num_components):
-        center = rng.uniform(lb, ub, cfg.dimension)
-        height = float(rng.uniform(*cfg.height_range))
-        widths = rng.uniform(*cfg.width_range, cfg.dimension)
-        angle = float(rng.uniform(*cfg.angle_range))
-        eta = rng.uniform(*cfg.eta_range, 4)
-        tau = float(rng.uniform(*cfg.tau_range))
-        rotation = initial_rotation(cfg.dimension, rng, cfg.rotation_enabled)
-        comps.append(ComponentState(center=center, height=height, widths=widths,
-                                    angle=angle, tau=tau, eta=eta, rotation=rotation))
-    return make_landscape(0, comps)
+    m, d = cfg.num_components, cfg.dimension
+    centers = np.empty((m, d))
+    heights = np.empty(m)
+    widths = np.empty((m, d))
+    angles = np.empty(m)
+    eta = np.empty((m, 4))
+    tau = np.empty(m)
+    rotations = np.empty((m, d, d))
+    for k in range(m):
+        centers[k] = rng.uniform(lb, ub, d)
+        heights[k] = rng.uniform(*cfg.height_range)
+        widths[k] = rng.uniform(*cfg.width_range, d)
+        angles[k] = rng.uniform(*cfg.angle_range)
+        eta[k] = rng.uniform(*cfg.eta_range, 4)
+        tau[k] = rng.uniform(*cfg.tau_range)
+        rotations[k] = initial_rotation(d, rng, cfg.rotation_enabled)
+    return Landscape(environment_index=0, centers=centers, rotations=rotations,
+                     widths=widths, heights=heights, angles=angles, tau=tau, eta=eta)

@@ -258,18 +258,18 @@ def export_grid(scenario: ScenarioConfig, env_index: int, resolution: int,
         "rotation_enabled": scenario.rotation_enabled,
         "components": [
             {
-                "center": [float(v) for v in c.center],
-                "height": c.height,
-                "widths": [float(v) for v in c.widths],
-                "angle": c.angle,
-                "tau": c.tau,
-                "eta": [float(v) for v in c.eta],
+                "center": landscape.centers[k].tolist(),
+                "height": float(landscape.heights[k]),
+                "widths": landscape.widths[k].tolist(),
+                "angle": float(landscape.angles[k]),
+                "tau": float(landscape.tau[k]),
+                "eta": landscape.eta[k].tolist(),
                 "rotated": bool(scenario.rotation_enabled),
             }
-            for c in landscape.components
+            for k in range(landscape.num_components)
         ],
         "optimum_value": landscape.optimum_value,
-        "optimum_position": [float(v) for v in landscape.optimum_position],
+        "optimum_position": landscape.optimum_position.tolist(),
     }
     meta_path = out_path.with_name(out_path.name + ".meta.json")
     with open(meta_path, "w") as fh:

@@ -1,25 +1,29 @@
 """Landscape state and objective evaluation for generalized moving peaks.
 
-A landscape is the max-composition of ``m`` peak components. Each component
-is a cone apex at ``center`` with height ``height``, bent by a sign-preserving
-log-sine warp of the rotated offset and weighted per axis by ``widths``:
+A landscape is the max-composition of ``m`` peak components. Component ``k``
+is a cone apex at ``centers[k]`` with height ``heights[k]``, bent by a
+sign-preserving log-sine warp ``T`` of the rotated offset and weighted per
+axis by ``widths[k]``:
 
-    value(x) = height - sqrt(sum_j widths_j * T(y_j)^2),   y = rotation @ (x - center)
+    value_k(x) = heights[k] - sqrt(sum_j widths[k, j] * T(y_j)^2)
+    y = rotations[k] @ (x - centers[k])
+    T(y) = sign(y) * exp(log|y| + tau[k] * (sin(a * log|y|) + sin(b * log|y|)))
 
-The warp ``T`` (see :func:`irregularity_transform`) leaves 0, 1 and -1 fixed
-and is the identity when ``tau == 0``; nonzero ``tau``/``eta`` make the
-component irregular, multimodal and (with unequal ``eta``) asymmetric.
+with ``(a, b) = eta[k, 0:2]`` for ``y > 0``, ``eta[k, 2:4]`` for ``y < 0``,
+and ``T(0) = 0``. ``T`` leaves 0, 1 and -1 fixed and is the identity up to
+rounding when ``tau[k] == 0``; nonzero ``tau``/``eta`` make the component
+irregular, multimodal and (with unequal ``eta``) asymmetric. The widths are
+strictly positive and each rotation is orthogonal; the dynamics module keeps
+them so.
 
-A :class:`Landscape` holds its components stacked, one row per component:
-``centers`` (m, d), ``rotations`` (m, d, d), ``widths`` (m, d),
-``heights`` (m,), ``angles`` (m,), ``tau`` (m,) and ``eta`` (m, 4). One
-private kernel scores a block of points against all components at once,
-with a single :func:`transform_vector` call. A row's value does not depend
-on the block around it, so :func:`evaluate_raw` of a point, of any block
-holding it, and :func:`evaluate_batch` (a sequence of bounded blocks) agree
-bit for bit; :func:`component_value` is a one-component landscape. The
-formula itself lives only in the scalar :func:`irregularity_transform`, the
-tests' oracle, and in :func:`transform_vector`.
+A :class:`Landscape` holds the components stacked, one row per component:
+``centers`` (m, d), ``rotations`` (m, d, d), ``widths`` (m, d), ``heights``
+(m,), ``angles`` (m,), ``tau`` (m,) and ``eta`` (m, 4). One private kernel
+scores a block of points against all components at once, with a single
+:func:`transform_vector` call, the only code that computes ``T``. A row's
+value does not depend on the block around it, so :func:`evaluate_raw` of a
+point, of any block holding it, and :func:`evaluate_batch` (a sequence of
+bounded blocks) agree bit for bit.
 
 Evaluation never mutates landscape state; all mutation goes through the
 dynamics module between environments.
@@ -29,71 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "ComponentState",
     "ScenarioConfig",
     "Landscape",
-    "irregularity_transform",
     "transform_vector",
-    "component_value",
     "evaluate_raw",
     "evaluate_batch",
     "optimum",
-    "make_landscape",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ComponentState:
-    """One peak of the landscape.
-
-    ``widths`` must be strictly positive (they scale the cone slope per
-    rotated axis, so the condition number of the component is
-    ``widths.max() / widths.min()``). ``rotation`` must be orthogonal; the
-    dynamics module is responsible for keeping it so.
-    """
-
-    center: np.ndarray
-    height: float
-    widths: np.ndarray
-    angle: float
-    tau: float
-    eta: np.ndarray
-    rotation: np.ndarray
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=float)
-        widths = np.asarray(self.widths, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
-        rotation = np.asarray(self.rotation, dtype=float)
-        d = center.shape[0]
-        if center.ndim != 1:
-            raise ValueError("center must be a 1-d vector")
-        if widths.shape != (d,):
-            raise ValueError(f"widths shape {widths.shape} does not match dimension {d}")
-        if eta.shape != (4,):
-            raise ValueError("eta must hold exactly four frequencies")
-        if rotation.shape != (d, d):
-            raise ValueError(f"rotation shape {rotation.shape} does not match dimension {d}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "height", float(self.height))
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "angle", float(self.angle))
-        object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "rotation", rotation)
-
-    @property
-    def dimension(self) -> int:
-        return self.center.shape[0]
-
-    @property
-    def condition_number(self) -> float:
-        return float(self.widths.max() / self.widths.min())
 
 
 # Bound on the magnitude of one standard normal draw that a severity scales:
@@ -231,57 +181,15 @@ class Landscape:
     def num_components(self) -> int:
         return self.heights.shape[0]
 
-    @property
-    def components(self) -> tuple[ComponentState, ...]:
-        """One :class:`ComponentState` per row of the stacked arrays."""
-        return tuple(ComponentState(center=self.centers[k], height=self.heights[k],
-                                    widths=self.widths[k], angle=self.angles[k],
-                                    tau=self.tau[k], eta=self.eta[k],
-                                    rotation=self.rotations[k])
-                     for k in range(self.num_components))
-
-
-def make_landscape(environment_index: int, components: Sequence[ComponentState]) -> Landscape:
-    """Assemble a landscape by stacking the parameters of ``components``."""
-    components = tuple(components)
-    if not components:
-        raise ValueError("landscape needs at least one component")
-    return Landscape(
-        environment_index=environment_index,
-        centers=np.stack([c.center for c in components]),
-        rotations=np.stack([c.rotation for c in components]),
-        widths=np.stack([c.widths for c in components]),
-        heights=np.array([c.height for c in components]),
-        angles=np.array([c.angle for c in components]),
-        tau=np.array([c.tau for c in components]),
-        eta=np.stack([c.eta for c in components]),
-    )
-
-
-def irregularity_transform(y: float, tau: float, eta: Sequence[float]) -> float:
-    """Sign-preserving log-sine warp of a scalar offset.
-
-    Positive inputs use the first two ``eta`` frequencies, negative inputs the
-    last two; 0 maps to 0 exactly. The ``exp(log|y| + ...)`` form is evaluated
-    literally rather than rewritten through powers, so with ``tau == 0`` the
-    result is ``exp(log|y|) * sign(y)``, equal to ``y`` up to rounding.
-    """
-    if y == 0.0:
-        return 0.0
-    ly = math.log(abs(y))
-    if y > 0.0:
-        a, b = eta[0], eta[1]
-    else:
-        a, b = eta[2], eta[3]
-    out = math.exp(ly + tau * (math.sin(a * ly) + math.sin(b * ly)))
-    return out if y > 0.0 else -out
-
 
 def transform_vector(y: np.ndarray, tau, eta: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`irregularity_transform` over an array of offsets.
+    """The warp ``T`` of the module docstring, elementwise over ``y``.
 
     ``tau`` and each ``eta[..., j]`` broadcast against ``y``, so one call can
-    warp the offsets of many components, each with its own parameters.
+    warp the offsets of many components, each with its own parameters. The
+    ``exp(log|y| + ...)`` form is evaluated literally rather than rewritten
+    through powers, so with ``tau == 0`` the result is ``exp(log|y|) *
+    sign(y)``, equal to ``y`` up to rounding.
     """
     y = np.asarray(y, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -328,12 +236,6 @@ def _peak_values(points: np.ndarray, landscape: Landscape) -> np.ndarray:
     np.sqrt(values, out=values)
     np.subtract(landscape.heights[:, None], values, out=values)
     return values.max(axis=0)
-
-
-def component_value(x: np.ndarray, comp: ComponentState) -> float:
-    """Value of a single component at ``x``; at most ``comp.height``, with
-    equality exactly at the center."""
-    return evaluate_raw(x, make_landscape(0, [comp]))
 
 
 def evaluate_raw(x: np.ndarray, landscape: Landscape):

@@ -41,17 +41,25 @@ __all__ = ["SolverConfig", "Swarm", "MQSO", "CHANGE_DETECTION_TOL"]
 
 CHANGE_DETECTION_TOL = 1e-9
 
+_RADII = ("cloud_radius", "exclusion_radius", "convergence_radius")
+
 
 @dataclass
 class SolverConfig:
     """mQSO parameters.
 
-    ``chi``, ``c1``, ``c2`` are the standard constriction constants. Radii
-    left as ``None`` are derived at attach time: the quantum cloud radius
-    falls back to 1.0 (matching the default shift severity; use
-    :meth:`for_scenario` to tie it to a scenario), and the exclusion and
-    convergence radii to ``0.5 * (ub - lb) / k**(1/d)`` with ``k`` the peak
-    count if known, else the swarm count.
+    ``chi``, ``c1``, ``c2`` are the standard constriction constants. The
+    three radii have one rule, applied by :meth:`for_scenario` to the radii
+    left as ``None``, after Blackwell & Branke (2006):
+
+    * ``cloud_radius`` = the scenario's ``shift_severity``;
+    * ``exclusion_radius`` = ``convergence_radius`` =
+      ``0.5 * (ub - lb) / num_components ** (1 / dimension)``, half the
+      expected spacing of the peaks in the search box ``[lb, ub]``.
+
+    :class:`MQSO` takes a config with all three radii set, so the solver
+    that the harness runs and one built by hand from ``for_scenario`` are
+    the same solver.
     """
 
     num_swarms: int = 10
@@ -66,8 +74,8 @@ class SolverConfig:
 
     @classmethod
     def for_scenario(cls, scenario, **overrides) -> "SolverConfig":
-        """Defaults tied to a scenario: cloud radius = shift severity,
-        exclusion/convergence radius = half the expected peak spacing."""
+        """A config with ``overrides`` and the radii they leave open
+        resolved from ``scenario`` by the rule of the class docstring."""
         cfg = cls(**overrides)
         lb, ub = scenario.search_range
         spacing = 0.5 * (ub - lb) / scenario.num_components ** (1.0 / scenario.dimension)
@@ -80,6 +88,8 @@ class SolverConfig:
         return cfg
 
     def violations(self) -> list[str]:
+        """All violated constraints, each naming the offending field; radii
+        left as ``None`` are not violations here."""
         bad = []
         if self.num_swarms < 1:
             bad.append("num_swarms must be >= 1")
@@ -87,11 +97,15 @@ class SolverConfig:
             bad.append("particle counts must be nonnegative")
         if self.neutral_count + self.quantum_count < 1:
             bad.append("each swarm needs at least one particle")
-        if not 0.0 < self.chi < 1.0:
-            bad.append("chi must lie in (0, 1)")
-        for name in ("cloud_radius", "exclusion_radius", "convergence_radius"):
+        for name in ("chi", "c1", "c2") + _RADII:
             v = getattr(self, name)
-            if v is not None and v <= 0:
+            if v is not None and not math.isfinite(v):
+                bad.append(f"{name} must be finite")
+        if math.isfinite(self.chi) and not 0.0 < self.chi < 1.0:
+            bad.append("chi must lie in (0, 1)")
+        for name in _RADII:
+            v = getattr(self, name)
+            if v is not None and math.isfinite(v) and v <= 0:
                 bad.append(f"{name} must be positive")
         return bad
 
@@ -173,23 +187,20 @@ class MQSO:
     evaluating call; a partially executed step is valid.
     """
 
-    def __init__(self, session: BenchmarkSession, config: SolverConfig | None = None,
+    def __init__(self, session: BenchmarkSession, config: SolverConfig,
                  rng: np.random.Generator | None = None, track_history: bool = False):
-        config = config if config is not None else SolverConfig()
         bad = config.violations()
+        unresolved = [name for name in _RADII if getattr(config, name) is None]
+        if unresolved:
+            bad.append(f"{', '.join(unresolved)} not set; resolve the radii with "
+                       "SolverConfig.for_scenario(scenario)")
         if bad:
             raise ValueError("invalid solver config: " + "; ".join(bad))
         self.session = session
         self.rng = rng if rng is not None else np.random.default_rng()
-        lb, ub = session.bounds
-        d = session.dimension
-        self.cloud_radius = (config.cloud_radius if config.cloud_radius is not None
-                             else 1.0)
-        spacing = 0.5 * (ub - lb) / config.num_swarms ** (1.0 / d)
-        self.exclusion_radius = (config.exclusion_radius
-                                 if config.exclusion_radius is not None else spacing)
-        self.convergence_radius = (config.convergence_radius
-                                   if config.convergence_radius is not None else spacing)
+        self.cloud_radius = config.cloud_radius
+        self.exclusion_radius = config.exclusion_radius
+        self.convergence_radius = config.convergence_radius
         self.config = config
         self.history: list[dict] = [] if track_history else None
         self.iteration = 0

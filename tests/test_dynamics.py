@@ -1,5 +1,6 @@
 """Rotation machinery, reflect bounding, and environment updates."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,20 +13,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmpbench
-from gmpbench import (
-    ComponentState,
-    ScenarioConfig,
-    ScenarioExhausted,
-    advance_environment,
+from gmpbench import ScenarioConfig, ScenarioExhausted, advance_environment, init_landscape
+from gmpbench.dynamics import (
     gram_schmidt,
-    init_landscape,
     initial_rotation,
     orthogonality_error,
     plane_pairs,
     reflect,
-    update_component,
     update_rotation,
 )
+from gmpbench.landscape import Landscape
+
+
+@dataclasses.dataclass(frozen=True)
+class Peak:
+    """One component's parameters, the record of the per-component oracle."""
+
+    center: np.ndarray
+    height: float
+    widths: np.ndarray
+    angle: float
+    tau: float
+    eta: np.ndarray
+    rotation: np.ndarray
+
+    @property
+    def dimension(self):
+        return self.center.shape[0]
+
+
+def peaks(landscape):
+    """The components of ``landscape``, one :class:`Peak` per row."""
+    return [Peak(center=landscape.centers[k], height=float(landscape.heights[k]),
+                 widths=landscape.widths[k], angle=float(landscape.angles[k]),
+                 tau=float(landscape.tau[k]), eta=landscape.eta[k],
+                 rotation=landscape.rotations[k])
+            for k in range(landscape.num_components)]
+
+
+def update_one(peak, cfg, rng):
+    """One environment change of a single component: ``advance_environment``
+    on a one-component landscape."""
+    alone = Landscape(environment_index=0, centers=peak.center[None],
+                      rotations=peak.rotation[None], widths=peak.widths[None],
+                      heights=np.array([peak.height]), angles=np.array([peak.angle]),
+                      tau=np.array([peak.tau]), eta=peak.eta[None])
+    return peaks(advance_environment(alone, cfg, rng))[0]
 
 
 def in_ranges(comp, cfg):
@@ -103,7 +136,7 @@ def oracle_update_component(comp, cfg, rng):
                          for v, dv in zip(values, deltas)])
 
     angle = oracle_reflect(comp.angle, cfg.angle_severity * angle_draw, *cfg.angle_range)
-    return ComponentState(
+    return Peak(
         center=each(comp.center, cfg.shift_severity * r / norm, *cfg.search_range),
         height=oracle_reflect(comp.height, cfg.height_severity * height_draw, *cfg.height_range),
         widths=each(comp.widths, cfg.width_severity * width_draws, *cfg.width_range),
@@ -228,7 +261,8 @@ class TestReflect:
         # a hang fails the test instead of stalling the suite
         code = (
             "import numpy as np\n"
-            "from gmpbench import ScenarioConfig, advance_environment, init_landscape, reflect\n"
+            "from gmpbench import ScenarioConfig, advance_environment, init_landscape\n"
+            "from gmpbench.dynamics import reflect\n"
             "v = reflect(0.0, 1e300, -1.0, 1.0)\n"
             "assert -1.0 <= v <= 1.0, v\n"
             "cfg = ScenarioConfig(dimension=3, num_components=4, height_severity=1e12,\n"
@@ -283,8 +317,8 @@ class TestUpdateComponent:
                              height_severity=0.0, width_severity=0.0,
                              angle_severity=0.0, tau_severity=0.0, eta_severity=0.0)
         rng = np.random.default_rng(42)
-        comp = init_landscape(cfg, rng).components[0]
-        new = update_component(comp, cfg, rng)
+        comp = peaks(init_landscape(cfg, rng))[0]
+        new = update_one(comp, cfg, rng)
         np.testing.assert_array_equal(new.center, comp.center)
         assert new.height == comp.height
         np.testing.assert_array_equal(new.widths, comp.widths)
@@ -300,39 +334,35 @@ class TestUpdateComponent:
                              height_severity=0.0, width_severity=0.0,
                              angle_severity=0.0, tau_severity=0.0, eta_severity=0.0)
         rng = np.random.default_rng(3)
-        comp = init_landscape(cfg, rng).components[0]
+        comp = peaks(init_landscape(cfg, rng))[0]
         # pin the center well inside so no reflection triggers
-        comp = type(comp)(center=np.zeros(5), height=comp.height, widths=comp.widths,
-                          angle=comp.angle, tau=comp.tau, eta=comp.eta,
-                          rotation=comp.rotation)
+        comp = dataclasses.replace(comp, center=np.zeros(5))
         for _ in range(20):
-            new = update_component(comp, cfg, rng)
+            new = update_one(comp, cfg, rng)
             assert np.linalg.norm(new.center - comp.center) == pytest.approx(1.0, rel=1e-12)
-            comp = type(comp)(center=np.zeros(5), height=new.height, widths=new.widths,
-                              angle=new.angle, tau=new.tau, eta=new.eta,
-                              rotation=new.rotation)
+            comp = dataclasses.replace(new, center=np.zeros(5))
 
     def test_parameters_stay_bounded(self):
         cfg = ScenarioConfig(dimension=4, num_components=1)
         rng = np.random.default_rng(8)
-        comp = init_landscape(cfg, rng).components[0]
+        comp = peaks(init_landscape(cfg, rng))[0]
         for _ in range(500):
-            comp = update_component(comp, cfg, rng)
+            comp = update_one(comp, cfg, rng)
             assert in_ranges(comp, cfg)
 
     def test_rotation_disabled_stays_identity(self):
         cfg = ScenarioConfig(dimension=3, num_components=1, rotation_enabled=False)
         rng = np.random.default_rng(9)
-        comp = init_landscape(cfg, rng).components[0]
+        comp = peaks(init_landscape(cfg, rng))[0]
         for _ in range(5):
-            comp = update_component(comp, cfg, rng)
+            comp = update_one(comp, cfg, rng)
         np.testing.assert_array_equal(comp.rotation, np.eye(3))
 
     def test_deterministic(self):
         cfg = ScenarioConfig(dimension=3, num_components=1)
-        comp = init_landscape(cfg, np.random.default_rng(5)).components[0]
-        a = update_component(comp, cfg, np.random.default_rng(77))
-        b = update_component(comp, cfg, np.random.default_rng(77))
+        comp = peaks(init_landscape(cfg, np.random.default_rng(5)))[0]
+        a = update_one(comp, cfg, np.random.default_rng(77))
+        b = update_one(comp, cfg, np.random.default_rng(77))
         np.testing.assert_array_equal(a.center, b.center)
         np.testing.assert_array_equal(a.rotation, b.rotation)
         assert a.height == b.height
@@ -347,7 +377,7 @@ class TestStackedDynamics:
         rng = np.random.default_rng(cfg.seed)
         oracle_rng = np.random.default_rng(cfg.seed)
         ls = init_landscape(cfg, rng)
-        comps = init_landscape(cfg, oracle_rng).components
+        comps = peaks(init_landscape(cfg, oracle_rng))
         for env in range(1, cfg.num_environments):
             ls = advance_environment(ls, cfg, rng)
             comps = [oracle_update_component(c, cfg, oracle_rng) for c in comps]
@@ -365,8 +395,8 @@ class TestStackedDynamics:
 
     def test_update_component_is_a_one_component_change(self):
         cfg = ScenarioConfig(dimension=4, num_components=1)
-        comp = init_landscape(cfg, np.random.default_rng(6)).components[0]
-        new = update_component(comp, cfg, np.random.default_rng(60))
+        comp = peaks(init_landscape(cfg, np.random.default_rng(6)))[0]
+        new = update_one(comp, cfg, np.random.default_rng(60))
         expect = oracle_update_component(comp, cfg, np.random.default_rng(60))
         for attr in ("center", "rotation", "widths", "height", "angle", "tau", "eta"):
             assert np.array_equal(getattr(new, attr), getattr(expect, attr)), attr
@@ -376,14 +406,14 @@ class TestLandscapeLifecycle:
     def test_init_fixed_height_range(self):
         cfg = ScenarioConfig(dimension=2, num_components=4, height_range=(50.0, 50.0))
         ls = init_landscape(cfg, np.random.default_rng(0))
-        assert all(c.height == 50.0 for c in ls.components)
+        assert all(c.height == 50.0 for c in peaks(ls))
         assert ls.optimum_value == 50.0
 
     def test_init_respects_all_ranges(self):
         cfg = ScenarioConfig()
         ls = init_landscape(cfg, np.random.default_rng(1))
-        assert len(ls.components) == 10
-        for comp in ls.components:
+        assert len(peaks(ls)) == 10
+        for comp in peaks(ls):
             assert in_ranges(comp, cfg)
             assert orthogonality_error(comp.rotation) <= 1e-9
 
@@ -391,7 +421,7 @@ class TestLandscapeLifecycle:
         cfg = ScenarioConfig(dimension=4, num_components=3)
         a = init_landscape(cfg, np.random.default_rng(123))
         b = init_landscape(cfg, np.random.default_rng(123))
-        for ca, cb in zip(a.components, b.components):
+        for ca, cb in zip(peaks(a), peaks(b)):
             np.testing.assert_array_equal(ca.center, cb.center)
             np.testing.assert_array_equal(ca.rotation, cb.rotation)
             assert ca.height == cb.height
@@ -406,7 +436,7 @@ class TestLandscapeLifecycle:
         ls = init_landscape(cfg, rng)
         nxt = advance_environment(ls, cfg, rng)
         assert nxt.environment_index == 1
-        assert nxt.optimum_value == max(c.height for c in nxt.components)
+        assert nxt.optimum_value == max(c.height for c in peaks(nxt))
         assert ls.environment_index == 0  # original untouched
 
     def test_advance_zero_severity_keeps_values(self):
@@ -419,7 +449,7 @@ class TestLandscapeLifecycle:
         ls = init_landscape(cfg, rng)
         nxt = advance_environment(ls, cfg, rng)
         assert nxt.environment_index == 1
-        for a, b in zip(ls.components, nxt.components):
+        for a, b in zip(peaks(ls), peaks(nxt)):
             np.testing.assert_array_equal(a.center, b.center)
             assert a.height == b.height
 
@@ -436,7 +466,7 @@ class TestLandscapeLifecycle:
         ls = init_landscape(cfg, rng)
         for _ in range(cfg.num_environments - 1):
             ls = advance_environment(ls, cfg, rng)
-            for comp in ls.components:
+            for comp in peaks(ls):
                 assert in_ranges(comp, cfg)
                 assert orthogonality_error(comp.rotation) <= 1e-9
         assert ls.environment_index == 29

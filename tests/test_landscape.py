@@ -8,46 +8,74 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmpbench import (
-    ComponentState,
     ScenarioConfig,
     advance_environment,
-    component_value,
     evaluate_batch,
     evaluate_raw,
     init_landscape,
-    irregularity_transform,
-    make_landscape,
-    optimum,
-    transform_vector,
     validate_config,
 )
 from gmpbench.cli import main
-from gmpbench.landscape import _BLOCK_ELEMENTS
+from gmpbench.landscape import _BLOCK_ELEMENTS, Landscape, optimum, transform_vector
 
 ETA0 = np.zeros(4)
+FIELDS = ("centers", "rotations", "widths", "heights", "angles", "tau", "eta")
 
 
-def plain_component(center, height, widths, d=None):
+def irregularity_transform(y, tau, eta):
+    """Scalar oracle of the warp: sign-preserving, 0 maps to 0 exactly.
+
+    Positive inputs use the first two ``eta`` frequencies, negative inputs
+    the last two. The ``exp(log|y| + ...)`` form is evaluated literally, as
+    :func:`transform_vector` does.
+    """
+    if y == 0.0:
+        return 0.0
+    ly = math.log(abs(y))
+    if y > 0.0:
+        a, b = eta[0], eta[1]
+    else:
+        a, b = eta[2], eta[3]
+    out = math.exp(ly + tau * (math.sin(a * ly) + math.sin(b * ly)))
+    return out if y > 0.0 else -out
+
+
+def plain_component(center, height, widths, rotation=None, tau=0.0, eta=ETA0):
+    """One-component landscape; unrotated and unwarped unless told."""
     center = np.asarray(center, dtype=float)
-    return ComponentState(center=center, height=height,
-                          widths=np.asarray(widths, dtype=float),
-                          angle=0.0, tau=0.0, eta=ETA0,
-                          rotation=np.eye(len(center)))
+    d = len(center)
+    return Landscape(environment_index=0, centers=center[None],
+                     rotations=np.eye(d)[None] if rotation is None else np.asarray(rotation)[None],
+                     widths=np.asarray(widths, dtype=float)[None],
+                     heights=np.array([height], dtype=float), angles=np.zeros(1),
+                     tau=np.array([tau], dtype=float), eta=np.asarray(eta, dtype=float)[None])
+
+
+def stacked(*landscapes):
+    """One landscape holding the components of all of ``landscapes``."""
+    return Landscape(environment_index=0, **{
+        name: np.concatenate([getattr(ls, name) for ls in landscapes]) for name in FIELDS})
+
+
+def component(landscape, k):
+    """Component ``k`` of ``landscape`` as a one-component landscape."""
+    return Landscape(environment_index=0, **{
+        name: getattr(landscape, name)[k:k + 1] for name in FIELDS})
 
 
 def oracle_value(x, landscape):
     """The landscape formula, component by component on the scalar warp."""
     best = -math.inf
-    for comp in landscape.components:
-        y = comp.rotation @ (x - comp.center)
-        t = [irregularity_transform(v, comp.tau, comp.eta) for v in y]
-        best = max(best, comp.height - math.sqrt(sum(w * v * v for w, v in zip(comp.widths, t))))
+    for k in range(landscape.num_components):
+        y = landscape.rotations[k] @ (x - landscape.centers[k])
+        t = [irregularity_transform(v, landscape.tau[k], landscape.eta[k]) for v in y]
+        best = max(best, landscape.heights[k]
+                   - math.sqrt(sum(w * v * v for w, v in zip(landscape.widths[k], t))))
     return best
 
 
 def random_component(rng, d=2):
-    cfg = ScenarioConfig(dimension=d, num_components=1)
-    return init_landscape(cfg, rng).components[0]
+    return init_landscape(ScenarioConfig(dimension=d, num_components=1), rng)
 
 
 finite_offsets = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False)
@@ -99,43 +127,45 @@ class TestIrregularityTransform:
 
 
 class TestComponentValue:
+    """The value of a single component: a one-component landscape."""
+
     def test_unit_cone(self):
         comp = plain_component([0.0, 0.0], 50.0, [1.0, 1.0])
-        assert component_value(np.array([3.0, 4.0]), comp) == pytest.approx(45.0, rel=1e-12)
+        assert evaluate_raw(np.array([3.0, 4.0]), comp) == pytest.approx(45.0, rel=1e-12)
 
     def test_weighted_cone(self):
         comp = plain_component([0.0, 0.0], 50.0, [4.0, 1.0])
         expect = 50.0 - math.sqrt(5.0)
-        assert component_value(np.array([1.0, 1.0]), comp) == pytest.approx(expect, rel=1e-12)
+        assert evaluate_raw(np.array([1.0, 1.0]), comp) == pytest.approx(expect, rel=1e-12)
 
     def test_center_attains_height_exactly(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             comp = random_component(rng, d=3)
-            assert component_value(comp.center, comp) == comp.height
+            assert evaluate_raw(comp.centers[0], comp) == comp.heights[0]
 
     def test_strictly_below_height_off_center(self):
         rng = np.random.default_rng(12)
         comp = random_component(rng, d=4)
         for _ in range(50):
             x = rng.uniform(-100, 100, 4)
-            assert component_value(x, comp) < comp.height
+            assert evaluate_raw(x, comp) < comp.heights[0]
 
     def test_dimension_mismatch(self):
         comp = plain_component([0.0, 0.0], 50.0, [1.0, 1.0])
         with pytest.raises(ValueError):
-            component_value(np.zeros(3), comp)
+            evaluate_raw(np.zeros(3), comp)
 
 
 class TestEvaluateRaw:
     def test_single_component_center(self):
-        ls = make_landscape(0, [plain_component([1.0, 2.0], 42.0, [2.0, 3.0])])
+        ls = plain_component([1.0, 2.0], 42.0, [2.0, 3.0])
         assert evaluate_raw(np.array([1.0, 2.0]), ls) == 42.0
 
     def test_max_of_two_cones(self):
         c1 = plain_component([0.0, 0.0], 50.0, [1.0, 1.0])
         c2 = plain_component([10.0, 0.0], 60.0, [1.0, 1.0])
-        ls = make_landscape(0, [c1, c2])
+        ls = stacked(c1, c2)
         # at c2's center the first cone is 50 - 10 = 40 < 60
         assert evaluate_raw(np.array([10.0, 0.0]), ls) == 60.0
         # halfway: max(50 - 5, 60 - 5) = 55
@@ -171,26 +201,25 @@ class TestEvaluateRaw:
                 for start in range(0, 40, size):
                     np.testing.assert_array_equal(evaluate_raw(xs[start:start + size], ls),
                                                   single[start:start + size])
-            for k, comp in enumerate(ls.components):
-                alone = make_landscape(0, [comp])
-                assert evaluate_raw(comp.center, alone) == comp.height
-                assert evaluate_batch(xs, alone)[7 * k] == comp.height
+            for k in range(m):
+                alone = component(ls, k)
+                assert evaluate_raw(ls.centers[k], alone) == ls.heights[k]
+                assert evaluate_batch(xs, alone)[7 * k] == ls.heights[k]
             assert evaluate_raw(ls.optimum_position, ls) == ls.optimum_value
 
     def test_dimension_mismatch(self):
-        ls = make_landscape(0, [plain_component([0.0, 0.0], 50.0, [1.0, 1.0])])
+        ls = plain_component([0.0, 0.0], 50.0, [1.0, 1.0])
         with pytest.raises(ValueError):
             evaluate_raw(np.zeros(3), ls)
         with pytest.raises(ValueError):
             evaluate_batch(np.zeros((4, 3)), ls)
 
     def test_radial_symmetry_equal_widths(self):
-        comp = plain_component([3.0, -7.0], 55.0, [4.0, 4.0])
-        ls = make_landscape(0, [comp])
+        ls = plain_component([3.0, -7.0], 55.0, [4.0, 4.0])
         rng = np.random.default_rng(23)
         for radius in (0.5, 2.0, 30.0):
             angles = rng.uniform(0, 2 * math.pi, 64)
-            pts = comp.center + radius * np.column_stack([np.cos(angles), np.sin(angles)])
+            pts = ls.centers[0] + radius * np.column_stack([np.cos(angles), np.sin(angles)])
             vals = evaluate_batch(pts, ls)
             assert vals.max() - vals.min() <= 1e-9
 
@@ -200,34 +229,34 @@ class TestEvaluateRaw:
         theta = 0.7
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
-        comp = ComponentState(center=np.array([1.0, -2.0]), height=60.0,
-                              widths=np.array([3.0, 8.0]), angle=theta,
-                              tau=0.4, eta=np.full(4, 7.5), rotation=rot)
+        center = np.array([1.0, -2.0])
+        comp = plain_component(center, 60.0, [3.0, 8.0], rotation=rot, tau=0.4,
+                               eta=np.full(4, 7.5))
         for _ in range(30):
             u = rng.uniform(-20, 20, 2)
             back = np.linalg.solve(rot, u)
-            plus = component_value(comp.center + back, comp)
-            minus = component_value(comp.center - back, comp)
+            plus = evaluate_raw(center + back, comp)
+            minus = evaluate_raw(center - back, comp)
             assert plus == pytest.approx(minus, rel=1e-12)
 
 
 class TestOptimum:
     def test_single_component(self):
         comp = plain_component([4.0, 5.0], 50.0, [1.0, 1.0])
-        value, position = optimum(make_landscape(0, [comp]))
+        value, position = optimum(comp)
         assert value == 50.0
         np.testing.assert_array_equal(position, [4.0, 5.0])
 
     def test_argmax_of_heights(self):
         comps = [plain_component([float(i), 0.0], h, [1.0, 1.0])
                  for i, h in enumerate([30.0, 70.0, 55.0])]
-        value, position = optimum(make_landscape(0, comps))
+        value, position = optimum(stacked(*comps))
         assert value == 70.0
         np.testing.assert_array_equal(position, [1.0, 0.0])
 
     def test_tie_breaks_to_lowest_index(self):
         comps = [plain_component([float(i), 0.0], 50.0, [1.0, 1.0]) for i in range(3)]
-        _, position = optimum(make_landscape(0, comps))
+        _, position = optimum(stacked(*comps))
         np.testing.assert_array_equal(position, [0.0, 0.0])
 
     def test_grid_never_beats_optimum(self):

@@ -1,17 +1,20 @@
 """Multi-swarm solver: particle moves, exclusion, anti-convergence, detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gmpbench import (
     MQSO,
     BenchmarkSession,
+    ExperimentSpec,
     ScenarioComplete,
     ScenarioConfig,
     SolverConfig,
-    Swarm,
+    run_experiment,
 )
-from gmpbench.mqso import CHANGE_DETECTION_TOL, _gbest_gaps
+from gmpbench.mqso import CHANGE_DETECTION_TOL, Swarm, _gbest_gaps
 
 
 def make_session(**kw):
@@ -45,6 +48,45 @@ class TestSolverConfig:
     def test_bad_config_rejected_at_attach(self):
         with pytest.raises(ValueError, match="chi"):
             MQSO(make_session(), SolverConfig(chi=0.0))
+
+    @pytest.mark.parametrize("name", ["chi", "c1", "c2", "cloud_radius",
+                                      "exclusion_radius", "convergence_radius"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_constants_are_violations(self, name, value):
+        # nan radii would switch exclusion off or reinitialize every step,
+        # an infinite cloud sends quantum particles to the box corners
+        scenario = ScenarioConfig(dimension=2, num_components=3)
+        cfg = SolverConfig.for_scenario(scenario, **{name: value})
+        assert f"{name} must be finite" in "; ".join(cfg.violations())
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            MQSO(make_session(), cfg)
+        spec = ExperimentSpec(scenario=scenario, solver_config=cfg, run_count=1)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            run_experiment(spec)
+
+
+class TestRadiusRule:
+    @pytest.mark.parametrize("name", ["cloud_radius", "exclusion_radius", "convergence_radius"])
+    def test_unresolved_radius_rejected(self, name):
+        session = make_session()
+        resolved = SolverConfig.for_scenario(session.config)
+        with pytest.raises(ValueError, match=f"{name} not set.*for_scenario"):
+            MQSO(session, dataclasses.replace(resolved, **{name: None}))
+        with pytest.raises(ValueError, match="cloud_radius, exclusion_radius, convergence_radius"):
+            MQSO(session, SolverConfig())
+
+    def test_solver_uses_the_radii_the_experiment_reports(self):
+        scenario = ScenarioConfig(dimension=5, num_components=25, shift_severity=2.0,
+                                  change_frequency=200, num_environments=1)
+        result = run_experiment(ExperimentSpec(scenario=scenario, run_count=1))
+        solver = MQSO(BenchmarkSession(scenario), SolverConfig.for_scenario(scenario),
+                      np.random.default_rng(0))
+        params = result["solver_params"]
+        assert params["cloud_radius"] == 2.0
+        assert params["exclusion_radius"] == 0.5 * 200.0 / 25 ** (1 / 5)
+        assert solver.cloud_radius == params["cloud_radius"]
+        assert solver.exclusion_radius == params["exclusion_radius"]
+        assert solver.convergence_radius == params["convergence_radius"]
 
 
 class TestInitialization:

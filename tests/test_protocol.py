@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from gmpbench import (
     BenchmarkSession,
-    EvaluationLedger,
     IncompleteLedgerError,
     ScenarioComplete,
     ScenarioConfig,
     best_before_change_error,
     offline_error,
 )
+from gmpbench.protocol import EvaluationLedger
 
 
 def feed(ledger, pairs):
