@@ -15,21 +15,21 @@ from .harness import (
     ExperimentSpec,
     export_grid,
     run_experiment,
-    scenario_from_dict,
     scenario_to_dict,
     validate_config,
 )
 from .landscape import ScenarioConfig
 
 
-def _load_scenario(path: str | None) -> tuple[ScenarioConfig | None, list[str]]:
+def _load_scenario(path: str | None) -> ScenarioConfig | None:
+    """The scenario of the config file at ``path`` (the defaults when
+    ``None``), or ``None`` after printing each config error."""
     if path is None:
-        return ScenarioConfig(), []
-    effective, problems = validate_config(path)
-    if effective is None or problems:
-        return None, problems
-    cfg, more = scenario_from_dict(effective)
-    return cfg, more
+        return ScenarioConfig()
+    scenario, problems = validate_config(path)
+    for p in problems:
+        print(f"config error: {p}", file=sys.stderr)
+    return None if problems else scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,10 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    scenario, problems = _load_scenario(args.config)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+    scenario = _load_scenario(args.config)
+    if scenario is None:
         return 1
     spec = ExperimentSpec(scenario=scenario, solver=args.solver,
                           run_count=args.runs, master_seed=args.seed,
@@ -82,10 +80,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    scenario, problems = _load_scenario(args.config)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+    scenario = _load_scenario(args.config)
+    if scenario is None:
         return 1
     try:
         csv_path, meta_path = export_grid(scenario, args.env, args.resolution, args.out)
@@ -97,12 +93,12 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    effective, problems = validate_config(args.config)
-    if effective is not None:
-        print(json.dumps(effective, indent=2, sort_keys=True))
+    scenario, problems = validate_config(args.config)
+    if scenario is not None:
+        print(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True))
     for p in problems:
         print(f"violation: {p}", file=sys.stderr)
-    return 1 if problems or effective is None else 0
+    return 1 if problems else 0
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import advance_environment, init_landscape
-from .landscape import ScenarioConfig, evaluate_batch
+from .landscape import FIELD_TYPES, ScenarioConfig, evaluate_batch
 from .mqso import MQSO, SolverConfig
 from .protocol import BenchmarkSession, ScenarioComplete, best_before_change_error, offline_error
 
@@ -40,10 +40,6 @@ __all__ = [
 
 SOLVERS = ("mqso", "random")
 
-_RANGE_FIELDS = ("search_range", "height_range", "width_range",
-                 "angle_range", "tau_range", "eta_range")
-_INT_FIELDS = ("dimension", "num_components", "change_frequency",
-               "num_environments", "seed")
 _RANDOM_BLOCK_ROWS = 16
 
 
@@ -119,16 +115,19 @@ def run_session(scenario: ScenarioConfig, solver: str = "mqso",
     """Drive one full session and return (run record, session).
 
     ``seed`` overrides the scenario seed; the solver draws from a separate
-    stream derived from the same seed.
+    stream derived from the same seed. ``solver_config`` is the mQSO config
+    with its radii set, as :meth:`SolverConfig.for_scenario` gives it;
+    ``None`` runs the default config resolved for ``scenario``.
     """
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
-    scenario.validate()
     session = BenchmarkSession(scenario)
     rng = _solver_rng(scenario.seed)
     try:
         if solver == "mqso":
-            MQSO(session, _resolved_solver_config(scenario, solver_config), rng).run()
+            if solver_config is None:
+                solver_config = _resolved_solver_config(scenario, None)
+            MQSO(session, solver_config, rng).run()
         elif solver == "random":
             RandomSearch(session, rng).run()
         else:
@@ -157,25 +156,22 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     bad = spec.violations()
     if bad:
         raise ValueError("invalid experiment spec: " + "; ".join(bad))
+    solver_config = (_resolved_solver_config(spec.scenario, spec.solver_config)
+                     if spec.solver == "mqso" else None)
     runs = []
     for i in range(spec.run_count):
         seed_i = spec.master_seed + i
         try:
-            record, _ = run_session(spec.scenario, spec.solver,
-                                    spec.solver_config, seed=seed_i)
+            record, _ = run_session(spec.scenario, spec.solver, solver_config, seed=seed_i)
         except Exception as exc:
             raise ExperimentError(f"run {i} (seed {seed_i}) failed: {exc}") from exc
         record["run_index"] = i
         runs.append(record)
-    solver_params = {}
-    if spec.solver == "mqso":
-        solver_params = dataclasses.asdict(
-            _resolved_solver_config(spec.scenario, spec.solver_config))
     result = {
         "artifact_version": __version__,
         "scenario": scenario_to_dict(spec.scenario),
         "solver": spec.solver,
-        "solver_params": solver_params,
+        "solver_params": dataclasses.asdict(solver_config) if solver_config is not None else {},
         "master_seed": spec.master_seed,
         "run_count": spec.run_count,
         "runs": runs,
@@ -283,59 +279,64 @@ def export_grid(scenario: ScenarioConfig, env_index: int, resolution: int,
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """JSON-ready dict with ranges as two-element lists."""
     data = dataclasses.asdict(cfg)
-    for name in _RANGE_FIELDS:
-        data[name] = list(data[name])
+    for name, kind in FIELD_TYPES.items():
+        if kind is tuple:
+            data[name] = list(data[name])
     return data
 
 
-def scenario_from_dict(data: dict) -> tuple[ScenarioConfig | None, list[str]]:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# per field type: (accepts the JSON value, converts it, what it must be)
+_PARSERS = {
+    tuple: (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
+            lambda v: (float(v[0]), float(v[1])), "a two-element numeric array"),
+    bool: (lambda v: isinstance(v, bool), bool, "a boolean"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), int, "an integer"),
+    float: (_is_number, float, "a number"),
+}
+
+
+def scenario_from_dict(data: dict) -> tuple[ScenarioConfig, list[str]]:
     """Build a config from a JSON object, filling defaults for omitted keys.
 
-    Returns the config (or ``None`` if it cannot even be constructed) plus
-    every problem found: unknown keys, malformed values, and violated
-    constraints.
+    The schema is :data:`~gmpbench.landscape.FIELD_TYPES`: a key must name a
+    ``ScenarioConfig`` field, a range is a two-element numeric array, a
+    boolean a JSON boolean, an integer a JSON integer, and a severity a JSON
+    number (a boolean is never a number). A number too large for a float is
+    reported as not finite. Returns the config, built from the well-formed
+    keys, plus every problem found: unknown keys, malformed values, and
+    violated constraints.
     """
     problems = []
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    for key in data:
-        if key not in known:
-            problems.append(f"unknown key {key!r}")
     kwargs = {}
     for key, value in data.items():
-        if key not in known:
+        if key not in FIELD_TYPES:
+            problems.append(f"unknown key {key!r}")
             continue
-        if key in _RANGE_FIELDS:
-            if (not isinstance(value, (list, tuple)) or len(value) != 2
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               for v in value)):
-                problems.append(f"{key} must be a two-element numeric array")
-                continue
-            kwargs[key] = (float(value[0]), float(value[1]))
-        elif key in _INT_FIELDS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                problems.append(f"{key} must be an integer")
-                continue
-            kwargs[key] = value
-        elif key == "rotation_enabled":
-            if not isinstance(value, bool):
-                problems.append("rotation_enabled must be a boolean")
-                continue
-            kwargs[key] = value
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                problems.append(f"{key} must be a number")
-                continue
-            kwargs[key] = float(value)
+        accepts, convert, what = _PARSERS[FIELD_TYPES[key]]
+        if not accepts(value):
+            problems.append(f"{key} must be {what}")
+            continue
+        try:
+            kwargs[key] = convert(value)
+        except OverflowError:  # an integer beyond the float range
+            problems.append(f"{key} must be finite")
     cfg = ScenarioConfig(**kwargs)
     problems.extend(cfg.violations())
     return cfg, problems
 
 
-def validate_config(path: str | Path) -> tuple[dict | None, list[str]]:
-    """Parse a config file; returns (effective config dict, problems).
+def validate_config(path: str | Path) -> tuple[ScenarioConfig | None, list[str]]:
+    """Read and parse a config file; returns (config, problems).
 
-    The effective dict echoes the full configuration with defaults filled
-    in; re-parsing it yields the same effective configuration.
+    The file must hold one JSON object, parsed by the schema rule of
+    :func:`scenario_from_dict`. The config is ``None`` when the file cannot
+    be read or is not a JSON object; otherwise it is the full configuration
+    with defaults filled in, and :func:`scenario_to_dict` of it parses back
+    to the same config.
     """
     try:
         with open(path) as fh:
@@ -346,6 +347,4 @@ def validate_config(path: str | Path) -> tuple[dict | None, list[str]]:
         return None, [f"malformed JSON: {exc}"]
     if not isinstance(data, dict):
         return None, ["config root must be a JSON object"]
-    cfg, problems = scenario_from_dict(data)
-    effective = scenario_to_dict(cfg) if cfg is not None else None
-    return effective, problems
+    return scenario_from_dict(data)

@@ -59,7 +59,10 @@ class SolverConfig:
 
     :class:`MQSO` takes a config with all three radii set, so the solver
     that the harness runs and one built by hand from ``for_scenario`` are
-    the same solver.
+    the same solver. The exclusion and convergence radii must be positive.
+    The cloud radius may be 0, as it is for a scenario whose peaks do not
+    move (``shift_severity`` 0): each quantum particle then samples the
+    global best itself.
     """
 
     num_swarms: int = 10
@@ -103,7 +106,9 @@ class SolverConfig:
                 bad.append(f"{name} must be finite")
         if math.isfinite(self.chi) and not 0.0 < self.chi < 1.0:
             bad.append("chi must lie in (0, 1)")
-        for name in _RADII:
+        if self.cloud_radius is not None and math.isfinite(self.cloud_radius) and self.cloud_radius < 0:
+            bad.append("cloud_radius must be nonnegative")
+        for name in ("exclusion_radius", "convergence_radius"):
             v = getattr(self, name)
             if v is not None and math.isfinite(v) and v <= 0:
                 bad.append(f"{name} must be positive")
@@ -184,11 +189,12 @@ class MQSO:
     exclusion and anti-convergence. Swarm reinitializations evaluate the fresh particles
     right away, so the ledger accounts for every evaluation the solver
     causes. Budget exhaustion surfaces as ``ScenarioComplete`` from any
-    evaluating call; a partially executed step is valid.
+    evaluating call; a partially executed step is valid. Every random draw
+    comes from ``rng``, so a run is reproducible from the generator's seed.
     """
 
     def __init__(self, session: BenchmarkSession, config: SolverConfig,
-                 rng: np.random.Generator | None = None, track_history: bool = False):
+                 rng: np.random.Generator, track_history: bool = False):
         bad = config.violations()
         unresolved = [name for name in _RADII if getattr(config, name) is None]
         if unresolved:
@@ -197,7 +203,7 @@ class MQSO:
         if bad:
             raise ValueError("invalid solver config: " + "; ".join(bad))
         self.session = session
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.rng = rng
         self.cloud_radius = config.cloud_radius
         self.exclusion_radius = config.exclusion_radius
         self.convergence_radius = config.convergence_radius

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gmpbench import harness
 from gmpbench import (
     BenchmarkSession,
     ExperimentSpec,
@@ -47,6 +48,21 @@ class TestExperiment:
         resolved = SolverConfig.for_scenario(scenario, num_swarms=2)
         assert result["solver_params"] == dataclasses.asdict(resolved)
         assert run_experiment(dataclasses.replace(spec, solver="random"))["solver_params"] == {}
+
+    def test_solver_config_is_resolved_once(self, monkeypatch):
+        calls = []
+
+        def resolve(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = harness._resolved_solver_config
+        monkeypatch.setattr(harness, "_resolved_solver_config", resolve)
+        scenario = ScenarioConfig(dimension=2, num_components=2, change_frequency=120,
+                                  num_environments=1)
+        result = run_experiment(ExperimentSpec(scenario=scenario, run_count=3))
+        assert len(calls) == 1
+        assert len(result["runs"]) == 3
 
 
 class TestExportGrid:

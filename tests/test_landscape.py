@@ -1,6 +1,7 @@
 """Objective function: transform identities, component cones, max-composition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gmpbench import (
     validate_config,
 )
 from gmpbench.cli import main
-from gmpbench.landscape import _BLOCK_ELEMENTS, Landscape, optimum, transform_vector
+from gmpbench.landscape import _BLOCK_ELEMENTS, Landscape, transform_vector
 
 ETA0 = np.zeros(4)
 FIELDS = ("centers", "rotations", "widths", "heights", "angles", "tau", "eta")
@@ -207,6 +208,20 @@ class TestEvaluateRaw:
                 assert evaluate_batch(xs, alone)[7 * k] == ls.heights[k]
             assert evaluate_raw(ls.optimum_position, ls) == ls.optimum_value
 
+    def test_block_memory_is_bounded(self):
+        # scored whole, this block's temporaries peak above 200 MiB
+        rng = np.random.default_rng(25)
+        ls = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
+        xs = rng.uniform(-100, 100, (5000, 20))
+        tracemalloc.start()
+        try:
+            values = evaluate_raw(xs, ls)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        np.testing.assert_array_equal(values, [evaluate_raw(x, ls) for x in xs])
+
     def test_dimension_mismatch(self):
         ls = plain_component([0.0, 0.0], 50.0, [1.0, 1.0])
         with pytest.raises(ValueError):
@@ -243,20 +258,21 @@ class TestEvaluateRaw:
 class TestOptimum:
     def test_single_component(self):
         comp = plain_component([4.0, 5.0], 50.0, [1.0, 1.0])
-        value, position = optimum(comp)
+        value, position = comp.optimum_value, comp.optimum_position
         assert value == 50.0
         np.testing.assert_array_equal(position, [4.0, 5.0])
 
     def test_argmax_of_heights(self):
         comps = [plain_component([float(i), 0.0], h, [1.0, 1.0])
                  for i, h in enumerate([30.0, 70.0, 55.0])]
-        value, position = optimum(stacked(*comps))
+        ls = stacked(*comps)
+        value, position = ls.optimum_value, ls.optimum_position
         assert value == 70.0
         np.testing.assert_array_equal(position, [1.0, 0.0])
 
     def test_tie_breaks_to_lowest_index(self):
         comps = [plain_component([float(i), 0.0], 50.0, [1.0, 1.0]) for i in range(3)]
-        _, position = optimum(stacked(*comps))
+        position = stacked(*comps).optimum_position
         np.testing.assert_array_equal(position, [0.0, 0.0])
 
     def test_grid_never_beats_optimum(self):

@@ -45,9 +45,17 @@ class TestSolverConfig:
         assert not SolverConfig(cloud_radius=1.0, exclusion_radius=2.0,
                                 convergence_radius=2.0).violations()
 
+    def test_zero_cloud_is_allowed(self):
+        # a scenario whose peaks do not move resolves the cloud radius to 0
+        assert not SolverConfig(cloud_radius=0.0, exclusion_radius=2.0,
+                                convergence_radius=2.0).violations()
+        assert SolverConfig(cloud_radius=-1e-9).violations() == ["cloud_radius must be nonnegative"]
+        for name in ("exclusion_radius", "convergence_radius"):
+            assert SolverConfig(**{name: 0.0}).violations() == [f"{name} must be positive"]
+
     def test_bad_config_rejected_at_attach(self):
         with pytest.raises(ValueError, match="chi"):
-            MQSO(make_session(), SolverConfig(chi=0.0))
+            MQSO(make_session(), SolverConfig(chi=0.0), np.random.default_rng(0))
 
     @pytest.mark.parametrize("name", ["chi", "c1", "c2", "cloud_radius",
                                       "exclusion_radius", "convergence_radius"])
@@ -59,7 +67,7 @@ class TestSolverConfig:
         cfg = SolverConfig.for_scenario(scenario, **{name: value})
         assert f"{name} must be finite" in "; ".join(cfg.violations())
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            MQSO(make_session(), cfg)
+            MQSO(make_session(), cfg, np.random.default_rng(0))
         spec = ExperimentSpec(scenario=scenario, solver_config=cfg, run_count=1)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             run_experiment(spec)
@@ -71,9 +79,9 @@ class TestRadiusRule:
         session = make_session()
         resolved = SolverConfig.for_scenario(session.config)
         with pytest.raises(ValueError, match=f"{name} not set.*for_scenario"):
-            MQSO(session, dataclasses.replace(resolved, **{name: None}))
+            MQSO(session, dataclasses.replace(resolved, **{name: None}), np.random.default_rng(0))
         with pytest.raises(ValueError, match="cloud_radius, exclusion_radius, convergence_radius"):
-            MQSO(session, SolverConfig())
+            MQSO(session, SolverConfig(), np.random.default_rng(0))
 
     def test_solver_uses_the_radii_the_experiment_reports(self):
         scenario = ScenarioConfig(dimension=5, num_components=25, shift_severity=2.0,

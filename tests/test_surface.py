@@ -14,7 +14,7 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # the per-component object model, replaced by the stacked Landscape arrays
 DELETED = ("ComponentState", "make_landscape", "component_value",
-           "update_component", "irregularity_transform")
+           "update_component", "irregularity_transform", "optimum")
 
 
 def test_every_exported_name_resolves():
@@ -22,6 +22,12 @@ def test_every_exported_name_resolves():
     assert len(set(gmpbench.__all__)) == len(gmpbench.__all__)
     for name in gmpbench.__all__:
         assert getattr(gmpbench, name) is not None, name
+
+
+def test_one_kernel_entry():
+    # evaluate_batch is the older name of evaluate_raw, kept for callers
+    assert gmpbench.evaluate_batch is gmpbench.evaluate_raw
+    assert landscape.evaluate_batch is landscape.evaluate_raw
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
