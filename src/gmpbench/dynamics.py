@@ -11,10 +11,17 @@ permutation (skipped when rotation is disabled).
 
 Only the draws are made component by component: :func:`init_landscape`
 writes each component's draws into row ``k`` of the :class:`Landscape`
-arrays, and :func:`advance_environment` perturbs, reflects and rotates all
-``m`` rows with array operations, applying each of the d(d-1)/2 plane steps
-to every rotation matrix with one batched 2x2 matmul. A one-component
-landscape is the change of a single component.
+arrays and orthonormalizes all ``m`` source matrices in one stacked
+Gram-Schmidt pass, and :func:`advance_environment` perturbs, reflects and
+rotates all ``m`` rows with array operations, applying each of the d(d-1)/2
+plane steps to every rotation matrix with one batched 2x2 matmul. A
+one-component landscape is the change of a single component.
+
+Every orthonormalization goes through one modified Gram-Schmidt routine on
+an (m, d, d) stack: the initial rotations, the re-orthonormalization of
+matrices that drifted during a change, and :func:`gram_schmidt`, its
+one-matrix call. Each matrix of a stack comes out bit-identical to
+orthonormalizing it alone.
 """
 
 from __future__ import annotations
@@ -62,18 +69,40 @@ def orthogonality_error(r: np.ndarray) -> float:
     return float(_orthogonality_errors(np.asarray(r)[None])[0])
 
 
+def _orthonormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Modified Gram-Schmidt on the columns of each matrix of an (m, d, d)
+    stack, in index order; returns the orthonormalized stack and the (m, d)
+    pivot norms.
+
+    A matrix with a pivot norm below ``_PIVOT_TOL`` is degenerate and its
+    result is undefined; the callers check the norms. Each column pair takes
+    one strided dot per matrix and each norm is the square root of the dot
+    of a contiguous copy of the column, the BLAS calls that ``q[:, j] @
+    q[:, k]`` and ``np.linalg.norm(q[:, k])`` make on a lone matrix, so every
+    matrix comes out bit-identical to orthonormalizing it alone.
+    """
+    q = np.array(a, dtype=float)
+    m, d, _ = q.shape
+    norms = np.empty((m, d))
+    with np.errstate(all="ignore"):
+        for k in range(d):
+            ck = q[:, :, k]
+            for j in range(k):
+                cj = q[:, :, j]
+                ck -= (cj[:, None, :] @ ck[:, :, None])[:, 0] * cj
+            c = np.ascontiguousarray(ck)
+            norms[:, k] = np.sqrt(c[:, None, :] @ c[:, :, None])[:, 0, 0]
+            ck /= norms[:, k, None]
+    return q, norms
+
+
 def gram_schmidt(a: np.ndarray) -> np.ndarray:
     """Orthonormalize the columns of ``a`` in index order (modified variant)."""
-    q = np.array(a, dtype=float)
-    d = q.shape[1]
-    for k in range(d):
-        for j in range(k):
-            q[:, k] -= (q[:, j] @ q[:, k]) * q[:, j]
-        norm = float(np.linalg.norm(q[:, k]))
-        if norm < _PIVOT_TOL:
-            raise ValueError(f"degenerate pivot at column {k}")
-        q[:, k] /= norm
-    return q
+    q, norms = _orthonormalize(np.asarray(a, dtype=float)[None])
+    degenerate = np.flatnonzero(norms[0] < _PIVOT_TOL)
+    if degenerate.size:
+        raise ValueError(f"degenerate pivot at column {degenerate[0]}")
+    return q[0]
 
 
 def initial_rotation(d: int, rng: np.random.Generator, rotation_enabled: bool = True) -> np.ndarray:
@@ -111,9 +140,16 @@ def _rotate(rotations: np.ndarray, angles: np.ndarray, orders: np.ndarray) -> np
     flat = out.reshape(m * d, d)
     for pq in pairs[orders[:, ::-1].T] + d * np.arange(m)[:, None]:
         flat[pq] = rot2 @ flat.take(pq, axis=0)
-    for k in np.flatnonzero(_orthogonality_errors(out) > ORTHOGONALITY_TOL):
-        out[k] = gram_schmidt(out[k])
-        assert orthogonality_error(out[k]) <= ORTHOGONALITY_TOL
+    drifted = np.flatnonzero(_orthogonality_errors(out) > ORTHOGONALITY_TOL)
+    if drifted.size:
+        fixed, norms = _orthonormalize(out[drifted])
+        # "not <=" fails a NaN result too
+        failed = (norms < _PIVOT_TOL).any(axis=1) | ~(
+            _orthogonality_errors(fixed) <= ORTHOGONALITY_TOL)
+        if failed.any():
+            raise ValueError(f"rotation matrix {drifted[failed][0]} is not orthogonal "
+                             "after re-orthonormalization")
+        out[drifted] = fixed
     return out
 
 
@@ -124,7 +160,8 @@ def update_rotation(r: np.ndarray, theta: float, rng: np.random.Generator) -> np
     permutation (plane rotations on different planes do not commute). Each
     factor is applied as a two-row update, which is the exact product in the
     permuted order. Floating-point drift beyond ORTHOGONALITY_TOL triggers a
-    Gram-Schmidt re-orthonormalization.
+    Gram-Schmidt re-orthonormalization; a matrix that it cannot bring within
+    the tolerance raises ``ValueError``.
 
     :func:`advance_environment` does not call this function: it rotates all
     matrices at once with the same code. It stays as a one-matrix entry
@@ -225,8 +262,17 @@ def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
 
 
 def init_landscape(cfg: ScenarioConfig, rng: np.random.Generator) -> Landscape:
-    """Draw the initial environment: all parameters uniform in their ranges,
-    component by component, each written into its row of the arrays."""
+    """Draw the initial environment: all parameters uniform in their ranges.
+
+    The draws are made component by component in the documented order, each
+    written into its row of the arrays; with rotation enabled the last draw
+    of a component is its ``standard_normal((d, d))`` source matrix. All
+    ``m`` source matrices are then orthonormalized at once, each exactly as
+    alone. A degenerate source matrix (probability zero) is redrawn where
+    :func:`initial_rotation` redraws it: the generator is rewound to just
+    after that draw, the component's rotation is redrawn with
+    :func:`initial_rotation`, and every later component is drawn again.
+    """
     cfg.validate()
     lb, ub = cfg.search_range
     m, d = cfg.num_components, cfg.dimension
@@ -237,13 +283,34 @@ def init_landscape(cfg: ScenarioConfig, rng: np.random.Generator) -> Landscape:
     eta = np.empty((m, 4))
     tau = np.empty(m)
     rotations = np.empty((m, d, d))
-    for k in range(m):
-        centers[k] = rng.uniform(lb, ub, d)
-        heights[k] = rng.uniform(*cfg.height_range)
-        widths[k] = rng.uniform(*cfg.width_range, d)
-        angles[k] = rng.uniform(*cfg.angle_range)
-        eta[k] = rng.uniform(*cfg.eta_range, 4)
-        tau[k] = rng.uniform(*cfg.tau_range)
-        rotations[k] = initial_rotation(d, rng, cfg.rotation_enabled)
+    after_source = [None] * m  # generator state just after each source matrix
+
+    def draw(first: int) -> None:
+        for k in range(first, m):
+            centers[k] = rng.uniform(lb, ub, d)
+            heights[k] = rng.uniform(*cfg.height_range)
+            widths[k] = rng.uniform(*cfg.width_range, d)
+            angles[k] = rng.uniform(*cfg.angle_range)
+            eta[k] = rng.uniform(*cfg.eta_range, 4)
+            tau[k] = rng.uniform(*cfg.tau_range)
+            if cfg.rotation_enabled:
+                rotations[k] = rng.standard_normal((d, d))
+                after_source[k] = rng.bit_generator.state
+
+    draw(0)
+    if not cfg.rotation_enabled:
+        rotations[:] = np.eye(d)
+    first = 0
+    while cfg.rotation_enabled:
+        q, norms = _orthonormalize(rotations[first:])
+        rotations[first:] = q
+        degenerate = np.flatnonzero((norms < _PIVOT_TOL).any(axis=1))
+        if not degenerate.size:
+            break
+        k = first + int(degenerate[0])
+        rng.bit_generator.state = after_source[k]
+        rotations[k] = initial_rotation(d, rng)
+        first = k + 1
+        draw(first)
     return Landscape(environment_index=0, centers=centers, rotations=rotations,
                      widths=widths, heights=heights, angles=angles, tau=tau, eta=eta)

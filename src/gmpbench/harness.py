@@ -158,6 +158,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         raise ValueError("invalid experiment spec: " + "; ".join(bad))
     solver_config = (_resolved_solver_config(spec.scenario, spec.solver_config)
                      if spec.solver == "mqso" else None)
+    if spec.output_dir is not None:
+        # an unwritable output path fails here, before any run's compute
+        Path(spec.output_dir).mkdir(parents=True, exist_ok=True)
     runs = []
     for i in range(spec.run_count):
         seed_i = spec.master_seed + i

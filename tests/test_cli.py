@@ -13,6 +13,7 @@ from gmpbench import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from gmpbench import harness
 from gmpbench.cli import main
 
 SMALL = {"dimension": 2, "num_components": 3, "change_frequency": 150, "num_environments": 2}
@@ -54,7 +55,7 @@ class TestRun:
         assert result["solver_params"]["cloud_radius"] == 0.0
         assert len(result["runs"]) == 1
 
-    def test_exit_codes(self, tmp_path, capsys):
+    def test_exit_codes(self, tmp_path, capsys, monkeypatch):
         good = write_config(tmp_path, SMALL)
         bad = write_config(tmp_path, dict(SMALL, dimension=0), "bad.json")
         blocker = tmp_path / "blocker"
@@ -63,10 +64,14 @@ class TestRun:
         assert main(["run", "--config", bad, "--runs", "1", "--out", str(tmp_path / "no")]) == 1
         assert "config error: dimension must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "no").exists()
-        # the output directory cannot be made under a regular file
+        # the output directory cannot be made under a regular file, which is
+        # found before any run is computed
+        sessions = []
+        monkeypatch.setattr(harness, "run_session", lambda *a, **k: sessions.append(a))
         assert main(["run", "--config", good, "--runs", "1",
                      "--out", str(blocker / "out")]) == 2
         assert "runtime failure" in capsys.readouterr().err
+        assert sessions == []
         assert main(["grid", "--config", bad, "--out", str(tmp_path / "g.csv")]) == 1
         grid = write_config(tmp_path, dict(SMALL, num_components=2), "grid.json")
         assert main(["grid", "--config", grid, "--resolution", "3",

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 import gmpbench
 from gmpbench import ScenarioConfig, ScenarioExhausted, advance_environment, init_landscape
 from gmpbench.dynamics import (
+    ORTHOGONALITY_TOL,
+    _orthonormalize,
+    _rotate,
     gram_schmidt,
     initial_rotation,
     orthogonality_error,
@@ -92,8 +95,75 @@ def givens_matrix(d, pair, theta):
     return g
 
 
-# -- per-component oracle: the environment change one component at a time,
-# with the mirror loop of reflect, as the stacked dynamics must reproduce it
+# -- per-component oracle: the initial draws and the environment change one
+# component at a time, with the per-matrix Gram-Schmidt loop and the mirror
+# loop of reflect, as the stacked dynamics must reproduce them
+
+def oracle_gram_schmidt(a):
+    q = np.array(a, dtype=float)
+    d = q.shape[1]
+    for k in range(d):
+        for j in range(k):
+            q[:, k] -= (q[:, j] @ q[:, k]) * q[:, j]
+        norm = float(np.linalg.norm(q[:, k]))
+        if norm < 1e-12:
+            raise ValueError(f"degenerate pivot at column {k}")
+        q[:, k] /= norm
+    return q
+
+
+def oracle_init_landscape(cfg, rng):
+    lb, ub = cfg.search_range
+    d = cfg.dimension
+    comps = []
+    for _ in range(cfg.num_components):
+        center = rng.uniform(lb, ub, d)
+        height = rng.uniform(*cfg.height_range)
+        widths = rng.uniform(*cfg.width_range, d)
+        angle = rng.uniform(*cfg.angle_range)
+        eta = rng.uniform(*cfg.eta_range, 4)
+        tau = rng.uniform(*cfg.tau_range)
+        rotation = np.eye(d)
+        while cfg.rotation_enabled:
+            try:
+                rotation = oracle_gram_schmidt(rng.standard_normal((d, d)))
+                break
+            except ValueError:
+                continue
+        comps.append(Peak(center=center, height=height, widths=widths, angle=angle,
+                          tau=tau, eta=eta, rotation=rotation))
+    return comps
+
+
+def assert_same_peaks(landscape, comps, context=None):
+    for name, attr in (("centers", "center"), ("rotations", "rotation"),
+                       ("widths", "widths"), ("heights", "height"),
+                       ("angles", "angle"), ("tau", "tau"), ("eta", "eta")):
+        expect = np.stack([np.asarray(getattr(c, attr)) for c in comps])
+        assert np.array_equal(getattr(landscape, name), expect), (context, name)
+
+
+class DegenerateOnce:
+    """A generator whose source matrix for component ``k`` is the rank-one
+    ``np.ones((d, d))``; every other draw is the seeded generator's."""
+
+    def __init__(self, seed, d, k):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self._shape = (d, d)
+        self._left = k  # source matrices still to draw before the bad one
+
+    def uniform(self, *args):
+        return self._rng.uniform(*args)
+
+    def standard_normal(self, size=None):
+        out = self._rng.standard_normal(size)
+        if size == self._shape:
+            self._left -= 1
+            if self._left == -1:
+                return np.ones(self._shape)
+        return out
+
 
 def oracle_reflect(value, delta, lo, hi):
     if lo == hi:
@@ -114,7 +184,7 @@ def oracle_update_rotation(r, theta, rng):
         p, q = pairs[idx]
         out[[p, q]] = rot2 @ out[[p, q]]
     if orthogonality_error(out) > 1e-9:
-        out = gram_schmidt(out)
+        out = oracle_gram_schmidt(out)
     return out
 
 
@@ -195,6 +265,32 @@ class TestGramSchmidt:
     def test_identity_is_fixed(self):
         np.testing.assert_array_equal(gram_schmidt(np.eye(4)), np.eye(4))
 
+    @pytest.mark.parametrize("m", [1, 3, 50])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 17, 20, 33, 64])
+    def test_stack_is_bit_identical_to_the_loop(self, d, m):
+        stack = np.random.default_rng(d * 100 + m).standard_normal((m, d, d))
+        if d > 1:
+            # one near-degenerate column: its pivot norm is about 1e-9
+            stack[m // 2, :, 1] = stack[m // 2, :, 0] + 1e-9 * stack[m // 2, :, 1]
+        q, norms = _orthonormalize(stack)
+        assert (norms >= 1e-12).all()
+        for i in range(m):
+            assert np.array_equal(q[i], oracle_gram_schmidt(stack[i])), i
+        assert np.array_equal(gram_schmidt(stack[0]), oracle_gram_schmidt(stack[0]))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_stack_flags_the_degenerate_matrix(self, d):
+        stack = np.random.default_rng(d).standard_normal((4, d, d))
+        stack[2] = np.ones((d, d))
+        q, norms = _orthonormalize(stack)
+        assert np.flatnonzero((norms < 1e-12).any(axis=1)).tolist() == [2]
+        for i in (0, 1, 3):
+            assert np.array_equal(q[i], oracle_gram_schmidt(stack[i]))
+        with pytest.raises(ValueError) as expected:
+            oracle_gram_schmidt(stack[2])
+        with pytest.raises(ValueError, match=str(expected.value)):
+            gram_schmidt(stack[2])
+
 
 class TestInitialRotation:
     def test_one_dimensional(self):
@@ -253,6 +349,18 @@ class TestUpdateRotation:
         a = update_rotation(r, 0.3, np.random.default_rng(7))
         b = update_rotation(r, 0.3, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
+
+    def test_unrepairable_drift_raises(self):
+        # an 8x8 Hilbert matrix (condition number about 1e10) has pivots well
+        # above the degenerate limit, but Gram-Schmidt leaves it about 2e-7
+        # from orthogonal; the check must hold under python -O too
+        i = np.arange(8)
+        hilbert = 1.0 / (i[:, None] + i[None, :] + 1)
+        assert orthogonality_error(oracle_gram_schmidt(hilbert)) > ORTHOGONALITY_TOL
+        good = np.eye(8)
+        with pytest.raises(ValueError, match="rotation matrix 1 is not orthogonal"):
+            _rotate(np.stack([good, hilbert]), np.zeros(2),
+                    np.tile(np.arange(28), (2, 1)))
 
 
 class TestReflect:
@@ -377,21 +485,42 @@ class TestStackedDynamics:
         rng = np.random.default_rng(cfg.seed)
         oracle_rng = np.random.default_rng(cfg.seed)
         ls = init_landscape(cfg, rng)
-        comps = peaks(init_landscape(cfg, oracle_rng))
+        comps = oracle_init_landscape(cfg, oracle_rng)
+        assert_same_peaks(ls, comps, 0)
         for env in range(1, cfg.num_environments):
             ls = advance_environment(ls, cfg, rng)
             comps = [oracle_update_component(c, cfg, oracle_rng) for c in comps]
             assert ls.environment_index == env
-            for name, attr in (("centers", "center"), ("rotations", "rotation"),
-                               ("widths", "widths"), ("heights", "height"),
-                               ("angles", "angle"), ("tau", "tau"), ("eta", "eta")):
-                expect = np.stack([np.asarray(getattr(c, attr)) for c in comps])
-                assert np.array_equal(getattr(ls, name), expect), (env, name)
+            assert_same_peaks(ls, comps, env)
             k = int(np.argmax([c.height for c in comps]))
             assert ls.optimum_value == comps[k].height
             assert np.array_equal(ls.optimum_position, comps[k].center)
         # both generators consumed the same draws
         assert rng.standard_normal() == oracle_rng.standard_normal()
+
+    @pytest.mark.parametrize("rotation", [True, False])
+    @pytest.mark.parametrize("d,m", [(d, m) for d in (1, 2, 5, 20, 33) for m in (1, 3, 50)])
+    def test_init_bit_identical_to_oracle(self, d, m, rotation):
+        cfg = ScenarioConfig(dimension=d, num_components=m, rotation_enabled=rotation,
+                             seed=d * 1000 + m)
+        rng = np.random.default_rng(cfg.seed)
+        oracle_rng = np.random.default_rng(cfg.seed)
+        assert_same_peaks(init_landscape(cfg, rng), oracle_init_landscape(cfg, oracle_rng))
+        assert np.array_equal(rng.standard_normal(8), oracle_rng.standard_normal(8))
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_degenerate_source_redrawn_in_stream_order(self, d, k):
+        # the redraw follows the bad draw at once, before the later components
+        cfg = ScenarioConfig(dimension=d, num_components=5, seed=11)
+        rng = DegenerateOnce(cfg.seed, d, k)
+        oracle_rng = DegenerateOnce(cfg.seed, d, k)
+        ls = init_landscape(cfg, rng)
+        assert_same_peaks(ls, oracle_init_landscape(cfg, oracle_rng))
+        assert np.array_equal(rng.standard_normal(8), oracle_rng.standard_normal(8))
+        plain = init_landscape(cfg, np.random.default_rng(cfg.seed))
+        assert np.array_equal(ls.rotations[:k], plain.rotations[:k])
+        assert not np.array_equal(ls.rotations[k], plain.rotations[k])
 
     def test_update_component_is_a_one_component_change(self):
         cfg = ScenarioConfig(dimension=4, num_components=1)

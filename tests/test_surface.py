@@ -4,6 +4,7 @@ the names the benchmark's tracer patches."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gmpbench
@@ -28,6 +29,20 @@ def test_one_kernel_entry():
     # evaluate_batch is the older name of evaluate_raw, kept for callers
     assert gmpbench.evaluate_batch is gmpbench.evaluate_raw
     assert landscape.evaluate_batch is landscape.evaluate_raw
+
+
+def test_one_orthonormalization_pass_at_init(monkeypatch):
+    # init_landscape orthonormalizes its whole stack at once; the one-matrix
+    # gram_schmidt is only its redraw path for a degenerate source matrix
+    calls = {"gram_schmidt": 0, "_orthonormalize": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(dynamics, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(dynamics, name, counted)
+    cfg = landscape.ScenarioConfig(dimension=5, num_components=50)
+    dynamics.init_landscape(cfg, np.random.default_rng(0))
+    assert calls == {"gram_schmidt": 0, "_orthonormalize": 1}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
