@@ -7,7 +7,10 @@ widths, angle, eta, tau, rotation source matrix (skipped when rotation is
 disabled). Draw order per update, per component in index order: shift
 direction (redrawn while its norm is below 1e-12), then height, widths,
 angle, eta and tau in one ``standard_normal(d + 7)`` call, then the plane
-permutation (skipped when rotation is disabled).
+permutation (skipped when rotation is disabled). A change takes each
+component's two normal draws as one ``standard_normal(2d + 7)`` call, the
+same stream, and replays the change in the order above only when a
+direction needs a redraw.
 
 Only the draws are made component by component: :func:`init_landscape`
 writes each component's draws into row ``k`` of the :class:`Landscape`
@@ -229,22 +232,37 @@ def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
             f"environment {landscape.environment_index} is the last of {cfg.num_environments}")
     m, d = landscape.centers.shape
     num_pairs = d * (d - 1) // 2
-    shifts = np.empty((m, d))
-    norms = np.empty(m)
-    draws = np.empty((m, d + 7))
+    # per component: shift direction (d), height, widths (d), angle, eta (4),
+    # tau; one standard_normal(2d + 7) call is the same stream as
+    # standard_normal(d) followed by standard_normal(d + 7)
+    draws = np.empty((m, 2 * d + 7))
+    # rng.permutation(n) is a shuffle of np.arange(n): the same draws
     orders = np.empty((m, num_pairs), dtype=np.intp)
+    orders[:] = np.arange(num_pairs)
+    start = rng.bit_generator.state
     for k in range(m):
-        r = rng.standard_normal(d)
-        norm = float(np.linalg.norm(r))
-        while norm < _PIVOT_TOL:
+        draws[k] = rng.standard_normal(2 * d + 7)
+        if cfg.rotation_enabled:
+            rng.shuffle(orders[k])
+    shifts = draws[:, :d]
+    # one vector-vector product per row, np.linalg.norm's dot bit for bit
+    norms = np.sqrt((shifts[:, None, :] @ shifts[:, :, None])[:, 0, 0])
+    if (norms < _PIVOT_TOL).any():
+        # a degenerate direction (probability zero) is redrawn before the
+        # component's other draws: replay the change one component at a time
+        rng.bit_generator.state = start
+        for k in range(m):
             r = rng.standard_normal(d)
             norm = float(np.linalg.norm(r))
-        shifts[k] = r
-        norms[k] = norm
-        # height, widths (d), angle, eta (4), tau
-        draws[k] = rng.standard_normal(d + 7)
-        if cfg.rotation_enabled:
-            orders[k] = rng.permutation(num_pairs)
+            while norm < _PIVOT_TOL:
+                r = rng.standard_normal(d)
+                norm = float(np.linalg.norm(r))
+            shifts[k] = r
+            norms[k] = norm
+            draws[k, d:] = rng.standard_normal(d + 7)
+            if cfg.rotation_enabled:
+                orders[k] = rng.permutation(num_pairs)
+    draws = draws[:, d:]  # height, widths (d), angle, eta (4), tau
 
     lb, ub = cfg.search_range
     angles = _fold(landscape.angles + cfg.angle_severity * draws[:, d + 1], *cfg.angle_range)

@@ -40,6 +40,7 @@ import numpy as np
 __all__ = [
     "ScenarioConfig",
     "FIELD_TYPES",
+    "MAX_ARRAY_ELEMENTS",
     "Landscape",
     "transform_vector",
     "evaluate_raw",
@@ -50,6 +51,13 @@ __all__ = [
 # Bound on the magnitude of one standard normal draw that a severity scales:
 # numpy's draws stay far below it (|z| > 64 has probability below 1e-890).
 _MAX_DRAW = 64.0
+
+# Cap on the elements of one array that a run allocates: each of the
+# ledger's budget-length arrays (change_frequency * num_environments) and
+# the (m, d, d) rotation stack. 2**26 float64 elements are 512 MiB; a config
+# above it is rejected by validation rather than failing to allocate at run
+# time.
+MAX_ARRAY_ELEMENTS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -122,6 +130,18 @@ class ScenarioConfig:
                     bad.append(f"{name} minimum exceeds maximum")
         if self.width_range[0] <= 0:
             bad.append("width range must be positive")
+        # the largest arrays of a run, once their factors are valid
+        d = self.dimension
+        for names, factors in (
+                ("change_frequency * num_environments",
+                 (self.change_frequency, self.num_environments)),
+                ("num_components * dimension**2", (self.num_components, d, d))):
+            if not all(isinstance(f, int) and f >= 1 for f in factors):
+                continue
+            size = math.prod(factors)
+            if size > MAX_ARRAY_ELEMENTS:
+                bad.append(f"{names} is {size}, above the {MAX_ARRAY_ELEMENTS} "
+                           "elements an array of a run may hold")
         return bad
 
     def validate(self) -> "ScenarioConfig":
@@ -163,12 +183,20 @@ class Landscape:
     eta: np.ndarray
     optimum_value: float = field(init=False)
     optimum_position: np.ndarray = field(init=False)
+    # the kernel's operands, views of the arrays above laid out to broadcast
+    # over (component, point, axis): centers, transposed rotations, tau, eta,
+    # widths and heights
+    _operands: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         k = int(np.argmax(self.heights))
         object.__setattr__(self, "environment_index", int(self.environment_index))
         object.__setattr__(self, "optimum_value", float(self.heights[k]))
         object.__setattr__(self, "optimum_position", self.centers[k].copy())
+        object.__setattr__(self, "_operands", (
+            self.centers[:, None, :], self.rotations.transpose(0, 2, 1)[:, None],
+            self.tau[:, None, None], self.eta[:, None, None, :],
+            self.widths[:, None, :], self.heights[:, None]))
 
     @property
     def dimension(self) -> int:
@@ -182,24 +210,33 @@ class Landscape:
 def transform_vector(y: np.ndarray, tau, eta: np.ndarray) -> np.ndarray:
     """The warp ``T`` of the module docstring, elementwise over ``y``.
 
-    ``tau`` and each ``eta[..., j]`` broadcast against ``y``, so one call can
-    warp the offsets of many components, each with its own parameters. The
-    ``exp(log|y| + ...)`` form is evaluated literally rather than rewritten
-    through powers, so with ``tau == 0`` the result is ``exp(log|y|) *
-    sign(y)``, equal to ``y`` up to rounding.
+    ``tau`` and ``eta[..., 0]`` broadcast against ``y``, so one call can warp
+    the offsets of many components, each with its own parameters: ``eta``
+    may be one ``(4,)`` row, one row per component laid out to broadcast
+    (``(m, 1, 1, 4)`` in the kernel) or one row per element. Each element's
+    frequency pair is gathered from the flat ``eta`` at index ``4 * row + 2
+    * (y <= 0)`` and the next one. The ``exp(log|y| + ...)`` form is
+    evaluated literally rather than rewritten through powers, so with ``tau
+    == 0`` the result is ``exp(log|y|) * sign(y)``, equal to ``y`` up to
+    rounding.
     """
-    y = np.asarray(y, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    pos = y > 0.0
+    if type(y) is not np.ndarray or y.dtype != np.float64:
+        y = np.asarray(y, dtype=float)
+    if type(eta) is not np.ndarray or eta.dtype != np.float64:
+        eta = np.asarray(eta, dtype=float)
     # log|y|, with a zero offset read as 1 so that it needs no mask: it maps
     # to sign(0) * exp(0) = 0
     ly = np.abs(y)
     ly += y == 0.0
     np.log(ly, out=ly)
-    out = np.where(pos, eta[..., 0], eta[..., 2])
+    # 2 * row + (y <= 0), doubled: the index of a in the flat eta; b follows
+    pair = np.arange(0, eta.size // 2, 2).reshape(eta.shape[:-1]) + (y <= 0.0)
+    pair <<= 1
+    flat = eta.reshape(-1)
+    out = flat.take(pair)
     out *= ly
     np.sin(out, out=out)
-    wave = np.where(pos, eta[..., 1], eta[..., 3])
+    wave = flat[1:].take(pair)
     wave *= ly
     np.sin(wave, out=wave)
     out += wave
@@ -224,14 +261,15 @@ def _peak_values(points: np.ndarray, landscape: Landscape) -> np.ndarray:
     (component, point). A single ``(m, n, d) @ (m, d, d)`` product would
     round differently for ``n == 1`` (gemv) and ``n >= 2`` (gemm).
     """
+    centers, rotations_t, tau, eta, widths, heights = landscape._operands
     # y[k, i] = R_k (x_i - c_k); the offset form keeps a center's value exact
-    offsets = points[None, :, :] - landscape.centers[:, None, :]
-    y = (offsets[:, :, None, :] @ landscape.rotations.transpose(0, 2, 1)[:, None])[:, :, 0, :]
-    t = transform_vector(y, landscape.tau[:, None, None], landscape.eta[:, None, None, :])
+    offsets = points[None, :, :] - centers
+    y = (offsets[:, :, None, :] @ rotations_t)[:, :, 0, :]
+    t = transform_vector(y, tau, eta)
     # one (widths * t) . t dot product per component and point
-    values = ((landscape.widths[:, None, :] * t)[:, :, None, :] @ t[:, :, :, None])[:, :, 0, 0]
+    values = ((widths * t)[:, :, None, :] @ t[:, :, :, None])[:, :, 0, 0]
     np.sqrt(values, out=values)
-    np.subtract(landscape.heights[:, None], values, out=values)
+    np.subtract(heights, values, out=values)
     return values.max(axis=0)
 
 
@@ -249,6 +287,8 @@ def evaluate_raw(x: np.ndarray, landscape: Landscape):
     if x.ndim == 1:
         return float(_peak_values(x[None, :], landscape)[0])
     rows = max(1, _BLOCK_ELEMENTS // landscape.centers.size)
+    if x.shape[0] <= rows:
+        return _peak_values(x, landscape)
     values = np.empty(x.shape[0])
     for start in range(0, x.shape[0], rows):
         values[start:start + rows] = _peak_values(x[start:start + rows], landscape)

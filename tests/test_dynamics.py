@@ -165,6 +165,34 @@ class DegenerateOnce:
         return out
 
 
+class DegenerateShift:
+    """A generator, started at ``state``, whose draw made at generator state
+    ``target`` comes back with its first ``d`` entries zeroed: the shift
+    direction drawn there is degenerate, whether it is drawn alone or at the
+    head of a component's other draws. Every other draw is the seeded
+    generator's."""
+
+    def __init__(self, state, d, target):
+        self._rng = np.random.default_rng()
+        self._rng.bit_generator.state = state
+        self.bit_generator = self._rng.bit_generator
+        self._d = d
+        self._target = target
+
+    def standard_normal(self, size=None):
+        hit = self.bit_generator.state == self._target
+        out = self._rng.standard_normal(size)
+        if hit:
+            out[:self._d] = 0.0
+        return out
+
+    def permutation(self, n):
+        return self._rng.permutation(n)
+
+    def shuffle(self, x):
+        self._rng.shuffle(x)
+
+
 def oracle_reflect(value, delta, lo, hi):
     if lo == hi:
         return lo
@@ -521,6 +549,36 @@ class TestStackedDynamics:
         plain = init_landscape(cfg, np.random.default_rng(cfg.seed))
         assert np.array_equal(ls.rotations[:k], plain.rotations[:k])
         assert not np.array_equal(ls.rotations[k], plain.rotations[k])
+
+    @pytest.mark.parametrize("rotation", [True, False])
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_degenerate_shift_redrawn_in_stream_order(self, k, rotation):
+        # the redraw follows the bad direction at once, before the
+        # component's other draws and the later components
+        d, m = 3, 5
+        cfg = ScenarioConfig(dimension=d, num_components=m, num_environments=3,
+                             rotation_enabled=rotation, seed=12)
+        rng = np.random.default_rng(cfg.seed)
+        ls = init_landscape(cfg, rng)
+        start = rng.bit_generator.state
+        # the state at component k's direction, by the documented order
+        for _ in range(k):
+            rng.standard_normal(d)
+            rng.standard_normal(d + 7)
+            if rotation:
+                rng.permutation(d * (d - 1) // 2)
+        target = rng.bit_generator.state
+        stub = DegenerateShift(start, d, target)
+        oracle_rng = DegenerateShift(start, d, target)
+        new = advance_environment(ls, cfg, stub)
+        assert_same_peaks(new, [oracle_update_component(c, cfg, oracle_rng) for c in peaks(ls)])
+        assert np.array_equal(stub.standard_normal(8), oracle_rng.standard_normal(8))
+        plain = np.random.default_rng()
+        plain.bit_generator.state = start
+        undisturbed = advance_environment(ls, cfg, plain)
+        assert np.array_equal(new.centers[:k], undisturbed.centers[:k])
+        assert not np.array_equal(new.centers[k], undisturbed.centers[k])
+        assert (np.linalg.norm(new.centers - ls.centers, axis=1) > 0.5).all()
 
     def test_update_component_is_a_one_component_change(self):
         cfg = ScenarioConfig(dimension=4, num_components=1)

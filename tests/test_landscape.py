@@ -1,5 +1,6 @@
 """Objective function: transform identities, component cones, max-composition."""
 
+import json
 import math
 import tracemalloc
 
@@ -17,7 +18,12 @@ from gmpbench import (
     validate_config,
 )
 from gmpbench.cli import main
-from gmpbench.landscape import _BLOCK_ELEMENTS, Landscape, transform_vector
+from gmpbench.landscape import (
+    _BLOCK_ELEMENTS,
+    MAX_ARRAY_ELEMENTS,
+    Landscape,
+    transform_vector,
+)
 
 ETA0 = np.zeros(4)
 FIELDS = ("centers", "rotations", "widths", "heights", "angles", "tau", "eta")
@@ -39,6 +45,35 @@ def irregularity_transform(y, tau, eta):
         a, b = eta[2], eta[3]
     out = math.exp(ly + tau * (math.sin(a * ly) + math.sin(b * ly)))
     return out if y > 0.0 else -out
+
+
+def where_transform(y, tau, eta):
+    """The warp with each element's frequency pair picked by two ``np.where``
+    selections on ``y > 0``: the oracle of the gather in
+    :func:`transform_vector`."""
+    y = np.asarray(y, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    pos = y > 0.0
+    ly = np.abs(y)
+    ly += y == 0.0
+    np.log(ly, out=ly)
+    out = np.where(pos, eta[..., 0], eta[..., 2])
+    out *= ly
+    np.sin(out, out=out)
+    wave = np.where(pos, eta[..., 1], eta[..., 3])
+    wave *= ly
+    np.sin(wave, out=wave)
+    out += wave
+    out *= tau
+    out += ly
+    np.exp(out, out=out)
+    out *= np.sign(y)
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def plain_component(center, height, widths, rotation=None, tau=0.0, eta=ETA0):
@@ -125,6 +160,92 @@ class TestIrregularityTransform:
         out = transform_vector(arr, tau, eta)
         expect = [irregularity_transform(v, tau, eta) for v in arr]
         assert out == pytest.approx(expect, rel=1e-15)
+
+
+class TestFrequencyGather:
+    # zeros of both signs, the smallest subnormals, the largest subnormal,
+    # the smallest normal, and ordinary offsets of both signs
+    SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                        -2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300,
+                        -1e-300, 1.0, -1.0, 0.37, -0.37, 12.5, -12.5, 1e6, -1e6])
+
+    def offsets(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 4, shape)
+        flat = y.reshape(-1)
+        flat[:self.SPECIAL.size] = self.SPECIAL[:flat.size]
+        return y
+
+    def test_one_row_of_frequencies(self):
+        rng = np.random.default_rng(30)
+        for shape in [(17,), (3, 17), (2, 4, 5)]:
+            y = self.offsets(shape, 31)
+            eta = rng.uniform(-20, 20, 4)
+            for tau in (0.0, 0.8, -1.0):
+                assert same_bits(transform_vector(y, tau, eta), where_transform(y, tau, eta))
+
+    def test_one_row_per_component(self):
+        # the kernel's layout: y (m, n, d), tau (m, 1, 1), eta (m, 1, 1, 4)
+        rng = np.random.default_rng(32)
+        for m, n, d in [(1, 1, 17), (3, 2, 17), (50, 16, 20)]:
+            y = self.offsets((m, n, d), 33)
+            tau = rng.uniform(-1, 1, m)[:, None, None]
+            eta = rng.uniform(-20, 20, (m, 4))[:, None, None, :]
+            assert same_bits(transform_vector(y, tau, eta), where_transform(y, tau, eta))
+
+    def test_one_row_per_element(self):
+        rng = np.random.default_rng(34)
+        for shape in [(17,), (3, 17), (2, 3, 17)]:
+            y = self.offsets(shape, 35)
+            tau = rng.uniform(-1, 1, shape)
+            eta = rng.uniform(-20, 20, shape + (4,))
+            assert same_bits(transform_vector(y, tau, eta), where_transform(y, tau, eta))
+            # a strided eta is gathered from its own copy
+            wide = np.repeat(eta, 2, axis=-1)[..., ::2]
+            assert same_bits(transform_vector(y, tau, wide), where_transform(y, tau, eta))
+
+    def test_non_float64_inputs(self):
+        y = [3, -2, 0]
+        eta = [1, 2, 3, 4]
+        assert same_bits(transform_vector(y, 0.5, eta), where_transform(y, 0.5, eta))
+        y32 = np.array([0.5, -0.25, 0.0], dtype=np.float32)
+        assert same_bits(transform_vector(y32, 0.5, np.array(eta, dtype=np.float32)),
+                         where_transform(y32, 0.5, eta))
+
+
+class TestKernelOperands:
+    def test_operands_are_views_of_the_arrays(self):
+        ls = init_landscape(ScenarioConfig(dimension=3, num_components=4),
+                            np.random.default_rng(36))
+        sources = ("centers", "rotations", "tau", "eta", "widths", "heights")
+        for operand, name in zip(ls._operands, sources):
+            assert np.shares_memory(operand, getattr(ls, name)), name
+            assert operand.base is not None, name
+        # a write to an array reaches the kernel
+        x = ls.centers[1] + 0.5
+        before = evaluate_raw(x, ls)
+        ls.heights[:] += 100.0
+        assert evaluate_raw(x, ls) > before
+
+    def test_one_piece_block_is_scored_in_one_kernel_call(self, monkeypatch):
+        from gmpbench import landscape as module
+        ls = init_landscape(ScenarioConfig(dimension=3, num_components=5),
+                            np.random.default_rng(37))
+        rows = _BLOCK_ELEMENTS // ls.centers.size
+        xs = np.random.default_rng(38).uniform(-100, 100, (rows + 1, 3))
+        expect = evaluate_raw(xs, ls)
+        kernel = module._peak_values
+        calls = []
+
+        def counted(points, landscape):
+            calls.append(len(points))
+            return kernel(points, landscape)
+
+        monkeypatch.setattr(module, "_peak_values", counted)
+        for n, pieces in [(1, [1]), (rows, [rows]), (rows + 1, [rows, 1])]:
+            calls.clear()
+            assert same_bits(evaluate_raw(xs[:n], ls), expect[:n])
+            assert calls == pieces
 
 
 class TestComponentValue:
@@ -353,6 +474,29 @@ class TestScenarioConfig:
                 assert np.isfinite(getattr(ls, name)).all()
             assert math.isfinite(ls.optimum_value)
         assert ls.environment_index == 29
+
+    @pytest.mark.parametrize("data, names", [
+        ({"change_frequency": 10**12, "num_environments": 1},
+         "change_frequency * num_environments"),
+        ({"dimension": 100_000, "num_components": 1000}, "num_components * dimension**2"),
+    ], ids=["ledger", "rotations"])
+    def test_configs_too_large_to_allocate_are_violations(self, tmp_path, capsys, data, names):
+        bad = ScenarioConfig(**data).violations()
+        assert len(bad) == 1 and bad[0].startswith(names)
+        assert str(MAX_ARRAY_ELEMENTS) in bad[0]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert f"violation: {names} is " in capsys.readouterr().err
+        # at the cap itself the config is valid
+        assert not ScenarioConfig(change_frequency=MAX_ARRAY_ELEMENTS,
+                                  num_environments=1).violations()
+
+    def test_default_and_paper_scale_configs_are_valid(self):
+        assert not ScenarioConfig().violations()
+        # 100 environments of 10 000 evaluations, d=20, m=100
+        assert not ScenarioConfig(dimension=20, num_components=100, change_frequency=10_000,
+                                  num_environments=100).violations()
 
     def test_validate_raises(self):
         with pytest.raises(ValueError, match="change_frequency"):
