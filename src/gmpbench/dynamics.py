@@ -29,6 +29,7 @@ orthonormalizing it alone.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -64,7 +65,11 @@ def plane_pairs(d: int) -> list[tuple[int, int]]:
 def _orthogonality_errors(rotations: np.ndarray) -> np.ndarray:
     """:func:`orthogonality_error` of each matrix in an (m, d, d) stack."""
     d = rotations.shape[1]
-    return np.abs(rotations.transpose(0, 2, 1) @ rotations - np.eye(d)).max(axis=(1, 2))
+    # one buffer for R^T R, its difference from I and the difference's abs
+    errors = rotations.transpose(0, 2, 1) @ rotations
+    errors -= np.eye(d)
+    np.abs(errors, out=errors)
+    return errors.max(axis=(1, 2))
 
 
 def orthogonality_error(r: np.ndarray) -> float:
@@ -125,6 +130,14 @@ def initial_rotation(d: int, rng: np.random.Generator, rotation_enabled: bool = 
             continue
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_table(d: int) -> np.ndarray:
+    """:func:`plane_pairs` as a read-only (d*(d-1)/2, 2) index array."""
+    pairs = np.array(plane_pairs(d), dtype=np.intp).reshape(-1, 2)
+    pairs.flags.writeable = False
+    return pairs
+
+
 def _rotate(rotations: np.ndarray, angles: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Rotation step of a change: matrix ``k`` of ``rotations`` is
     left-multiplied by the plane rotations at ``angles[k]``, taken in the
@@ -135,13 +148,14 @@ def _rotate(rotations: np.ndarray, angles: np.ndarray, orders: np.ndarray) -> np
     rot2[:, 0, 0] = rot2[:, 1, 1] = [math.cos(a) for a in angles]
     rot2[:, 1, 0] = [math.sin(a) for a in angles]
     rot2[:, 0, 1] = -rot2[:, 1, 0]
-    pairs = np.array(plane_pairs(d), dtype=np.intp).reshape(-1, 2)
     # product[order[0]] @ product[order[1]] @ ... @ r applies the last factor
     # first. Step j updates rows (p_k, q_k) of every matrix k, found as rows
     # of the (m*d, d) stack; each gets the same 2x2 matmul as a lone matrix,
     # so the result is bit-identical to rotating one matrix at a time.
     flat = out.reshape(m * d, d)
-    for pq in pairs[orders[:, ::-1].T] + d * np.arange(m)[:, None]:
+    steps = _pair_table(d).take(np.ascontiguousarray(orders[:, ::-1].T), axis=0)
+    steps += d * np.arange(m)[:, None]
+    for pq in steps:
         flat[pq] = rot2 @ flat.take(pq, axis=0)
     drifted = np.flatnonzero(_orthogonality_errors(out) > ORTHOGONALITY_TOL)
     if drifted.size:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import advance_environment, init_landscape
-from .landscape import FIELD_TYPES, ScenarioConfig, evaluate_batch
+from .landscape import FIELD_TYPES, MAX_ARRAY_ELEMENTS, ScenarioConfig, evaluate_batch
 from .mqso import MQSO, SolverConfig
 from .protocol import BenchmarkSession, ScenarioComplete, best_before_change_error, offline_error
 
@@ -227,19 +227,24 @@ def export_grid(scenario: ScenarioConfig, env_index: int, resolution: int,
     Rows are ``x1,x2,f`` with ``x2`` varying fastest; grid lines include both
     domain edges. Component metadata (centers, heights, widths, angle, tau,
     eta, rotation flag) goes to ``<out>.meta.json``. Identical inputs produce
-    identical bytes.
+    identical bytes. A grid of more than ``MAX_ARRAY_ELEMENTS`` points is
+    rejected before any compute.
     """
     if scenario.dimension != 2:
         raise ValueError(f"grid export requires a 2-d scenario, got dimension {scenario.dimension}")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    if resolution ** 2 > MAX_ARRAY_ELEMENTS:
+        raise ValueError(f"resolution {resolution} gives {resolution ** 2} grid points, "
+                         f"above the {MAX_ARRAY_ELEMENTS} a grid may hold")
     landscape = landscape_at(scenario, env_index)
     lb, ub = scenario.search_range
     axis = np.linspace(lb, ub, resolution)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     chunk_rows = max(1, 200_000 // resolution)
-    # each axis value is formatted once; a grid line is written at a time
+    # each axis value is formatted once; a grid line is joined into one
+    # string and written at a time
     labels = [repr(v) for v in axis.tolist()]
     with open(out_path, "w") as fh:
         fh.write("x1,x2,f\n")
@@ -249,7 +254,7 @@ def export_grid(scenario: ScenarioConfig, env_index: int, resolution: int,
             points = np.column_stack([g1.ravel(), g2.ravel()])
             values = evaluate_batch(points, landscape).reshape(len(x1), resolution)
             for a, line in zip(labels[start:start + chunk_rows], values):
-                fh.writelines(f"{a},{b},{v!r}\n" for b, v in zip(labels, line.tolist()))
+                fh.write("".join([f"{a},{b},{v!r}\n" for b, v in zip(labels, line.tolist())]))
     meta = {
         "environment_index": landscape.environment_index,
         "resolution": resolution,

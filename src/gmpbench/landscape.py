@@ -26,6 +26,16 @@ length in pieces of bounded size (``evaluate_batch`` is the same function
 under its older name). A row's value does not depend on the block around
 it, so a point alone and inside any block score bit for bit the same.
 
+The kernel writes its (component, point, axis) temporaries into a
+workspace instead of fresh arrays, so a large block does not fault new
+pages in on every call. Each thread has its own workspace, so threads may
+score at once. It holds at most ``_BLOCK_ELEMENTS`` elements per
+temporary, and a piece larger than that (one row of a landscape with more
+than ``_BLOCK_ELEMENTS`` component-axis pairs) gets fresh arrays. A block
+scored in several pieces frees the workspace when it is done, so between
+calls a thread keeps only the workspace of its last one-piece blocks. No
+array returned to a caller is a view of a workspace.
+
 Evaluation never mutates landscape state; all mutation goes through the
 dynamics module between environments.
 """
@@ -33,6 +43,7 @@ dynamics module between environments.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -207,7 +218,7 @@ class Landscape:
         return self.heights.shape[0]
 
 
-def transform_vector(y: np.ndarray, tau, eta: np.ndarray) -> np.ndarray:
+def transform_vector(y: np.ndarray, tau, eta: np.ndarray, *, scratch=None) -> np.ndarray:
     """The warp ``T`` of the module docstring, elementwise over ``y``.
 
     ``tau`` and ``eta[..., 0]`` broadcast against ``y``, so one call can warp
@@ -219,38 +230,127 @@ def transform_vector(y: np.ndarray, tau, eta: np.ndarray) -> np.ndarray:
     evaluated literally rather than rewritten through powers, so with ``tau
     == 0`` the result is ``exp(log|y|) * sign(y)``, equal to ``y`` up to
     rounding.
+
+    Only the kernel passes ``scratch``: views of its workspace, shaped as
+    ``y``, for ``log|y|``, the result, the second gather (then ``sign(y)``),
+    the bool mask and the gather index, plus the component rows ``2 *
+    arange(m)`` laid out as ``eta``'s leading axes. Without it every
+    temporary and the result are fresh arrays.
     """
     if type(y) is not np.ndarray or y.dtype != np.float64:
         y = np.asarray(y, dtype=float)
     if type(eta) is not np.ndarray or eta.dtype != np.float64:
         eta = np.asarray(eta, dtype=float)
+    if scratch is None:
+        ly = out = wave = mask = pair = None
+        rows = np.arange(0, eta.size // 2, 2).reshape(eta.shape[:-1])
+        # the gather's indices are in range for any (..., 4) eta; "raise"
+        # keeps an error for any other shape
+        mode = "raise"
+    else:
+        ly, out, wave, mask, pair, rows = scratch
+        # "raise" would gather through a copy of ``out``
+        mode = "clip"
     # log|y|, with a zero offset read as 1 so that it needs no mask: it maps
     # to sign(0) * exp(0) = 0
-    ly = np.abs(y)
-    ly += y == 0.0
+    ly = np.abs(y, out=ly)
+    ly += np.equal(y, 0.0, out=mask)
     np.log(ly, out=ly)
     # 2 * row + (y <= 0), doubled: the index of a in the flat eta; b follows
-    pair = np.arange(0, eta.size // 2, 2).reshape(eta.shape[:-1]) + (y <= 0.0)
+    pair = np.add(rows, np.less_equal(y, 0.0, out=mask), out=pair)
     pair <<= 1
     flat = eta.reshape(-1)
-    out = flat.take(pair)
+    out = flat.take(pair, out=out, mode=mode)
     out *= ly
     np.sin(out, out=out)
-    wave = flat[1:].take(pair)
+    wave = flat[1:].take(pair, out=wave, mode=mode)
     wave *= ly
     np.sin(wave, out=wave)
     out += wave
     out *= tau
     out += ly
     np.exp(out, out=out)
-    out *= np.sign(y)
+    out *= np.sign(y, out=wave)
     return out
 
 
 # Cap on the (component, point, axis) elements of one kernel call, so that
-# the temporaries of evaluate_raw stay a few hundred KiB however many points
-# it is given.
+# the temporaries of evaluate_raw stay bounded however many points it is
+# given. It bounds each thread's workspace too: five float64 slots (the
+# values take part of the fifth), one bool and one index slot of at most
+# this many elements.
 _BLOCK_ELEMENTS = 1 << 15
+
+# Block shapes whose workspace views a thread keeps; past this many the
+# views are made again as shapes come.
+_WORKSPACE_SHAPES = 256
+
+
+class _Workspace(threading.local):
+    """The kernel's temporaries, one arena per thread, reused across calls.
+
+    ``floats`` holds four (m, n, d) slots and the (m, n) values; a slot
+    whose contents are dead takes the next temporary (the offsets become
+    ``log|y|``, then ``widths * t``; the second gather becomes ``sign(y)``).
+    ``mask`` and ``index`` hold the warp's bool and index temporaries. The
+    arrays grow to the largest piece seen since the last :meth:`release`, at
+    most ``_BLOCK_ELEMENTS`` elements per slot; the views of them are kept
+    per block shape.
+    """
+
+    def __init__(self):
+        self.release()
+
+    def release(self) -> None:
+        """Free the arrays; the next piece allocates them again."""
+        self.floats, self.mask, self.index = _arena(0)
+        self.views = {}
+
+    def scratch(self, m: int, n: int, d: int) -> tuple:
+        views = self.views.get((m, n, d))
+        if views is not None:
+            return views
+        size = m * n * d
+        if size > _BLOCK_ELEMENTS:
+            # one row of a landscape larger than the cap: fresh, not kept
+            return _carve(m, n, d, *_arena(size))
+        if _slot(size) > self.mask.size:
+            self.floats, self.mask, self.index = _arena(size)
+            self.views = {}
+        elif len(self.views) >= _WORKSPACE_SHAPES:
+            self.views = {}
+        views = self.views[m, n, d] = _carve(m, n, d, self.floats, self.mask, self.index)
+        return views
+
+
+def _slot(size: int) -> int:
+    """Elements a slot of ``size`` takes, rounded up to 64 bytes so that
+    every slot starts as aligned as the arena."""
+    return -(-size // 8) * 8
+
+
+def _arena(size: int) -> tuple:
+    """Float, bool and index arrays with room for pieces of ``size``."""
+    step = _slot(size)
+    return np.empty(5 * step), np.empty(step, dtype=bool), np.empty(step, dtype=np.intp)
+
+
+def _carve(m: int, n: int, d: int, floats, mask, index) -> tuple:
+    """The kernel's views of an arena for an (n, d) block of an
+    m-component landscape, in the order :func:`_peak_values` unpacks them."""
+    size = m * n * d
+    step = _slot(size)
+    a, y, t, w = (floats[i * step:i * step + size].reshape(m, n, d) for i in range(4))
+    # the matmul outputs are laid out, with their length-1 axes, as a fresh
+    # result would be: strides pick the BLAS call
+    y4 = y.reshape(m, n, 1, d)
+    values4 = floats[4 * step:4 * step + m * n].reshape(m, n, 1, 1)
+    warp = (a, t, w, mask[:size].reshape(m, n, d), index[:size].reshape(m, n, d),
+            np.arange(0, 2 * m, 2).reshape(m, 1, 1))
+    return a, a[:, :, None, :], y4, y4[:, :, 0, :], warp, values4, values4[:, :, 0, 0]
+
+
+_workspace = _Workspace()
 
 
 def _peak_values(points: np.ndarray, landscape: Landscape) -> np.ndarray:
@@ -260,14 +360,20 @@ def _peak_values(points: np.ndarray, landscape: Landscape) -> np.ndarray:
     product below is one vector-matrix or vector-vector product per
     (component, point). A single ``(m, n, d) @ (m, d, d)`` product would
     round differently for ``n == 1`` (gemv) and ``n >= 2`` (gemm).
+
+    Every temporary is written into this thread's workspace; the returned
+    maximum is a fresh array.
     """
     centers, rotations_t, tau, eta, widths, heights = landscape._operands
+    m, d = landscape.centers.shape
+    a, a4, y4, y, warp, values4, values = _workspace.scratch(m, points.shape[0], d)
     # y[k, i] = R_k (x_i - c_k); the offset form keeps a center's value exact
-    offsets = points[None, :, :] - centers
-    y = (offsets[:, :, None, :] @ rotations_t)[:, :, 0, :]
-    t = transform_vector(y, tau, eta)
+    np.subtract(points[None, :, :], centers, out=a)
+    np.matmul(a4, rotations_t, out=y4)
+    t = transform_vector(y, tau, eta, scratch=warp)
     # one (widths * t) . t dot product per component and point
-    values = ((widths * t)[:, :, None, :] @ t[:, :, :, None])[:, :, 0, 0]
+    np.multiply(widths, t, out=a)
+    np.matmul(a4, t[:, :, :, None], out=values4)
     np.sqrt(values, out=values)
     np.subtract(heights, values, out=values)
     return values.max(axis=0)
@@ -292,6 +398,9 @@ def evaluate_raw(x: np.ndarray, landscape: Landscape):
     values = np.empty(x.shape[0])
     for start in range(0, x.shape[0], rows):
         values[start:start + rows] = _peak_values(x[start:start + rows], landscape)
+    # the pieces have shared the workspace; it is kept only for one-piece
+    # blocks, which a caller sends over and over
+    _workspace.release()
     return values
 
 

@@ -89,6 +89,26 @@ class TestGrid:
         assert out.read_bytes() == csv_path.read_bytes()
         assert (tmp_path / "cli" / "grid.csv.meta.json").read_bytes() == meta_path.read_bytes()
 
+    def test_resolution_above_the_array_cap_is_rejected_before_compute(
+            self, tmp_path, capsys, monkeypatch):
+        config = write_config(tmp_path, SMALL)
+        computed = []
+
+        def compute(*args):
+            computed.append(args)
+            raise RuntimeError("computing the grid")
+
+        monkeypatch.setattr(harness, "landscape_at", compute)
+        out = tmp_path / "g.csv"
+        assert main(["grid", "--config", config, "--resolution", "8193", "--out", str(out)]) == 1
+        assert "resolution 8193" in capsys.readouterr().err
+        assert computed == []
+        assert not out.exists()
+        # 8192**2 is the cap itself: the check passes and compute starts
+        assert main(["grid", "--config", config, "--resolution", "8192", "--out", str(out)]) == 2
+        assert "computing the grid" in capsys.readouterr().err
+        assert len(computed) == 1
+
 
 class TestValidate:
     def test_prints_the_full_config(self, tmp_path, capsys):

@@ -13,11 +13,23 @@ from gmpbench import (
     ScenarioComplete,
     ScenarioConfig,
     SolverConfig,
+    evaluate_batch,
     evaluate_raw,
     export_grid,
     landscape_at,
     run_experiment,
 )
+
+
+def writelines_grid(path, axis, values):
+    """The grid CSV written one f-string per point through ``writelines``,
+    as export_grid wrote it before it joined each grid line: the byte
+    oracle of its writer."""
+    labels = [repr(v) for v in axis.tolist()]
+    with open(path, "w") as fh:
+        fh.write("x1,x2,f\n")
+        for a, line in zip(labels, values):
+            fh.writelines(f"{a},{b},{v!r}\n" for b, v in zip(labels, line.tolist()))
 
 
 class TestRandomSearch:
@@ -76,3 +88,14 @@ class TestExportGrid:
         expected = [f"{a!r},{b!r},{evaluate_raw(np.array([a, b]), land)!r}"
                     for a in axis.tolist() for b in axis.tolist()]
         assert lines[1:] == expected
+
+    def test_csv_bytes_equal_the_per_point_writer(self, tmp_path):
+        scenario = ScenarioConfig(dimension=2, num_components=6, num_environments=4, seed=9,
+                                  search_range=(-3.5, 120.25))
+        csv_path, _ = export_grid(scenario, 3, 37, tmp_path / "grid.csv")
+        axis = np.linspace(-3.5, 120.25, 37)
+        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
+        values = evaluate_batch(np.column_stack([g1.ravel(), g2.ravel()]),
+                                landscape_at(scenario, 3)).reshape(37, 37)
+        writelines_grid(tmp_path / "oracle.csv", axis, values)
+        assert csv_path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()

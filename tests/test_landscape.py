@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from gmpbench import (
     init_landscape,
     validate_config,
 )
+from gmpbench import landscape as landscape_module
 from gmpbench.cli import main
 from gmpbench.landscape import (
     _BLOCK_ELEMENTS,
@@ -246,6 +252,138 @@ class TestKernelOperands:
             calls.clear()
             assert same_bits(evaluate_raw(xs[:n], ls), expect[:n])
             assert calls == pieces
+
+
+class TestWorkspace:
+    """The kernel's per-thread workspace: private to its thread, bounded,
+    and never aliased by a returned array."""
+
+    def test_threads_score_as_a_sequential_run(self):
+        # each worker scores its own landscape in block shapes of its own, so
+        # a workspace shared between threads would mix their temporaries
+        rng = np.random.default_rng(40)
+        jobs = []
+        for d, m, rows in [(20, 50, (16, 3)), (3, 7, (1, 40)), (10, 10, (5, 33)),
+                           (2, 10, (2000, 7))]:
+            ls = init_landscape(ScenarioConfig(dimension=d, num_components=m), rng)
+            jobs.append((ls, [rng.uniform(-100, 100, (n, d)) for n in rows * 3]))
+        expect = [[evaluate_raw(xs, ls) for xs in blocks] for ls, blocks in jobs]
+        got = [None] * len(jobs)
+        start = threading.Barrier(len(jobs))
+
+        def work(i):
+            ls, blocks = jobs[i]
+            start.wait(timeout=30)
+            got[i] = [[evaluate_raw(xs, ls) for xs in blocks] for _ in range(10)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for rounds, values in zip(got, expect):
+            assert rounds is not None
+            for blocks in rounds:
+                assert all(same_bits(a, b) for a, b in zip(blocks, values))
+
+    def test_results_do_not_change_after_later_calls(self):
+        rng = np.random.default_rng(41)
+        ls = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
+        xs = rng.uniform(-100, 100, (16, 20))
+        block = evaluate_raw(xs, ls)
+        y = rng.standard_normal((50, 16, 20))
+        warped = transform_vector(y, ls.tau[:, None, None], ls.eta[:, None, None, :])
+        kept = block.copy(), warped.copy()
+        for n in (16, 16, 1, 9):
+            evaluate_raw(rng.uniform(-100, 100, (n, 20)), ls)
+        workspace = landscape_module._workspace
+        for result, copy in zip((block, warped), kept):
+            assert same_bits(result, copy)
+            for arena in (workspace.floats, workspace.mask, workspace.index):
+                assert not np.shares_memory(result, arena)
+
+    def test_workspace_stays_within_the_block_bound(self, monkeypatch):
+        workspace = landscape_module._workspace
+        kernel = landscape_module._peak_values
+        sizes = []
+
+        def measured(points, landscape):
+            values = kernel(points, landscape)
+            sizes.append((workspace.floats.size, workspace.mask.size, workspace.index.size))
+            return values
+
+        monkeypatch.setattr(landscape_module, "_peak_values", measured)
+        rng = np.random.default_rng(42)
+        ls = init_landscape(ScenarioConfig(dimension=2, num_components=10), rng)
+        evaluate_raw(rng.uniform(-100, 100, (200_000, 2)), ls)
+        assert len(sizes) > 100
+        # four float slots and the values, each rounded up to 64 bytes
+        assert max(f for f, _, _ in sizes) <= 5 * _BLOCK_ELEMENTS
+        assert max(b for _, b, _ in sizes) <= _BLOCK_ELEMENTS
+        assert max(i for _, _, i in sizes) <= _BLOCK_ELEMENTS
+        # a block scored in pieces leaves no workspace behind
+        assert workspace.floats.size == workspace.mask.size == workspace.index.size == 0
+        # one row of this landscape is above the bound and gets fresh
+        # arrays, leaving the kept workspace as it was
+        m = _BLOCK_ELEMENTS + 3
+        wide = Landscape(environment_index=0, centers=rng.uniform(-100, 100, (m, 1)),
+                         rotations=np.ones((m, 1, 1)), widths=rng.uniform(1, 12, (m, 1)),
+                         heights=rng.uniform(30, 70, m), angles=np.zeros(m),
+                         tau=rng.uniform(-1, 1, m), eta=rng.uniform(-20, 20, (m, 4)))
+        x = rng.uniform(-100, 100, (3, 1))
+        evaluate_raw(ls.centers, ls)
+        kept = workspace.floats
+        alone = np.array([evaluate_raw(p, wide) for p in x])
+        assert workspace.floats is kept
+        assert same_bits(evaluate_raw(x, wide), alone)
+
+    def test_a_fresh_workspace_grows_to_every_block(self):
+        rng = np.random.default_rng(44)
+        ls = init_landscape(ScenarioConfig(dimension=1, num_components=1), rng)
+        xs = rng.uniform(-100, 100, (20, 1))
+        expect = np.array([evaluate_raw(x, ls) for x in xs])
+        got = []
+        # a new thread starts with an empty workspace
+        worker = threading.Thread(target=lambda: got.extend(
+            evaluate_raw(xs[:n], ls) for n in [*range(1, 21), *range(19, 0, -1)]))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert len(got) == 39
+        for block in got:
+            assert same_bits(block, expect[:len(block)])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor page faults are counted by Linux getrusage")
+    def test_kernel_calls_fault_in_no_new_pages(self):
+        # counted in a fresh interpreter: whether freed temporaries go back
+        # to the system depends on what else the heap holds
+        code = """if True:
+            import resource
+            import numpy as np
+            from gmpbench import ScenarioConfig, evaluate_raw, init_landscape
+            rng = np.random.default_rng(43)
+            ls = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
+            xs = rng.uniform(-100, 100, (16, 20))
+            for _ in range(5):
+                evaluate_raw(xs, ls)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(50):
+                evaluate_raw(xs, ls)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        src = str(Path(landscape_module.__file__).resolve().parents[1])
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert child.returncode == 0, child.stderr
+        # fresh temporaries fault in over a hundred pages per call
+        assert int(child.stdout) / 50 < 5
 
 
 class TestComponentValue:
