@@ -5,12 +5,14 @@ a fixed draw order, so a scenario's full trajectory is a pure function of its
 seed. Draw order during initialization, per component: center, height,
 widths, angle, eta, tau, rotation source matrix (skipped when rotation is
 disabled). Draw order per update, per component in index order: shift
-direction (redrawn while its norm is below 1e-12), then height, widths,
-angle, eta and tau in one ``standard_normal(d + 7)`` call, then the plane
-permutation (skipped when rotation is disabled). A change takes each
-component's two normal draws as one ``standard_normal(2d + 7)`` call, the
-same stream, and replays the change in the order above only when a
-direction needs a redraw.
+direction, height, widths, angle, eta and tau in one ``standard_normal(2d +
+7)`` call, then the plane permutation (skipped when rotation is disabled).
+
+Every initialization and every change makes exactly these draws. A draw
+that cannot be used as it is, an event of probability zero, is replaced by a
+fixed value instead of drawn again: a shift direction whose norm is below
+1e-12 becomes the first axis, and a source matrix with a Gram-Schmidt pivot
+below 1e-12 becomes the identity.
 
 Only the draws are made component by component: :func:`init_landscape`
 writes each component's draws into row ``k`` of the :class:`Landscape`
@@ -21,10 +23,9 @@ plane steps to every rotation matrix with one batched 2x2 matmul. A
 one-component landscape is the change of a single component.
 
 Every orthonormalization goes through one modified Gram-Schmidt routine on
-an (m, d, d) stack: the initial rotations, the re-orthonormalization of
-matrices that drifted during a change, and :func:`gram_schmidt`, its
-one-matrix call. Each matrix of a stack comes out bit-identical to
-orthonormalizing it alone.
+an (m, d, d) stack: the initial rotations and the re-orthonormalization of
+matrices that drifted during a change. Each matrix of a stack comes out
+bit-identical to orthonormalizing it alone.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ from .landscape import Landscape, ScenarioConfig
 __all__ = [
     "ScenarioExhausted",
     "ORTHOGONALITY_TOL",
-    "plane_pairs",
-    "orthogonality_error",
-    "gram_schmidt",
-    "initial_rotation",
     "update_rotation",
     "reflect",
     "advance_environment",
@@ -57,24 +54,14 @@ class ScenarioExhausted(RuntimeError):
     """Raised when advancing past the final environment of a scenario."""
 
 
-def plane_pairs(d: int) -> list[tuple[int, int]]:
-    """All d*(d-1)/2 axis index pairs (p < q), in lexicographic order."""
-    return [(p, q) for p in range(d) for q in range(p + 1, d)]
-
-
 def _orthogonality_errors(rotations: np.ndarray) -> np.ndarray:
-    """:func:`orthogonality_error` of each matrix in an (m, d, d) stack."""
+    """Max-abs entry of R^T R - I, for each matrix R of an (m, d, d) stack."""
     d = rotations.shape[1]
     # one buffer for R^T R, its difference from I and the difference's abs
     errors = rotations.transpose(0, 2, 1) @ rotations
     errors -= np.eye(d)
     np.abs(errors, out=errors)
     return errors.max(axis=(1, 2))
-
-
-def orthogonality_error(r: np.ndarray) -> float:
-    """Max-abs entry of R^T R - I."""
-    return float(_orthogonality_errors(np.asarray(r)[None])[0])
 
 
 def _orthonormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,36 +91,11 @@ def _orthonormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, norms
 
 
-def gram_schmidt(a: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of ``a`` in index order (modified variant)."""
-    q, norms = _orthonormalize(np.asarray(a, dtype=float)[None])
-    degenerate = np.flatnonzero(norms[0] < _PIVOT_TOL)
-    if degenerate.size:
-        raise ValueError(f"degenerate pivot at column {degenerate[0]}")
-    return q[0]
-
-
-def initial_rotation(d: int, rng: np.random.Generator, rotation_enabled: bool = True) -> np.ndarray:
-    """Random orthogonal matrix from Gram-Schmidt on normal entries.
-
-    Returns the identity when rotation is disabled (no draws consumed). A
-    degenerate source matrix (probability zero) is redrawn.
-    """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if not rotation_enabled:
-        return np.eye(d)
-    while True:
-        try:
-            return gram_schmidt(rng.standard_normal((d, d)))
-        except ValueError:
-            continue
-
-
 @functools.lru_cache(maxsize=16)
 def _pair_table(d: int) -> np.ndarray:
-    """:func:`plane_pairs` as a read-only (d*(d-1)/2, 2) index array."""
-    pairs = np.array(plane_pairs(d), dtype=np.intp).reshape(-1, 2)
+    """All d*(d-1)/2 axis index pairs (p < q), in lexicographic order, as a
+    read-only (d*(d-1)/2, 2) index array."""
+    pairs = np.stack(np.triu_indices(d, 1), axis=1)
     pairs.flags.writeable = False
     return pairs
 
@@ -181,8 +143,8 @@ def update_rotation(r: np.ndarray, theta: float, rng: np.random.Generator) -> np
     the tolerance raises ``ValueError``.
 
     :func:`advance_environment` does not call this function: it rotates all
-    matrices at once with the same code. It stays as a one-matrix entry
-    point, and as the name that the benchmark's tracer hooks.
+    matrices at once with the same code. It stays only as the name that the
+    benchmark's tracer hooks.
     """
     d = r.shape[0]
     order = rng.permutation(d * (d - 1) // 2)
@@ -221,8 +183,8 @@ def reflect(value: float, delta: float, lo: float, hi: float) -> float:
     large the delta is.
 
     :func:`advance_environment` folds whole arrays with the same code and
-    does not call this function; it stays as a scalar entry point, and as
-    the name that the benchmark's tracer hooks.
+    does not call this function; it stays only as the name that the
+    benchmark's tracer hooks.
     """
     return float(_fold(np.array([value + delta]), lo, hi)[0])
 
@@ -239,7 +201,9 @@ def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
     landscape caches its optimum.
 
     The draws are made component by component in the documented order; all
-    the arithmetic on them is done on the stacked (m, ...) arrays.
+    the arithmetic on them is done on the stacked (m, ...) arrays. A
+    direction whose norm is below 1e-12 (probability zero) is replaced by
+    the first axis, so the step is still exactly ``shift_severity`` long.
     """
     if landscape.environment_index >= cfg.num_environments - 1:
         raise ScenarioExhausted(
@@ -253,7 +217,6 @@ def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
     # rng.permutation(n) is a shuffle of np.arange(n): the same draws
     orders = np.empty((m, num_pairs), dtype=np.intp)
     orders[:] = np.arange(num_pairs)
-    start = rng.bit_generator.state
     for k in range(m):
         draws[k] = rng.standard_normal(2 * d + 7)
         if cfg.rotation_enabled:
@@ -261,21 +224,9 @@ def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
     shifts = draws[:, :d]
     # one vector-vector product per row, np.linalg.norm's dot bit for bit
     norms = np.sqrt((shifts[:, None, :] @ shifts[:, :, None])[:, 0, 0])
-    if (norms < _PIVOT_TOL).any():
-        # a degenerate direction (probability zero) is redrawn before the
-        # component's other draws: replay the change one component at a time
-        rng.bit_generator.state = start
-        for k in range(m):
-            r = rng.standard_normal(d)
-            norm = float(np.linalg.norm(r))
-            while norm < _PIVOT_TOL:
-                r = rng.standard_normal(d)
-                norm = float(np.linalg.norm(r))
-            shifts[k] = r
-            norms[k] = norm
-            draws[k, d:] = rng.standard_normal(d + 7)
-            if cfg.rotation_enabled:
-                orders[k] = rng.permutation(num_pairs)
+    degenerate = norms < _PIVOT_TOL
+    shifts[degenerate] = np.eye(1, d)
+    norms[degenerate] = 1.0
     draws = draws[:, d:]  # height, widths (d), angle, eta (4), tau
 
     lb, ub = cfg.search_range
@@ -300,10 +251,8 @@ def init_landscape(cfg: ScenarioConfig, rng: np.random.Generator) -> Landscape:
     written into its row of the arrays; with rotation enabled the last draw
     of a component is its ``standard_normal((d, d))`` source matrix. All
     ``m`` source matrices are then orthonormalized at once, each exactly as
-    alone. A degenerate source matrix (probability zero) is redrawn where
-    :func:`initial_rotation` redraws it: the generator is rewound to just
-    after that draw, the component's rotation is redrawn with
-    :func:`initial_rotation`, and every later component is drawn again.
+    alone. A source matrix with a pivot below 1e-12 (probability zero)
+    becomes the identity.
     """
     cfg.validate()
     lb, ub = cfg.search_range
@@ -315,34 +264,19 @@ def init_landscape(cfg: ScenarioConfig, rng: np.random.Generator) -> Landscape:
     eta = np.empty((m, 4))
     tau = np.empty(m)
     rotations = np.empty((m, d, d))
-    after_source = [None] * m  # generator state just after each source matrix
-
-    def draw(first: int) -> None:
-        for k in range(first, m):
-            centers[k] = rng.uniform(lb, ub, d)
-            heights[k] = rng.uniform(*cfg.height_range)
-            widths[k] = rng.uniform(*cfg.width_range, d)
-            angles[k] = rng.uniform(*cfg.angle_range)
-            eta[k] = rng.uniform(*cfg.eta_range, 4)
-            tau[k] = rng.uniform(*cfg.tau_range)
-            if cfg.rotation_enabled:
-                rotations[k] = rng.standard_normal((d, d))
-                after_source[k] = rng.bit_generator.state
-
-    draw(0)
-    if not cfg.rotation_enabled:
+    for k in range(m):
+        centers[k] = rng.uniform(lb, ub, d)
+        heights[k] = rng.uniform(*cfg.height_range)
+        widths[k] = rng.uniform(*cfg.width_range, d)
+        angles[k] = rng.uniform(*cfg.angle_range)
+        eta[k] = rng.uniform(*cfg.eta_range, 4)
+        tau[k] = rng.uniform(*cfg.tau_range)
+        if cfg.rotation_enabled:
+            rotations[k] = rng.standard_normal((d, d))
+    if cfg.rotation_enabled:
+        rotations, norms = _orthonormalize(rotations)
+        rotations[(norms < _PIVOT_TOL).any(axis=1)] = np.eye(d)
+    else:
         rotations[:] = np.eye(d)
-    first = 0
-    while cfg.rotation_enabled:
-        q, norms = _orthonormalize(rotations[first:])
-        rotations[first:] = q
-        degenerate = np.flatnonzero((norms < _PIVOT_TOL).any(axis=1))
-        if not degenerate.size:
-            break
-        k = first + int(degenerate[0])
-        rng.bit_generator.state = after_source[k]
-        rotations[k] = initial_rotation(d, rng)
-        first = k + 1
-        draw(first)
     return Landscape(environment_index=0, centers=centers, rotations=rotations,
                      widths=widths, heights=heights, angles=angles, tau=tau, eta=eta)

@@ -141,8 +141,23 @@ class ScenarioConfig:
                     bad.append(f"{name} minimum exceeds maximum")
         if self.width_range[0] <= 0:
             bad.append("width range must be positive")
-        # the largest arrays of a run, once their factors are valid
         d = self.dimension
+        # the largest quadratic form a component can reach, once its factors
+        # are valid: a rotated offset has at most d entries of magnitude at
+        # most sqrt(d) * (ub - lb), which the warp scales by at most
+        # e^(2 max|tau|), and each is weighted by at most the largest width.
+        # Its logarithm is compared, since math.exp raises OverflowError.
+        lb, ub = self.search_range
+        w_lo, w_hi = self.width_range
+        if (isinstance(d, int) and d >= 1 and 0 < ub - lb < math.inf
+                and 0 < w_lo <= w_hi < math.inf and all(map(math.isfinite, self.tau_range))):
+            log_form = (2 * math.log(d) + math.log(w_hi) + 2 * math.log(ub - lb)
+                        + 4 * max(map(abs, self.tau_range)))
+            if not log_form < math.log(np.finfo(float).max):
+                bad.append("dimension, search_range, width_range and tau_range overflow a "
+                           "component's value: dimension * max width * (sqrt(dimension) * "
+                           "search width * e**(2 * max|tau|))**2 must be finite")
+        # the largest arrays of a run, once their factors are valid
         for names, factors in (
                 ("change_frequency * num_environments",
                  (self.change_frequency, self.num_environments)),

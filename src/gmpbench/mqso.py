@@ -246,19 +246,22 @@ class MQSO:
         """Offsets of ``count`` uniform samples from the ball of
         ``cloud_radius`` around the origin, one per row.
 
-        The draws are made sample by sample: a normal direction (redrawn
-        while its norm is below 1e-12), then a uniform radius.
+        The draws are made sample by sample: a normal direction, then a
+        uniform radius. A direction whose norm is below 1e-12 (probability
+        zero) becomes the first axis, so each sample makes exactly these
+        two draws. The norms and scales are computed once for all rows.
         """
         offsets = np.empty((count, d))
-        scales = []
+        radii = []
         for v in offsets:
-            norm = 0.0
-            while norm < 1e-12:
-                self.rng.standard_normal(d, out=v)
-                norm = math.sqrt(v.dot(v))  # what np.linalg.norm computes
-            radius = self.cloud_radius * self.rng.random() ** (1.0 / d)
-            scales.append(radius / norm)
-        offsets *= np.array(scales)[:, None]
+            self.rng.standard_normal(d, out=v)
+            radii.append(self.cloud_radius * self.rng.random() ** (1.0 / d))
+        # one vector-vector product per row, np.linalg.norm's dot bit for bit
+        norms = np.sqrt((offsets[:, None, :] @ offsets[:, :, None])[:, 0, 0])
+        degenerate = norms < 1e-12
+        offsets[degenerate] = np.eye(1, d)
+        norms[degenerate] = 1.0
+        offsets *= (np.array(radii) / norms)[:, None]
         return offsets
 
     # -- the four phases ----------------------------------------------------

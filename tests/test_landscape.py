@@ -20,6 +20,7 @@ from gmpbench import (
     evaluate_batch,
     evaluate_raw,
     init_landscape,
+    run_session,
     validate_config,
 )
 from gmpbench import landscape as landscape_module
@@ -599,7 +600,39 @@ class TestScenarioConfig:
         bad = "; ".join(ScenarioConfig(search_range=(-1e308, 1e308),
                                        eta_range=(-1e308, 1e308)).violations())
         assert "search_range width" in bad and "eta_range width" in bad
-        assert not ScenarioConfig(height_severity=1e306, search_range=(-8e307, 8e307)).violations()
+        assert not ScenarioConfig(height_severity=1e306).violations()
+        # a finite search width that passes the width check: only the bound
+        # on a component's value rejects it
+        bad = ScenarioConfig(height_severity=1e306, search_range=(-8e307, 8e307)).violations()
+        assert len(bad) == 1 and "overflow a component's value" in bad[0]
+
+    @pytest.mark.parametrize("data", [
+        {"tau_range": [-1e6, 1e6]},
+        {"tau_range": [-400, 400]},
+        {"width_range": [1, 1e306]},
+    ], ids=["tau", "tau-400", "width"])
+    def test_warp_ranges_that_overflow_are_violations(self, tmp_path, capsys, data):
+        # three environments of d5/m5 random search (seed 1) gave an
+        # infinite offline error for "tau" and "width", and about 2e10 for
+        # "tau-400", whose bound overflows though that run's values did not
+        data = dict(data, dimension=5, num_components=5)
+        bad = ScenarioConfig(**data).violations()
+        assert len(bad) == 1 and "overflow a component's value" in bad[0]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "overflow a component's value" in capsys.readouterr().err
+
+    def test_warp_ranges_below_the_bound_keep_the_landscape_finite(self):
+        # log of the bound: 2 log d + log(max width) + 2 log(search width)
+        # + 4 max|tau|, here about 16.3 + 4 * 170 = 696.3 < log(max float),
+        # which is about 709.8
+        cfg = ScenarioConfig(dimension=5, num_components=5, tau_range=(-170.0, 170.0),
+                             change_frequency=200, num_environments=3).validate()
+        with np.errstate(over="raise", invalid="raise"):
+            record, session = run_session(cfg, "random", seed=1)
+        assert np.isfinite(session.ledger.values).all()
+        assert math.isfinite(record["offline_error"])
 
     def test_large_severity_keeps_the_landscape_finite(self):
         cfg = ScenarioConfig(dimension=2, num_components=3, height_severity=1e306,

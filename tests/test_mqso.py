@@ -24,6 +24,32 @@ def make_session(**kw):
     return BenchmarkSession(ScenarioConfig(**base))
 
 
+class ZeroNormalOnce:
+    """A generator whose ``n``-th ``standard_normal`` call comes back as
+    zeros: the direction of that ball sample is degenerate. Every other draw
+    is the seeded generator's; ``hits`` counts the zeroed calls."""
+
+    def __init__(self, seed, n):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self._left = n
+        self.hits = 0
+
+    def uniform(self, *args):
+        return self._rng.uniform(*args)
+
+    def random(self, *args):
+        return self._rng.random(*args)
+
+    def standard_normal(self, size=None, out=None):
+        draw = self._rng.standard_normal(size, out=out)
+        self._left -= 1
+        if self._left == 0:
+            draw[...] = 0.0
+            self.hits += 1
+        return draw
+
+
 def make_solver(session, rng_seed=0, track_history=False, **cfg_kw):
     cfg = SolverConfig.for_scenario(session.config, **cfg_kw)
     return MQSO(session, cfg, np.random.default_rng(rng_seed),
@@ -170,6 +196,26 @@ class TestSolverStep:
         assert (dists <= solver.cloud_radius).all()
         # uniform in the ball, not on the sphere: interior mass present
         assert (dists < 0.5 * solver.cloud_radius).mean() > 0.1
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_zero_direction_takes_the_first_axis(self, d):
+        # a degenerate direction is replaced, not drawn again: the sample's
+        # radius lies on the first axis and the stream is an ordinary run's
+        solver = make_solver(make_session(dimension=d), rng_seed=3)
+        solver.rng = stub = ZeroNormalOnce(30, 3)
+        offsets = solver._ball_offsets(5, d)
+        solver.rng = plain = np.random.default_rng(30)
+        expected = solver._ball_offsets(5, d)
+        assert stub.hits == 1
+        assert stub.bit_generator.state == plain.bit_generator.state
+        others = np.arange(5) != 2
+        assert np.array_equal(offsets[others], expected[others])
+        replay = np.random.default_rng(30)
+        for _ in range(3):
+            replay.standard_normal(d)
+            u = replay.random()
+        radius = solver.cloud_radius * u ** (1.0 / d)
+        assert offsets[2].tolist() == [radius] + [0.0] * (d - 1)
 
     def test_gbest_nondecreasing_without_reinit(self):
         s = make_session(num_components=5, seed=9)
@@ -389,10 +435,9 @@ class PerParticleMQSO(MQSO):
         d = center.shape[0]
         v = self.rng.standard_normal(d)
         norm = float(np.linalg.norm(v))
-        while norm < 1e-12:
-            v = self.rng.standard_normal(d)
-            norm = float(np.linalg.norm(v))
         radius = self.cloud_radius * float(self.rng.uniform(0.0, 1.0)) ** (1.0 / d)
+        if norm < 1e-12:
+            v, norm = np.eye(d)[0], 1.0
         return center + (radius / norm) * v
 
     def change_reaction(self):
@@ -511,6 +556,21 @@ class TestBlockScoring:
         assert_same_run(s_new, new, s_old, old)
         # moves were scored as blocks, some of them cut short by a new gbest
         assert any(len(v) < rows and stopped(v, stop)[-1] for rows, v, stop in blocks)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_zero_direction_matches_the_oracle(self, d):
+        config = ScenarioConfig(dimension=d, num_components=3, change_frequency=300,
+                                num_environments=2, seed=70 + d)
+        runs = []
+        for cls in (PerParticleMQSO, MQSO):
+            session = BenchmarkSession(config)
+            rng = ZeroNormalOnce(d, 12)
+            solver = cls(session, SolverConfig.for_scenario(config), rng, track_history=True)
+            solver.run()
+            assert rng.hits == 1
+            runs.append((session, solver))
+        (s_old, old), (s_new, new) = runs
+        assert_same_run(s_new, new, s_old, old)
 
 
 class TestSentinelBlock:
