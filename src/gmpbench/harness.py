@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import advance_environment, init_landscape
-from .landscape import FIELD_TYPES, MAX_ARRAY_ELEMENTS, ScenarioConfig, evaluate_batch
+from .landscape import FIELD_TYPES, MAX_ARRAY_ELEMENTS, ScenarioConfig, _is_integer, evaluate_batch
 from .mqso import MQSO, SolverConfig
 from .protocol import BenchmarkSession, ScenarioComplete, best_before_change_error, offline_error
 
@@ -87,9 +87,9 @@ class ExperimentSpec:
         bad = list(self.scenario.violations())
         if self.solver not in SOLVERS:
             bad.append(f"solver must be one of {SOLVERS}")
-        if not isinstance(self.run_count, int) or self.run_count < 1:
+        if not _is_integer(self.run_count) or self.run_count < 1:
             bad.append("run_count must be an integer >= 1")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
+        if not _is_integer(self.master_seed) or self.master_seed < 0:
             bad.append("master_seed must be a nonnegative integer")
         if self.solver_config is not None:
             bad.extend(self.solver_config.violations())
@@ -302,7 +302,7 @@ _PARSERS = {
     tuple: (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
             lambda v: (float(v[0]), float(v[1])), "a two-element numeric array"),
     bool: (lambda v: isinstance(v, bool), bool, "a boolean"),
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), int, "an integer"),
+    int: (_is_integer, int, "an integer"),
     float: (_is_number, float, "a number"),
 }
 

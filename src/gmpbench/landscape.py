@@ -71,6 +71,11 @@ _MAX_DRAW = 64.0
 MAX_ARRAY_ELEMENTS = 1 << 26
 
 
+def _is_integer(value) -> bool:
+    """The schema's integer rule: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Scenario parameters; defaults are the standard benchmark settings.
@@ -118,7 +123,7 @@ class ScenarioConfig:
             value = getattr(self, name)
             if kind is int:
                 least = 0 if name == "seed" else 1
-                if not isinstance(value, int) or value < least:
+                if not _is_integer(value) or value < least:
                     bad.append(f"{name} must be an integer >= {least}")
             elif kind is float:  # a severity
                 if not math.isfinite(value):
@@ -149,7 +154,7 @@ class ScenarioConfig:
         # Its logarithm is compared, since math.exp raises OverflowError.
         lb, ub = self.search_range
         w_lo, w_hi = self.width_range
-        if (isinstance(d, int) and d >= 1 and 0 < ub - lb < math.inf
+        if (_is_integer(d) and d >= 1 and 0 < ub - lb < math.inf
                 and 0 < w_lo <= w_hi < math.inf and all(map(math.isfinite, self.tau_range))):
             log_form = (2 * math.log(d) + math.log(w_hi) + 2 * math.log(ub - lb)
                         + 4 * max(map(abs, self.tau_range)))
@@ -162,7 +167,7 @@ class ScenarioConfig:
                 ("change_frequency * num_environments",
                  (self.change_frequency, self.num_environments)),
                 ("num_components * dimension**2", (self.num_components, d, d))):
-            if not all(isinstance(f, int) and f >= 1 for f in factors):
+            if not all(_is_integer(f) and f >= 1 for f in factors):
                 continue
             size = math.prod(factors)
             if size > MAX_ARRAY_ELEMENTS:

@@ -24,8 +24,9 @@ swarm, go out as one block too, which the session stops after the first
 sentinel whose value differs from the remembered one.
 
 The solver touches the benchmark only through the black-box session surface
-(evaluate / bounds / dimension / budget), and is single-threaded: evaluation
-order determines the error ledger, so it must be reproducible from the seed.
+(evaluate / bounds / dimension / budget), keeps no log of its steps, and is
+single-threaded: evaluation order determines the error ledger, so it must be
+reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -35,12 +36,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .landscape import _is_integer
 from .protocol import BenchmarkSession, ScenarioComplete
 
 __all__ = ["SolverConfig", "Swarm", "MQSO", "CHANGE_DETECTION_TOL"]
 
 CHANGE_DETECTION_TOL = 1e-9
 
+_COUNTS = ("num_swarms", "neutral_count", "quantum_count")
 _RADII = ("cloud_radius", "exclusion_radius", "convergence_radius")
 
 
@@ -93,13 +96,15 @@ class SolverConfig:
     def violations(self) -> list[str]:
         """All violated constraints, each naming the offending field; radii
         left as ``None`` are not violations here."""
-        bad = []
-        if self.num_swarms < 1:
-            bad.append("num_swarms must be >= 1")
-        if self.neutral_count < 0 or self.quantum_count < 0:
-            bad.append("particle counts must be nonnegative")
-        if self.neutral_count + self.quantum_count < 1:
-            bad.append("each swarm needs at least one particle")
+        bad = [f"{name} must be an integer" for name in _COUNTS
+               if not _is_integer(getattr(self, name))]
+        if not bad:
+            if self.num_swarms < 1:
+                bad.append("num_swarms must be >= 1")
+            if self.neutral_count < 0 or self.quantum_count < 0:
+                bad.append("particle counts must be nonnegative")
+            if self.neutral_count + self.quantum_count < 1:
+                bad.append("each swarm needs at least one particle")
         for name in ("chi", "c1", "c2") + _RADII:
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
@@ -120,8 +125,8 @@ class Swarm:
     """One sub-swarm, stored particle-per-row.
 
     The first ``neutral_count`` rows are neutral particles, the rest quantum.
-    ``generation`` counts reinitializations so monitoring can tell a fresh
-    swarm from a tracked one.
+    ``generation`` counts the reinitializations of this slot; the
+    benchmark's tracer counts a run's reinitializations from it.
     """
 
     positions: np.ndarray
@@ -186,15 +191,17 @@ class MQSO:
 
     Each :meth:`step` runs change detection (one sentinel evaluation per
     swarm, in one block cut short after the first hit), particle moves,
-    exclusion and anti-convergence. Swarm reinitializations evaluate the fresh particles
-    right away, so the ledger accounts for every evaluation the solver
-    causes. Budget exhaustion surfaces as ``ScenarioComplete`` from any
-    evaluating call; a partially executed step is valid. Every random draw
-    comes from ``rng``, so a run is reproducible from the generator's seed.
+    exclusion and anti-convergence. Swarm reinitializations evaluate the
+    fresh particles right away, so the ledger accounts for every evaluation
+    the solver causes. Budget exhaustion surfaces as ``ScenarioComplete``
+    from any evaluating call; a partially executed step is valid. The radii
+    are read from ``config``, which must have all three set. Every random
+    draw comes from ``rng``, so a run is reproducible from the generator's
+    seed.
     """
 
     def __init__(self, session: BenchmarkSession, config: SolverConfig,
-                 rng: np.random.Generator, track_history: bool = False):
+                 rng: np.random.Generator):
         bad = config.violations()
         unresolved = [name for name in _RADII if getattr(config, name) is None]
         if unresolved:
@@ -204,13 +211,7 @@ class MQSO:
             raise ValueError("invalid solver config: " + "; ".join(bad))
         self.session = session
         self.rng = rng
-        self.cloud_radius = config.cloud_radius
-        self.exclusion_radius = config.exclusion_radius
-        self.convergence_radius = config.convergence_radius
         self.config = config
-        self.history: list[dict] = [] if track_history else None
-        self.iteration = 0
-        self.change_detected = False  # whether the current step detected a change
         self.swarms = [self._new_swarm() for _ in range(config.num_swarms)]
 
     # -- swarm construction -------------------------------------------------
@@ -251,11 +252,12 @@ class MQSO:
         zero) becomes the first axis, so each sample makes exactly these
         two draws. The norms and scales are computed once for all rows.
         """
+        cloud = self.config.cloud_radius
         offsets = np.empty((count, d))
         radii = []
         for v in offsets:
             self.rng.standard_normal(d, out=v)
-            radii.append(self.cloud_radius * self.rng.random() ** (1.0 / d))
+            radii.append(cloud * self.rng.random() ** (1.0 / d))
         # one vector-vector product per row, np.linalg.norm's dot bit for bit
         norms = np.sqrt((offsets[:, None, :] @ offsets[:, :, None])[:, 0, 0])
         degenerate = norms < 1e-12
@@ -274,11 +276,10 @@ class MQSO:
         the session stops after the first sentinel that detects a change and
         the evaluations are those of sentinels sent one at a time.
 
-        Returns whether a change was detected, and notes a detection in
-        :attr:`change_detected` as soon as it is made, so that it is kept
-        even when the budget runs out during the reaction. Reaction
-        re-evaluates every personal best under the new environment and
-        resets each swarm's global best from them.
+        Returns whether a change was detected. Reaction re-evaluates every
+        personal best under the new environment and resets each swarm's
+        global best from them; when the budget runs out during it,
+        ``ScenarioComplete`` propagates and nothing is returned.
         """
         sentinels = np.array([swarm.gbest_position for swarm in self.swarms])
         remembered = np.array([swarm.gbest_value for swarm in self.swarms])
@@ -291,7 +292,6 @@ class MQSO:
             done += values.shape[0]
             detected = bool(abs(values[-1] - remembered[done - 1]) > CHANGE_DETECTION_TOL)
         if detected:
-            self.change_detected = True
             for swarm in self.swarms:
                 self._evaluate_into(swarm.pbest_positions, swarm.pbest_values)
                 swarm.refresh_gbest()
@@ -384,7 +384,7 @@ class MQSO:
         gaps = _gbest_gaps(bests).tolist()
         for i in range(n - 1):
             for j in range(i + 1, n):
-                if gaps[i][j] < self.exclusion_radius:
+                if gaps[i][j] < self.config.exclusion_radius:
                     worse = j if self.swarms[j].gbest_value <= self.swarms[i].gbest_value else i
                     self._reinitialize(worse)
                     bests[worse] = self.swarms[worse].gbest_position
@@ -392,7 +392,7 @@ class MQSO:
 
     def anti_convergence(self):
         """If every swarm has contracted, reinitialize the worst one."""
-        if any(s.diameter() >= self.convergence_radius for s in self.swarms):
+        if any(s.diameter() >= self.config.convergence_radius for s in self.swarms):
             return
         worst = int(np.argmin([s.gbest_value for s in self.swarms]))
         self._reinitialize(worst)
@@ -400,27 +400,11 @@ class MQSO:
     # -- driving ------------------------------------------------------------
 
     def step(self):
-        """Run the four phases once.
-
-        The history entry is recorded even when ``ScenarioComplete`` cuts
-        the step short, so a detection made in the final step is not lost.
-        """
-        self.change_detected = False
-        try:
-            self.change_reaction()
-            self.solver_step()
-            self.exclusion()
-            self.anti_convergence()
-        finally:
-            self.iteration += 1
-            if self.history is not None:
-                self.history.append({
-                    "iteration": self.iteration,
-                    "environment_index": self.session.landscape.environment_index,
-                    "change_detected": self.change_detected,
-                    "generations": tuple(s.generation for s in self.swarms),
-                    "gbest_values": tuple(s.gbest_value for s in self.swarms),
-                })
+        """Run the four phases once."""
+        self.change_reaction()
+        self.solver_step()
+        self.exclusion()
+        self.anti_convergence()
 
     def run(self):
         """Step until the session budget is exhausted."""

@@ -44,7 +44,7 @@ __all__ = [
 
 
 class IncompleteLedgerError(ValueError):
-    """An indicator was requested from a partial run without ``partial=True``."""
+    """An indicator was requested before the ledger held the full budget."""
 
 
 class ScenarioComplete(Exception):
@@ -120,24 +120,21 @@ class EvaluationLedger:
         return error
 
 
-def offline_error(ledger: EvaluationLedger, partial: bool = False) -> float:
-    """Mean best-so-far error over all evaluations."""
-    if not ledger.complete and not partial:
+def offline_error(ledger: EvaluationLedger) -> float:
+    """Mean best-so-far error over all evaluations of a complete ledger."""
+    if not ledger.complete:
         raise IncompleteLedgerError(
             f"ledger holds {ledger.total} of {ledger.capacity} evaluations")
-    if ledger.total == 0:
-        raise IncompleteLedgerError("ledger is empty")
-    return float(np.mean(ledger.errors[: ledger.total]))
+    return float(np.mean(ledger.errors))
 
 
-def best_before_change_error(ledger: EvaluationLedger, partial: bool = False) -> float:
-    """Mean over environments of the final best-so-far error in each."""
-    if not ledger.complete and not partial:
+def best_before_change_error(ledger: EvaluationLedger) -> float:
+    """Mean over the environments of a complete ledger of the final
+    best-so-far error in each."""
+    if not ledger.complete:
         raise IncompleteLedgerError(
             f"ledger holds {ledger.total} of {ledger.capacity} evaluations")
-    if ledger.environments_completed == 0:
-        raise IncompleteLedgerError("no environment has completed yet")
-    return float(np.mean(ledger.env_final_errors[: ledger.environments_completed]))
+    return float(np.mean(ledger.env_final_errors))
 
 
 class BenchmarkSession:
@@ -235,7 +232,7 @@ class BenchmarkSession:
             done = end
         return values[:done] if x.ndim == 2 else float(values[0])
 
-    def indicators(self, partial: bool = False) -> tuple[float, float]:
-        """(offline error, best-before-change error) for this run."""
-        return (offline_error(self.ledger, partial=partial),
-                best_before_change_error(self.ledger, partial=partial))
+    def indicators(self) -> tuple[float, float]:
+        """(offline error, best-before-change error) for this run, once its
+        budget is spent."""
+        return offline_error(self.ledger), best_before_change_error(self.ledger)

@@ -77,6 +77,12 @@ class TestRun:
         assert main(["grid", "--config", grid, "--resolution", "3",
                      "--out", str(blocker / "g.csv")]) == 2
 
+    def test_invalid_run_count_is_rejected_before_any_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--runs", "0", "--out", str(out)]) == 1
+        assert "run_count" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGrid:
     def test_writes_the_exported_grid(self, tmp_path):
@@ -150,6 +156,16 @@ class TestSchema:
                             "height_range must be a two-element numeric array"]
         # the malformed keys keep their defaults
         assert cfg == ScenarioConfig(seed=4)
+
+    @pytest.mark.parametrize("name", ["dimension", "num_components", "change_frequency",
+                                      "num_environments", "seed"])
+    def test_a_boolean_is_not_an_integer(self, name):
+        # a config that validates is written as results.json's scenario, which
+        # must parse back; a bool is written as true and parsed as no integer
+        cfg = ScenarioConfig(**dict(SMALL, **{name: True}))
+        least = 0 if name == "seed" else 1
+        assert cfg.violations() == [f"{name} must be an integer >= {least}"]
+        assert f"{name} must be an integer" in scenario_from_dict(scenario_to_dict(cfg))[1]
 
     def test_round_trip(self):
         cfg = ScenarioConfig(dimension=3, shift_severity=2, width_range=(2, 5),

@@ -77,6 +77,15 @@ class TestExperiment:
         assert len(result["runs"]) == 3
 
 
+    @pytest.mark.parametrize("name, message", [
+        ("run_count", "run_count must be an integer >= 1"),
+        ("master_seed", "master_seed must be a nonnegative integer")])
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_counts_must_be_integers(self, name, value, message):
+        spec = ExperimentSpec(scenario=ScenarioConfig(), **{name: value})
+        assert spec.violations() == [message]
+
+
 class TestExportGrid:
     def test_csv_rows_are_grid_points_and_their_exact_values(self, tmp_path):
         scenario = ScenarioConfig(dimension=2, num_components=5, num_environments=3, seed=4)

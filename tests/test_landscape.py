@@ -515,6 +515,80 @@ class TestEvaluateRaw:
             assert plus == pytest.approx(minus, rel=1e-12)
 
 
+def strict_maxima(values):
+    """Number of interior grid points above both neighbours."""
+    mid = values[1:-1]
+    return int(np.sum((mid > values[:-2]) & (mid > values[2:])))
+
+
+class TestModality:
+    """The paper's modality claim, read along one rotated axis of a
+    one-component landscape: there ``y = t * e_j``, so the value is
+    ``height - sqrt(w_j) * |T(t)|``. On the side ``y > 0`` the warp ``T`` is
+    increasing wherever ``1 + tau * (a cos(a log y) + b cos(b log y)) > 0``
+    with ``(a, b)`` that side's frequencies, so it is monotone there when
+    ``|tau| (|a| + |b|) < 1``; likewise on ``y < 0``."""
+
+    CENTER = np.array([12.0, -40.0, 75.0])
+    WIDTHS = [2.0, 7.0, 11.0]
+    HEIGHT = 50.0
+
+    def component(self, tau, eta):
+        rotation = random_component(np.random.default_rng(41), d=3).rotations[0]
+        return plain_component(self.CENTER, self.HEIGHT, self.WIDTHS, rotation=rotation,
+                               tau=tau, eta=eta)
+
+    def along_axis(self, comp, j, t):
+        """Values at ``center + t * R[j]``, whose rotated offset is ``t * e_j``."""
+        return evaluate_raw(comp.centers[0] + t[:, None] * comp.rotations[0][j], comp)
+
+    @staticmethod
+    def criterion(tau, eta):
+        """``|tau| (|a| + |b|)`` on the positive and on the negative side."""
+        return abs(tau) * (abs(eta[0]) + abs(eta[1])), abs(tau) * (abs(eta[2]) + abs(eta[3]))
+
+    @pytest.mark.parametrize("tau, eta", [
+        (0.3, (1.5, -1.7, 2.0, 0.9)),
+        (-0.05, (9.0, 10.0, -8.0, 11.5)),
+        (0.9, (0.5, -0.6, 0.3, 0.7)),
+    ])
+    def test_one_maximum_when_the_warp_is_monotone(self, tau, eta):
+        assert max(self.criterion(tau, eta)) < 1
+        comp = self.component(tau, eta)
+        side = np.unique(np.concatenate([np.geomspace(1e-4, 60, 20000),
+                                         np.linspace(0.01, 60, 6000)]))
+        t = np.concatenate([-side[::-1], [0.0], side])
+        for j in range(3):
+            values = self.along_axis(comp, j, t)
+            assert strict_maxima(values) == 1
+            assert values[len(side)] == self.HEIGHT == values.max()
+
+    @pytest.mark.parametrize("tau, a", [(0.5, 3.0), (0.3, 5.0), (-0.4, 2.0)])
+    def test_turning_points_crowd_the_center_when_it_is_not(self, tau, a):
+        # b / a = sqrt(2) is irrational, so the two sines never fall into step
+        eta = (a, a * math.sqrt(2), a, a * math.sqrt(2))
+        assert min(self.criterion(tau, eta)) > 1
+        comp = self.component(tau, eta)
+        side = np.geomspace(1e-3, 1, 4001)
+        t = np.concatenate([-side[::-1], [0.0], side])
+        for j in range(3):
+            values = self.along_axis(comp, j, t)
+            assert values[len(side)] == self.HEIGHT == values.max()
+            assert strict_maxima(values) > 1
+            assert strict_maxima(values[len(side) + 1:]) >= 1
+            assert strict_maxima(values[:len(side)]) >= 1
+
+    def test_unwarped_level_sets_are_ellipsoids(self):
+        # with tau = 0 the level set at depth c below the height meets the
+        # rotated axis j at t = +-c / sqrt(w_j)
+        comp = self.component(0.0, (7.0, -3.0, 11.0, 5.0))
+        for depth in (0.5, 3.0, 40.0):
+            for j, w in enumerate(self.WIDTHS):
+                half_axis = depth / math.sqrt(w)
+                values = self.along_axis(comp, j, np.array([-half_axis, half_axis]))
+                np.testing.assert_allclose(self.HEIGHT - values, depth, rtol=1e-12)
+
+
 class TestOptimum:
     def test_single_component(self):
         comp = plain_component([4.0, 5.0], 50.0, [1.0, 1.0])

@@ -50,10 +50,41 @@ class ZeroNormalOnce:
         return draw
 
 
-def make_solver(session, rng_seed=0, track_history=False, **cfg_kw):
+def make_solver(session, rng_seed=0, cls=MQSO, **cfg_kw):
     cfg = SolverConfig.for_scenario(session.config, **cfg_kw)
-    return MQSO(session, cfg, np.random.default_rng(rng_seed),
-                track_history=track_history)
+    return cls(session, cfg, np.random.default_rng(rng_seed))
+
+
+class Recording:
+    """Solver mixin that records one entry per step, the step the budget
+    cuts short included: the detection as :meth:`change_reaction` returned
+    it (``None`` when the budget ran out before it returned), the
+    environment index read from the session, and each swarm's generation and
+    gbest value as the step left them."""
+
+    def __init__(self, *args, **kwargs):
+        self.record = []
+        super().__init__(*args, **kwargs)
+
+    def change_reaction(self):
+        self._detected = super().change_reaction()
+        return self._detected
+
+    def step(self):
+        self._detected = None
+        try:
+            super().step()
+        finally:
+            self.record.append({
+                "detected": self._detected,
+                "environment_index": self.session.landscape.environment_index,
+                "generations": tuple(s.generation for s in self.swarms),
+                "gbest_values": tuple(s.gbest_value for s in self.swarms),
+            })
+
+
+class RecordingMQSO(Recording, MQSO):
+    pass
 
 
 class TestSolverConfig:
@@ -78,6 +109,17 @@ class TestSolverConfig:
         assert SolverConfig(cloud_radius=-1e-9).violations() == ["cloud_radius must be nonnegative"]
         for name in ("exclusion_radius", "convergence_radius"):
             assert SolverConfig(**{name: 0.0}).violations() == [f"{name} must be positive"]
+
+    @pytest.mark.parametrize("name, value", [
+        ("num_swarms", 2.5), ("neutral_count", 2.5), ("quantum_count", 1.5), ("num_swarms", True)])
+    def test_counts_must_be_integers(self, name, value):
+        # rejected with the spec, before any run starts
+        cfg = SolverConfig(**{name: value})
+        assert cfg.violations() == [f"{name} must be an integer"]
+        scenario = ScenarioConfig(dimension=2, num_components=3)
+        spec = ExperimentSpec(scenario=scenario, solver_config=cfg, run_count=1)
+        with pytest.raises(ValueError, match=f"invalid experiment spec: {name} must be an integer"):
+            run_experiment(spec)
 
     def test_bad_config_rejected_at_attach(self):
         with pytest.raises(ValueError, match="chi"):
@@ -118,9 +160,7 @@ class TestRadiusRule:
         params = result["solver_params"]
         assert params["cloud_radius"] == 2.0
         assert params["exclusion_radius"] == 0.5 * 200.0 / 25 ** (1 / 5)
-        assert solver.cloud_radius == params["cloud_radius"]
-        assert solver.exclusion_radius == params["exclusion_radius"]
-        assert solver.convergence_radius == params["convergence_radius"]
+        assert dataclasses.asdict(solver.config) == params
 
 
 class TestInitialization:
@@ -180,7 +220,7 @@ class TestSolverStep:
                         x, value = next(calls)
                         np.testing.assert_array_equal(x, sw.positions[i])
                         if i >= sw.neutral_count:
-                            assert np.linalg.norm(x - g_pos) <= solver.cloud_radius + 1e-12
+                            assert np.linalg.norm(x - g_pos) <= solver.config.cloud_radius + 1e-12
                         if value > g_val:
                             g_pos, g_val = x, value
                     np.testing.assert_array_equal(g_pos, sw.gbest_position)
@@ -193,9 +233,9 @@ class TestSolverStep:
         center = np.array([10.0, -20.0])
         samples = center + solver._ball_offsets(10_000, 2)
         dists = np.linalg.norm(samples - center, axis=1)
-        assert (dists <= solver.cloud_radius).all()
+        assert (dists <= solver.config.cloud_radius).all()
         # uniform in the ball, not on the sphere: interior mass present
-        assert (dists < 0.5 * solver.cloud_radius).mean() > 0.1
+        assert (dists < 0.5 * solver.config.cloud_radius).mean() > 0.1
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_zero_direction_takes_the_first_axis(self, d):
@@ -214,7 +254,7 @@ class TestSolverStep:
         for _ in range(3):
             replay.standard_normal(d)
             u = replay.random()
-        radius = solver.cloud_radius * u ** (1.0 / d)
+        radius = solver.config.cloud_radius * u ** (1.0 / d)
         assert offsets[2].tolist() == [radius] + [0.0] * (d - 1)
 
     def test_gbest_nondecreasing_without_reinit(self):
@@ -297,7 +337,7 @@ class TestExclusion:
                                          - solver.swarms[j].gbest_position)
                     refreshed = (solver.swarms[i].generation > gens[i]
                                  or solver.swarms[j].generation > gens[j])
-                    assert gap >= solver.exclusion_radius or refreshed
+                    assert gap >= solver.config.exclusion_radius or refreshed
 
     def test_reinitialization_mid_scan_matches_per_pair_loop(self):
         # Swarms 0 and 1 collide and 0 is the worse; swarm 3 sits where the
@@ -317,7 +357,7 @@ class TestExclusion:
         _, dry = excluded(MQSO, [80.0, -80.0])
         assert [sw.generation for sw in dry.swarms] == [1, 0, 0, 0]
         landing = dry.swarms[0].gbest_position
-        runs = [excluded(cls, landing) for cls in (PerParticleMQSO, MQSO)]
+        runs = [excluded(cls, landing) for cls in (RecordingPerParticleMQSO, RecordingMQSO)]
         (s_old, old), (s_new, new) = runs
         assert [sw.generation for sw in new.swarms] == [1, 0, 0, 1]
         assert_same_run(s_new, new, s_old, old)
@@ -372,9 +412,9 @@ class TestChangeReaction:
         session = BenchmarkSession(ScenarioConfig(
             dimension=2, num_components=3, change_frequency=500,
             num_environments=5, seed=31))
-        solver = make_solver(session, rng_seed=9, track_history=True)
+        solver = make_solver(session, rng_seed=9, cls=RecordingMQSO)
         solver.run()
-        detections = sum(h["change_detected"] for h in solver.history)
+        detections = sum(bool(entry["detected"]) for entry in solver.record)
         assert detections == 4  # one per boundary crossed
 
     def test_reaction_resets_gbest_from_refreshed_pbests(self):
@@ -435,7 +475,7 @@ class PerParticleMQSO(MQSO):
         d = center.shape[0]
         v = self.rng.standard_normal(d)
         norm = float(np.linalg.norm(v))
-        radius = self.cloud_radius * float(self.rng.uniform(0.0, 1.0)) ** (1.0 / d)
+        radius = self.config.cloud_radius * float(self.rng.uniform(0.0, 1.0)) ** (1.0 / d)
         if norm < 1e-12:
             v, norm = np.eye(d)[0], 1.0
         return center + (radius / norm) * v
@@ -445,7 +485,7 @@ class PerParticleMQSO(MQSO):
         for swarm in self.swarms:
             value = self.session.evaluate(swarm.gbest_position)
             if abs(value - swarm.gbest_value) > CHANGE_DETECTION_TOL:
-                detected = self.change_detected = True
+                detected = True
                 break
         if detected:
             for swarm in self.swarms:
@@ -460,7 +500,7 @@ class PerParticleMQSO(MQSO):
             for j in range(i + 1, n):
                 gap = float(np.linalg.norm(self.swarms[i].gbest_position
                                            - self.swarms[j].gbest_position))
-                if gap < self.exclusion_radius:
+                if gap < self.config.exclusion_radius:
                     worse = j if self.swarms[j].gbest_value <= self.swarms[i].gbest_value else i
                     self._reinitialize(worse)
 
@@ -493,6 +533,10 @@ class PerParticleMQSO(MQSO):
                         swarm.gbest_position = x.copy()
 
 
+class RecordingPerParticleMQSO(Recording, PerParticleMQSO):
+    pass
+
+
 def log_blocks(session):
     """Wrap ``session.evaluate`` to log (rows sent, values, stop rule) of
     each block call; every keyword is passed on."""
@@ -520,7 +564,7 @@ def assert_same_run(s_new, new, s_old, old):
     """The two sessions' ledgers and the two solvers are equal bit for bit."""
     for name in ("values", "errors", "optima", "env_final_errors"):
         np.testing.assert_array_equal(getattr(s_new.ledger, name), getattr(s_old.ledger, name))
-    assert new.history == old.history
+    assert new.record == old.record
     for a, b in zip(new.swarms, old.swarms, strict=True):
         for name in ("positions", "velocities", "pbest_positions", "pbest_values",
                      "gbest_position"):
@@ -541,11 +585,11 @@ class TestBlockScoring:
         config = ScenarioConfig(dimension=d, num_components=m, change_frequency=137,
                                 num_environments=environments, seed=40 + d)
         runs = []
-        for cls in (PerParticleMQSO, MQSO):
+        for cls in (RecordingPerParticleMQSO, RecordingMQSO):
             session = BenchmarkSession(config)
             blocks = log_blocks(session)
             solver = cls(session, SolverConfig.for_scenario(config, **solver_kw),
-                         np.random.default_rng(d), track_history=True)
+                         np.random.default_rng(d))
             solver.run()
             runs.append((session, solver, blocks))
         (s_old, old, _), (s_new, new, blocks) = runs
@@ -562,10 +606,10 @@ class TestBlockScoring:
         config = ScenarioConfig(dimension=d, num_components=3, change_frequency=300,
                                 num_environments=2, seed=70 + d)
         runs = []
-        for cls in (PerParticleMQSO, MQSO):
+        for cls in (RecordingPerParticleMQSO, RecordingMQSO):
             session = BenchmarkSession(config)
             rng = ZeroNormalOnce(d, 12)
-            solver = cls(session, SolverConfig.for_scenario(config), rng, track_history=True)
+            solver = cls(session, SolverConfig.for_scenario(config), rng)
             solver.run()
             assert rng.hits == 1
             runs.append((session, solver))
@@ -597,10 +641,10 @@ class TestSentinelBlock:
         remembered gbest value is raised before step ``STEPS``, so that its
         sentinel detects a change that did not happen."""
         runs = []
-        for cls in (PerParticleMQSO, MQSO):
+        for cls in (RecordingPerParticleMQSO, RecordingMQSO):
             session = BenchmarkSession(config)
             solver = cls(session, SolverConfig.for_scenario(config, **self.SOLVER),
-                         np.random.default_rng(7), track_history=True)
+                         np.random.default_rng(7))
             for _ in range(self.STEPS):
                 solver.step()
             if perturb is not None:
@@ -618,7 +662,7 @@ class TestSentinelBlock:
         config = self.config(change_frequency=2000, num_environments=2)
         new, values, hits = self.run_both(config, perturb=3)
         assert len(values) == 4 and hits[-1] and not hits[:-1].any()
-        assert new.history[self.STEPS]["change_detected"]
+        assert new.record[self.STEPS]["detected"] is True
 
     def test_block_across_a_change_detects_on_its_first_new_row(self):
         # sentinels 0-2 are scored before the change, sentinel 3 after it
@@ -626,21 +670,24 @@ class TestSentinelBlock:
         config = self.config(change_frequency=start + 3, num_environments=2)
         new, values, hits = self.run_both(config)
         assert len(values) == 4 and hits[-1] and not hits[:-1].any()
-        assert new.history[self.STEPS]["change_detected"]
-        assert new.history[self.STEPS]["environment_index"] == 1
+        assert new.record[self.STEPS]["detected"] is True
+        assert new.record[self.STEPS]["environment_index"] == 1
 
     def test_budget_ends_inside_the_block(self):
         start = self.sentinel_start()
         config = self.config(change_frequency=start + 3, num_environments=1)
         new, values, hits = self.run_both(config)
         assert len(values) == 3 and not hits.any()
-        assert len(new.history) == self.STEPS + 1
-        assert not new.history[-1]["change_detected"]
+        assert len(new.record) == self.STEPS + 1
+        # the budget ran out inside the sentinels, before any detection
+        assert new.record[-1]["detected"] is None
 
     def test_detection_on_the_last_row_of_the_budget(self):
         start = self.sentinel_start()
         config = self.config(change_frequency=start + 4, num_environments=1)
         new, values, hits = self.run_both(config, perturb=3)
+        # the detection itself is the last sentinel's hit; the reaction to
+        # it found no budget left, so change_reaction did not return
         assert len(values) == 4 and hits[-1]
-        assert len(new.history) == self.STEPS + 1
-        assert new.history[-1]["change_detected"]
+        assert len(new.record) == self.STEPS + 1
+        assert new.record[-1]["detected"] is None

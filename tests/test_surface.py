@@ -1,7 +1,9 @@
-"""The public surface: what ``gmpbench`` exports, what it no longer has, and
-the names the benchmark's tracer patches."""
+"""The public surface: what ``gmpbench`` exports, what it no longer has, the
+names the benchmark's tracer patches, and the session surface the solvers
+use."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -64,3 +66,51 @@ def test_every_traced_name_is_defined_where_the_tracer_patches_it():
     assert tracer.TARGETS
     for owner, attr, *_ in tracer.TARGETS:
         assert attr in owner.__dict__, (owner.__name__, attr)
+
+
+def test_signatures_without_the_removed_flags():
+    # the history log and the partial-run indicators are gone
+    assert list(inspect.signature(mqso.MQSO).parameters) == ["session", "config", "rng"]
+    for function in (protocol.offline_error, protocol.best_before_change_error,
+                     protocol.BenchmarkSession.indicators):
+        assert "partial" not in inspect.signature(function).parameters, function.__name__
+
+
+def solver_view(session):
+    """A stand-in for ``session`` with exactly the documented solver
+    surface: ``evaluate``, ``bounds``, ``dimension`` and
+    ``budget_remaining``. Any other attribute raises ``AttributeError``."""
+
+    class View:
+        __slots__ = ()
+        evaluate = staticmethod(session.evaluate)
+        bounds = property(lambda self: session.bounds)
+        dimension = property(lambda self: session.dimension)
+        budget_remaining = property(lambda self: session.budget_remaining)
+
+    return View()
+
+
+@pytest.mark.parametrize("solver", ["mqso", "random"])
+def test_solvers_use_only_the_documented_surface(solver):
+    scenario = landscape.ScenarioConfig(dimension=3, num_components=4, change_frequency=300,
+                                        num_environments=3, seed=19)
+    sessions = []
+    for wrap in (lambda s: s, solver_view):
+        session = protocol.BenchmarkSession(scenario)
+        view = wrap(session)
+        rng = np.random.default_rng(4)
+        if solver == "mqso":
+            mqso.MQSO(view, mqso.SolverConfig.for_scenario(scenario), rng).run()
+        else:
+            harness.RandomSearch(view, rng).run()
+        sessions.append(session)
+    direct, viewed = sessions
+    assert viewed.ledger.complete
+    for name in ("values", "errors", "optima", "env_final_errors"):
+        assert np.array_equal(getattr(viewed.ledger, name), getattr(direct.ledger, name)), name
+    members = {name for name in dir(view) if not name.startswith("__")}
+    assert members == {"evaluate", "bounds", "dimension", "budget_remaining"}
+    for name in ("landscape", "ledger", "config", "rng", "total_evaluations", "indicators"):
+        with pytest.raises(AttributeError):
+            getattr(view, name)
