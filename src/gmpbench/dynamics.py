@@ -17,9 +17,10 @@ below 1e-12 becomes the identity.
 Only the draws are made component by component: :func:`init_landscape`
 writes each component's draws into row ``k`` of the :class:`Landscape`
 arrays and orthonormalizes all ``m`` source matrices in one stacked
-Gram-Schmidt pass, and :func:`advance_environment` perturbs, reflects and
-rotates all ``m`` rows with array operations, applying each of the d(d-1)/2
-plane steps to every rotation matrix with one batched 2x2 matmul. A
+Gram-Schmidt pass, and :func:`advance_environment` perturbs all ``m`` rows
+with array operations: one :func:`reflect` call folds each parameter array
+into its range, and one :func:`update_rotation` call applies each of the
+d(d-1)/2 plane steps to every rotation matrix with one batched 2x2 matmul. A
 one-component landscape is the change of a single component.
 
 Every orthonormalization goes through one modified Gram-Schmidt routine on
@@ -100,10 +101,15 @@ def _pair_table(d: int) -> np.ndarray:
     return pairs
 
 
-def _rotate(rotations: np.ndarray, angles: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Rotation step of a change: matrix ``k`` of ``rotations`` is
-    left-multiplied by the plane rotations at ``angles[k]``, taken in the
-    permuted plane order ``orders[k]``."""
+def update_rotation(rotations: np.ndarray, angles: np.ndarray,
+                    orders: np.ndarray) -> np.ndarray:
+    """Rotation step of a change, as a fresh stack: matrix ``k`` of
+    ``rotations`` is left-multiplied by the plane rotations at ``angles[k]``
+    of every coordinate plane, in the permuted plane order ``orders[k]``.
+
+    A matrix that drifts beyond ``ORTHOGONALITY_TOL`` is re-orthonormalized;
+    one that Gram-Schmidt cannot bring within it raises ``ValueError``.
+    """
     out = np.array(rotations, dtype=float)
     m, d, _ = out.shape
     rot2 = np.empty((m, 2, 2))
@@ -132,27 +138,9 @@ def _rotate(rotations: np.ndarray, angles: np.ndarray, orders: np.ndarray) -> np
     return out
 
 
-def update_rotation(r: np.ndarray, theta: float, rng: np.random.Generator) -> np.ndarray:
-    """Left-multiply ``r`` by the product of all plane rotations at ``theta``.
-
-    The product runs over every coordinate plane in a fresh random
-    permutation (plane rotations on different planes do not commute). Each
-    factor is applied as a two-row update, which is the exact product in the
-    permuted order. Floating-point drift beyond ORTHOGONALITY_TOL triggers a
-    Gram-Schmidt re-orthonormalization; a matrix that it cannot bring within
-    the tolerance raises ``ValueError``.
-
-    :func:`advance_environment` does not call this function: it rotates all
-    matrices at once with the same code. It stays only as the name that the
-    benchmark's tracer hooks.
-    """
-    d = r.shape[0]
-    order = rng.permutation(d * (d - 1) // 2)
-    return _rotate(np.asarray(r)[None], [theta], order[None])[0]
-
-
-def _fold(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Mirror the values of ``v`` at the edges of [lo, hi] until inside.
+def reflect(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The values of ``v`` mirrored at the edges of [lo, hi] until inside,
+    as a fresh array.
 
     A mirror at the lower edge (``2*lo - v``) and then one at the upper edge
     (``2*hi - v``) are the first passes of a mirror loop, and bring in every
@@ -172,21 +160,6 @@ def _fold(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
         t = np.mod(v[out] - lo, 2.0 * width)
         v[out] = np.clip(lo + np.minimum(t, 2.0 * width - t), lo, hi)
     return v
-
-
-def reflect(value: float, delta: float, lo: float, hi: float) -> float:
-    """Move ``value`` by ``delta`` and mirror at the range edges until inside.
-
-    In-range results pass through; a result below ``lo`` maps to
-    ``2*lo - value - delta``, above ``hi`` to ``2*hi - value - delta``, and the
-    reflection repeats (in closed form) so the output lies in [lo, hi] however
-    large the delta is.
-
-    :func:`advance_environment` folds whole arrays with the same code and
-    does not call this function; it stays only as the name that the
-    benchmark's tracer hooks.
-    """
-    return float(_fold(np.array([value + delta]), lo, hi)[0])
 
 
 def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
@@ -230,16 +203,16 @@ def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
     draws = draws[:, d:]  # height, widths (d), angle, eta (4), tau
 
     lb, ub = cfg.search_range
-    angles = _fold(landscape.angles + cfg.angle_severity * draws[:, d + 1], *cfg.angle_range)
+    angles = reflect(landscape.angles + cfg.angle_severity * draws[:, d + 1], *cfg.angle_range)
     return Landscape(
         environment_index=landscape.environment_index + 1,
-        centers=_fold(landscape.centers + cfg.shift_severity * shifts / norms[:, None], lb, ub),
-        heights=_fold(landscape.heights + cfg.height_severity * draws[:, 0], *cfg.height_range),
-        widths=_fold(landscape.widths + cfg.width_severity * draws[:, 1:d + 1], *cfg.width_range),
+        centers=reflect(landscape.centers + cfg.shift_severity * shifts / norms[:, None], lb, ub),
+        heights=reflect(landscape.heights + cfg.height_severity * draws[:, 0], *cfg.height_range),
+        widths=reflect(landscape.widths + cfg.width_severity * draws[:, 1:d + 1], *cfg.width_range),
         angles=angles,
-        eta=_fold(landscape.eta + cfg.eta_severity * draws[:, d + 2:d + 6], *cfg.eta_range),
-        tau=_fold(landscape.tau + cfg.tau_severity * draws[:, d + 6], *cfg.tau_range),
-        rotations=(_rotate(landscape.rotations, angles, orders) if cfg.rotation_enabled
+        eta=reflect(landscape.eta + cfg.eta_severity * draws[:, d + 2:d + 6], *cfg.eta_range),
+        tau=reflect(landscape.tau + cfg.tau_severity * draws[:, d + 6], *cfg.tau_range),
+        rotations=(update_rotation(landscape.rotations, angles, orders) if cfg.rotation_enabled
                    else landscape.rotations),
     )
 

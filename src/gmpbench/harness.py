@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .dynamics import advance_environment, init_landscape
-from .landscape import FIELD_TYPES, MAX_ARRAY_ELEMENTS, ScenarioConfig, _is_integer, evaluate_batch
+from .landscape import (FIELD_TYPES, MAX_ARRAY_ELEMENTS, _TYPE_RULES, ScenarioConfig,
+                        _is_integer, evaluate_batch)
 from .mqso import MQSO, SolverConfig
 from .protocol import BenchmarkSession, ScenarioComplete, best_before_change_error, offline_error
 
@@ -51,8 +52,8 @@ class RandomSearch:
     """Uniform random sampling of the search box, one point per evaluation.
 
     Points are drawn and sent in blocks of ``_RANDOM_BLOCK_ROWS``, which
-    draws the same stream as one point at a time; rows the session did not
-    consume are sent again.
+    draws the same stream as one point at a time. A call with no stop rule
+    consumes every row until the budget runs out, so each block is fresh.
     """
 
     def __init__(self, session: BenchmarkSession, rng: np.random.Generator):
@@ -61,13 +62,10 @@ class RandomSearch:
 
     def run(self):
         lb, ub = self.session.bounds
-        d = self.session.dimension
-        pending = np.empty((0, d))
+        shape = (_RANDOM_BLOCK_ROWS, self.session.dimension)
         try:
             while True:
-                if not pending.shape[0]:
-                    pending = self.rng.uniform(lb, ub, (_RANDOM_BLOCK_ROWS, d))
-                pending = pending[self.session.evaluate(pending).shape[0]:]
+                self.session.evaluate(self.rng.uniform(lb, ub, shape))
         except ScenarioComplete:
             return
 
@@ -293,20 +291,6 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return data
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# per field type: (accepts the JSON value, converts it, what it must be)
-_PARSERS = {
-    tuple: (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
-            lambda v: (float(v[0]), float(v[1])), "a two-element numeric array"),
-    bool: (lambda v: isinstance(v, bool), bool, "a boolean"),
-    int: (_is_integer, int, "an integer"),
-    float: (_is_number, float, "a number"),
-}
-
-
 def scenario_from_dict(data: dict) -> tuple[ScenarioConfig, list[str]]:
     """Build a config from a JSON object, filling defaults for omitted keys.
 
@@ -324,7 +308,7 @@ def scenario_from_dict(data: dict) -> tuple[ScenarioConfig, list[str]]:
         if key not in FIELD_TYPES:
             problems.append(f"unknown key {key!r}")
             continue
-        accepts, convert, what = _PARSERS[FIELD_TYPES[key]]
+        accepts, convert, what = _TYPE_RULES[FIELD_TYPES[key]]
         if not accepts(value):
             problems.append(f"{key} must be {what}")
             continue

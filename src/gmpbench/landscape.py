@@ -76,6 +76,27 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """The schema's number rule: an ``int`` or ``float`` that is not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    """The schema's range rule: a two-element list or tuple of numbers."""
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+
+
+# The schema's type rule, per field type: (accepts a value, converts an
+# accepted one, what it must be). The configs' violations and the JSON
+# parser both apply it.
+_TYPE_RULES = {
+    tuple: (_is_pair, lambda v: (float(v[0]), float(v[1])), "a two-element numeric array"),
+    bool: (lambda v: isinstance(v, bool), bool, "a boolean"),
+    int: (_is_integer, int, "an integer"),
+    float: (_is_number, float, "a number"),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Scenario parameters; defaults are the standard benchmark settings.
@@ -107,24 +128,30 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a malformed range is left as it is, for violations() to name
+        accepts, convert, _ = _TYPE_RULES[tuple]
         for name, kind in FIELD_TYPES.items():
-            if kind is tuple:
-                lo, hi = getattr(self, name)
-                object.__setattr__(self, name, (float(lo), float(hi)))
+            if kind is tuple and accepts(getattr(self, name)):
+                object.__setattr__(self, name, convert(getattr(self, name)))
 
     @property
     def budget(self) -> int:
         return self.change_frequency * self.num_environments
 
     def violations(self) -> list[str]:
-        """All violated constraints, each naming the offending field."""
+        """All violated constraints, each naming the offending field. A
+        field of the wrong type is named by the schema's type rule, and
+        the checks that need its value are skipped."""
         bad = []
         for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
+            accepts, _, what = _TYPE_RULES[kind]
             if kind is int:
                 least = 0 if name == "seed" else 1
-                if not _is_integer(value) or value < least:
+                if not accepts(value) or value < least:
                     bad.append(f"{name} must be an integer >= {least}")
+            elif not accepts(value):
+                bad.append(f"{name} must be {what}")
             elif kind is float:  # a severity
                 if not math.isfinite(value):
                     bad.append(f"{name} must be finite")
@@ -144,7 +171,7 @@ class ScenarioConfig:
                     bad.append("search_range must satisfy lower < upper")
                 elif lo > hi:
                     bad.append(f"{name} minimum exceeds maximum")
-        if self.width_range[0] <= 0:
+        if _is_pair(self.width_range) and self.width_range[0] <= 0:
             bad.append("width range must be positive")
         d = self.dimension
         # the largest quadratic form a component can reach, once its factors
@@ -152,16 +179,17 @@ class ScenarioConfig:
         # most sqrt(d) * (ub - lb), which the warp scales by at most
         # e^(2 max|tau|), and each is weighted by at most the largest width.
         # Its logarithm is compared, since math.exp raises OverflowError.
-        lb, ub = self.search_range
-        w_lo, w_hi = self.width_range
-        if (_is_integer(d) and d >= 1 and 0 < ub - lb < math.inf
-                and 0 < w_lo <= w_hi < math.inf and all(map(math.isfinite, self.tau_range))):
-            log_form = (2 * math.log(d) + math.log(w_hi) + 2 * math.log(ub - lb)
-                        + 4 * max(map(abs, self.tau_range)))
-            if not log_form < math.log(np.finfo(float).max):
-                bad.append("dimension, search_range, width_range and tau_range overflow a "
-                           "component's value: dimension * max width * (sqrt(dimension) * "
-                           "search width * e**(2 * max|tau|))**2 must be finite")
+        ranges = (self.search_range, self.width_range, self.tau_range)
+        if _is_integer(d) and d >= 1 and all(map(_is_pair, ranges)):
+            (lb, ub), (w_lo, w_hi), taus = ranges
+            if (0 < ub - lb < math.inf and 0 < w_lo <= w_hi < math.inf
+                    and all(map(math.isfinite, taus))):
+                log_form = (2 * math.log(d) + math.log(w_hi) + 2 * math.log(ub - lb)
+                            + 4 * max(map(abs, taus)))
+                if not log_form < math.log(np.finfo(float).max):
+                    bad.append("dimension, search_range, width_range and tau_range overflow a "
+                               "component's value: dimension * max width * (sqrt(dimension) * "
+                               "search width * e**(2 * max|tau|))**2 must be finite")
         # the largest arrays of a run, once their factors are valid
         for names, factors in (
                 ("change_frequency * num_environments",

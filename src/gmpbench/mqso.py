@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .landscape import _is_integer
+from .landscape import _is_integer, _is_number
 from .protocol import BenchmarkSession, ScenarioComplete
 
 __all__ = ["SolverConfig", "Swarm", "MQSO", "CHANGE_DETECTION_TOL"]
@@ -95,7 +95,9 @@ class SolverConfig:
 
     def violations(self) -> list[str]:
         """All violated constraints, each naming the offending field; radii
-        left as ``None`` are not violations here."""
+        left as ``None`` are not violations here. A constant or a set radius
+        that is not a number (a ``bool`` is not one) is named, and its range
+        checks are skipped."""
         bad = [f"{name} must be an integer" for name in _COUNTS
                if not _is_integer(getattr(self, name))]
         if not bad:
@@ -105,17 +107,24 @@ class SolverConfig:
                 bad.append("particle counts must be nonnegative")
             if self.neutral_count + self.quantum_count < 1:
                 bad.append("each swarm needs at least one particle")
+        # the finite numbers among the constants and the radii that are set
+        finite = {}
         for name in ("chi", "c1", "c2") + _RADII:
             v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
+            if v is None and name in _RADII:
+                continue
+            if not _is_number(v):
+                bad.append(f"{name} must be a number")
+            elif not math.isfinite(v):
                 bad.append(f"{name} must be finite")
-        if math.isfinite(self.chi) and not 0.0 < self.chi < 1.0:
+            else:
+                finite[name] = v
+        if "chi" in finite and not 0.0 < self.chi < 1.0:
             bad.append("chi must lie in (0, 1)")
-        if self.cloud_radius is not None and math.isfinite(self.cloud_radius) and self.cloud_radius < 0:
+        if finite.get("cloud_radius", 0.0) < 0:
             bad.append("cloud_radius must be nonnegative")
         for name in ("exclusion_radius", "convergence_radius"):
-            v = getattr(self, name)
-            if v is not None and math.isfinite(v) and v <= 0:
+            if finite.get(name, 1.0) <= 0:
                 bad.append(f"{name} must be positive")
         return bad
 

@@ -7,6 +7,9 @@ landscape silently advances (solvers get no notification; change detection
 is their job). Errors are best-so-far within the current environment, so the
 per-evaluation error sequence is non-increasing between changes.
 
+The ledger keeps only each evaluation's value and its environment's
+optimum; the errors and the indicators are derived from them when read.
+
 Only points inside the search box are scored. A point with a coordinate
 outside ``search_range``, NaN or infinite is rejected with ``ValueError``
 and costs no evaluation; it is not clamped into the box.
@@ -25,8 +28,6 @@ speculative moves and resend the rest.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -59,12 +60,10 @@ class ScenarioComplete(Exception):
 
 
 class EvaluationLedger:
-    """Per-evaluation error stream plus per-environment bests.
-
-    The ledger is decoupled from any landscape: it consumes a stream of
-    (value, environment optimum) pairs and does the best-so-far bookkeeping.
-    Raw values and optima are kept alongside the error stream so indicators
-    can be audited by an independent pass.
+    """A stream of (value, environment optimum) pairs, decoupled from any
+    landscape. Its only state is ``values``, ``optima`` and their count
+    ``total``; the errors and the position in the change schedule are
+    derived from them on each access.
     """
 
     def __init__(self, change_frequency: int, num_environments: int):
@@ -73,51 +72,52 @@ class EvaluationLedger:
         self.change_frequency = change_frequency
         self.num_environments = num_environments
         self.capacity = change_frequency * num_environments
-        self.errors = np.full(self.capacity, np.nan)
         self.values = np.full(self.capacity, np.nan)
         self.optima = np.full(self.capacity, np.nan)
-        self.env_final_errors = np.full(num_environments, np.nan)
         self.total = 0
-        self.env_eval_count = 0
-        self.environments_completed = 0
-        self._best_value = -math.inf
 
     @property
     def complete(self) -> bool:
         return self.total == self.capacity
 
-    def record(self, values, optimum_value: float) -> float:
+    @property
+    def env_eval_count(self) -> int:
+        return self.total % self.change_frequency
+
+    @property
+    def environments_completed(self) -> int:
+        return self.total // self.change_frequency
+
+    @property
+    def errors(self) -> np.ndarray:
+        """Each evaluation's optimum minus the best value so far in its
+        environment, as a fresh array; NaN where nothing is recorded yet."""
+        shape = (self.num_environments, self.change_frequency)
+        errors = np.maximum.accumulate(self.values.reshape(shape), axis=1)
+        np.subtract(self.optima.reshape(shape), errors, out=errors)
+        return errors.reshape(-1)
+
+    @property
+    def env_final_errors(self) -> np.ndarray:
+        """Each environment's last error; NaN until it is completed."""
+        return self.errors[self.change_frequency - 1::self.change_frequency]
+
+    def record(self, values, optimum_value: float) -> None:
         """Record one evaluation, or a block of evaluations in order, all in
-        the current environment; returns the best-so-far error the last one
-        leaves."""
+        the current environment."""
         if type(values) is not np.ndarray or values.ndim != 1 or values.dtype != np.float64:
             values = np.asarray(values, dtype=float).reshape(-1)
         n = values.shape[0]
         if n == 0:
             raise ValueError("cannot record an empty block of evaluations")
-        start = self.total
-        end = start + n
+        end = self.total + n
         if end > self.capacity:
             raise ValueError("ledger is full")
         if self.env_eval_count + n > self.change_frequency:
             raise ValueError("block runs past the end of the environment")
-        # the best-so-far values, then the errors, in place in the error slots
-        errors = self.errors[start:end]
-        np.maximum.accumulate(values, out=errors)
-        np.maximum(errors, self._best_value, out=errors)
-        self._best_value = errors[-1]
-        np.subtract(optimum_value, errors, out=errors)
-        self.values[start:end] = values
-        self.optima[start:end] = optimum_value
-        error = float(errors[-1])
+        self.values[self.total:end] = values
+        self.optima[self.total:end] = optimum_value
         self.total = end
-        self.env_eval_count += n
-        if self.env_eval_count == self.change_frequency:
-            self.env_final_errors[self.environments_completed] = error
-            self.environments_completed += 1
-            self.env_eval_count = 0
-            self._best_value = -math.inf
-        return error
 
 
 def offline_error(ledger: EvaluationLedger) -> float:
@@ -226,8 +226,7 @@ class BenchmarkSession:
                     end = n = done + first + 1
                     segment = segment[:first + 1]
             ledger.record(segment, self.landscape.optimum_value)
-            if (ledger.env_eval_count == 0
-                    and ledger.environments_completed < config.num_environments):
+            if ledger.env_eval_count == 0 and not ledger.complete:
                 self.landscape = advance_environment(self.landscape, config, self.rng)
             done = end
         return values[:done] if x.ndim == 2 else float(values[0])

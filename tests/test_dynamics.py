@@ -18,7 +18,6 @@ from gmpbench.dynamics import (
     ORTHOGONALITY_TOL,
     _orthonormalize,
     _pair_table,
-    _rotate,
     reflect,
     update_rotation,
 )
@@ -353,46 +352,57 @@ class TestInitialRotation:
             assert orthogonality_error(r) <= 1e-9
 
 
+def plane_orders(rng, m, d):
+    """One plane permutation per matrix, drawn as a change draws them."""
+    return np.stack([rng.permutation(d * (d - 1) // 2) for _ in range(m)])
+
+
 class TestUpdateRotation:
     def test_identity_at_zero_angle(self):
-        out = update_rotation(np.eye(4), 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(out, np.eye(4), atol=1e-15)
+        out = update_rotation(np.eye(4)[None], np.zeros(1),
+                              plane_orders(np.random.default_rng(0), 1, 4))
+        np.testing.assert_allclose(out[0], np.eye(4), atol=1e-15)
 
     def test_single_plane_2d(self):
         theta = math.pi / 9
-        out = update_rotation(np.eye(2), theta, np.random.default_rng(0))
+        out = update_rotation(np.eye(2)[None], [theta],
+                              plane_orders(np.random.default_rng(0), 1, 2))
         expect = [[math.cos(theta), -math.sin(theta)],
                   [math.sin(theta), math.cos(theta)]]
-        np.testing.assert_allclose(out, expect, atol=1e-15)
+        np.testing.assert_allclose(out[0], expect, atol=1e-15)
 
     def test_matches_explicit_matrix_product(self):
         # the two-row update must equal building each plane matrix and
-        # multiplying in the same permuted order
-        d, theta = 5, 0.37
-        r0 = initial_rotation(d, np.random.default_rng(5))
-        seed = 99
-        out = update_rotation(r0, theta, np.random.default_rng(seed))
+        # multiplying in the same permuted order, for every matrix of the
+        # stack with its own angle and order
+        d, thetas = 5, [0.37, -1.1]
+        rng = np.random.default_rng(5)
+        r0 = np.stack([initial_rotation(d, rng) for _ in thetas])
+        orders = plane_orders(np.random.default_rng(99), len(thetas), d)
+        out = update_rotation(r0, thetas, orders)
         pairs = plane_pairs(d)
-        order = np.random.default_rng(seed).permutation(len(pairs))
-        product = np.eye(d)
-        for idx in order:
-            product = product @ givens_matrix(d, pairs[idx], theta)
-        np.testing.assert_allclose(out, product @ r0, atol=1e-12)
+        for k, theta in enumerate(thetas):
+            product = np.eye(d)
+            for idx in orders[k]:
+                product = product @ givens_matrix(d, pairs[idx], theta)
+            np.testing.assert_allclose(out[k], product @ r0[k], atol=1e-12)
 
     @given(d=st.integers(1, 8), seed=st.integers(0, 1000), theta=st.floats(-math.pi, math.pi))
     @settings(max_examples=50)
     def test_stays_orthogonal(self, d, seed, theta):
         rng = np.random.default_rng(seed)
         r = initial_rotation(d, rng)
-        out = update_rotation(r, theta, rng)
+        out = update_rotation(r[None], [theta], plane_orders(rng, 1, d))[0]
         assert orthogonality_error(out) <= 1e-9
         assert abs(abs(np.linalg.det(out)) - 1.0) <= 1e-6
 
     def test_deterministic(self):
-        r = initial_rotation(6, np.random.default_rng(1))
-        a = update_rotation(r, 0.3, np.random.default_rng(7))
-        b = update_rotation(r, 0.3, np.random.default_rng(7))
+        r = initial_rotation(6, np.random.default_rng(1))[None]
+        before = r.copy()
+        a = update_rotation(r, [0.3], plane_orders(np.random.default_rng(7), 1, 6))
+        b = update_rotation(r, [0.3], plane_orders(np.random.default_rng(7), 1, 6))
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(r, before)  # the result is a fresh stack
 
     def test_unrepairable_drift_raises(self):
         # an 8x8 Hilbert matrix (condition number about 1e10) has pivots well
@@ -403,8 +413,14 @@ class TestUpdateRotation:
         assert orthogonality_error(gram_schmidt(hilbert)) > ORTHOGONALITY_TOL
         good = np.eye(8)
         with pytest.raises(ValueError, match="rotation matrix 1 is not orthogonal"):
-            _rotate(np.stack([good, hilbert]), np.zeros(2),
-                    np.tile(np.arange(28), (2, 1)))
+            update_rotation(np.stack([good, hilbert]), np.zeros(2),
+                            np.tile(np.arange(28), (2, 1)))
+
+
+def reflect_one(value, delta, lo, hi):
+    """``value`` moved by ``delta`` and folded into [lo, hi], through
+    :func:`reflect` on a one-element array."""
+    return float(reflect(np.array([value + delta]), lo, hi)[0])
 
 
 class TestReflect:
@@ -415,8 +431,8 @@ class TestReflect:
             "import numpy as np\n"
             "from gmpbench import ScenarioConfig, advance_environment, init_landscape\n"
             "from gmpbench.dynamics import reflect\n"
-            "v = reflect(0.0, 1e300, -1.0, 1.0)\n"
-            "assert -1.0 <= v <= 1.0, v\n"
+            "v = reflect(np.array([1e300, -1e300, 1e308]), -1.0, 1.0)\n"
+            "assert ((v >= -1.0) & (v <= 1.0)).all(), v\n"
             "cfg = ScenarioConfig(dimension=3, num_components=4, height_severity=1e12,\n"
             "                     num_environments=3)\n"
             "rng = np.random.default_rng(0)\n"
@@ -435,32 +451,42 @@ class TestReflect:
     @given(value=st.floats(-50, 50), delta=st.floats(-100, 100))
     def test_one_mirror_matches_the_loop(self, value, delta):
         # within a range width of an edge the fold is the exact mirror
-        assert reflect(value, delta, -50.0, 50.0) == oracle_reflect(value, delta, -50.0, 50.0)
+        assert reflect_one(value, delta, -50.0, 50.0) == oracle_reflect(value, delta, -50.0, 50.0)
+
+    def test_array_folds_elementwise(self):
+        rng = np.random.default_rng(3)
+        v = rng.uniform(-150.0, 150.0, (4, 5))
+        before = v.copy()
+        out = reflect(v, -50.0, 50.0)
+        assert out.shape == v.shape
+        np.testing.assert_array_equal(v, before)  # the result is a fresh array
+        np.testing.assert_array_equal(
+            out, [[oracle_reflect(x, 0.0, -50.0, 50.0) for x in row] for row in v.tolist()])
 
     def test_in_range_passes_through(self):
-        assert reflect(5.0, 2.0, 0.0, 10.0) == 7.0
+        assert reflect_one(5.0, 2.0, 0.0, 10.0) == 7.0
 
     def test_upper_reflection(self):
-        assert reflect(8.0, 5.0, 0.0, 10.0) == 7.0
+        assert reflect_one(8.0, 5.0, 0.0, 10.0) == 7.0
 
     def test_lower_reflection(self):
-        assert reflect(2.0, -5.0, 0.0, 10.0) == 3.0
+        assert reflect_one(2.0, -5.0, 0.0, 10.0) == 3.0
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
-            reflect(0.0, 0.0, 1.0, 0.0)
+            reflect(np.zeros(1), 1.0, 0.0)
 
     def test_degenerate_range(self):
-        assert reflect(5.0, 3.0, 5.0, 5.0) == 5.0
+        assert reflect_one(5.0, 3.0, 5.0, 5.0) == 5.0
 
     @given(value=st.floats(-50, 50), delta=st.floats(-500, 500))
     def test_always_lands_inside(self, value, delta):
-        v = reflect(value, delta, -50.0, 50.0)
+        v = reflect_one(value, delta, -50.0, 50.0)
         assert -50.0 <= v <= 50.0
 
     @given(value=st.floats(-50, 50))
     def test_zero_delta_in_range_is_identity(self, value):
-        assert reflect(value, 0.0, -50.0, 50.0) == value
+        assert reflect_one(value, 0.0, -50.0, 50.0) == value
 
 
 class TestUpdateComponent:

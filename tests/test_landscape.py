@@ -21,6 +21,8 @@ from gmpbench import (
     evaluate_raw,
     init_landscape,
     run_session,
+    scenario_from_dict,
+    scenario_to_dict,
     validate_config,
 )
 from gmpbench import landscape as landscape_module
@@ -746,3 +748,23 @@ class TestScenarioConfig:
     def test_validate_raises(self):
         with pytest.raises(ValueError, match="change_frequency"):
             ScenarioConfig(change_frequency=0).validate()
+
+    @pytest.mark.parametrize("name, value, what", [
+        ("shift_severity", True, "a number"),
+        ("shift_severity", "1", "a number"),
+        ("tau_severity", None, "a number"),
+        ("rotation_enabled", 1, "a boolean"),
+        ("search_range", "ab", "a two-element numeric array"),
+        ("tau_range", (-1.0, True), "a two-element numeric array"),
+        ("width_range", (1.0, 2.0, 3.0), "a two-element numeric array"),
+        ("width_range", 5.0, "a two-element numeric array"),
+    ])
+    def test_a_field_of_the_wrong_type_is_named(self, name, value, what):
+        # named in the parser's words, with the checks that need its value
+        # skipped; the parser names its JSON form the same way
+        cfg = ScenarioConfig(**{name: value})
+        assert cfg.violations() == [f"{name} must be {what}"]
+        with pytest.raises(ValueError, match=f"{name} must be {what}"):
+            cfg.validate()
+        data = dict(scenario_to_dict(ScenarioConfig()), **{name: value})
+        assert scenario_from_dict(data)[1] == [f"{name} must be {what}"]

@@ -141,6 +141,24 @@ class TestSolverConfig:
             run_experiment(spec)
 
 
+    @pytest.mark.parametrize("name", ["chi", "c1", "c2", "cloud_radius",
+                                      "exclusion_radius", "convergence_radius"])
+    @pytest.mark.parametrize("value", ["0.5", True, [0.5]])
+    def test_constants_that_are_not_numbers_are_violations(self, name, value):
+        # named, not crashed on; a bool is not a number
+        scenario = ScenarioConfig(dimension=2, num_components=3)
+        cfg = SolverConfig.for_scenario(scenario, **{name: value})
+        assert cfg.violations() == [f"{name} must be a number"]
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            MQSO(make_session(), cfg, np.random.default_rng(0))
+        spec = ExperimentSpec(scenario=scenario, solver_config=cfg, run_count=1)
+        with pytest.raises(ValueError, match=f"invalid experiment spec: {name} must be a number"):
+            run_experiment(spec)
+
+    def test_chi_left_unset_is_a_violation(self):
+        assert SolverConfig(chi=None).violations() == ["chi must be a number"]
+
+
 class TestRadiusRule:
     @pytest.mark.parametrize("name", ["cloud_radius", "exclusion_radius", "convergence_radius"])
     def test_unresolved_radius_rejected(self, name):

@@ -23,6 +23,66 @@ def feed(ledger, pairs):
         ledger.record(value, opt)
 
 
+class IncrementalLedger:
+    """Oracle: the ledger as it was kept before its errors were derived.
+
+    Each ``record`` updates the best-so-far errors and each environment's
+    final error in place, carrying the best value across the blocks of an
+    environment, and returns the error the last evaluation leaves.
+    """
+
+    def __init__(self, change_frequency, num_environments):
+        self.change_frequency = change_frequency
+        capacity = change_frequency * num_environments
+        self.errors = np.full(capacity, np.nan)
+        self.env_final_errors = np.full(num_environments, np.nan)
+        self.total = 0
+        self.env_eval_count = 0
+        self.environments_completed = 0
+        self._best_value = -math.inf
+
+    def record(self, values, optimum_value):
+        values = np.asarray(values, dtype=float).reshape(-1)
+        n = values.shape[0]
+        errors = self.errors[self.total:self.total + n]
+        np.maximum.accumulate(values, out=errors)
+        np.maximum(errors, self._best_value, out=errors)
+        self._best_value = errors[-1]
+        np.subtract(optimum_value, errors, out=errors)
+        error = float(errors[-1])
+        self.total += n
+        self.env_eval_count += n
+        if self.env_eval_count == self.change_frequency:
+            self.env_final_errors[self.environments_completed] = error
+            self.environments_completed += 1
+            self.env_eval_count = 0
+            self._best_value = -math.inf
+        return error
+
+
+def assert_same_bits(a, b):
+    """Equal dtype, NaN in the same slots, and the same bytes elsewhere."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    nan = np.isnan(a)
+    np.testing.assert_array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def random_blocks(rng, change_frequency, num_environments):
+    """Block lengths that fill a ledger, none crossing an environment end:
+    a mix of one-row blocks, blocks that end on the boundary and random
+    splits."""
+    blocks = []
+    for _ in range(num_environments):
+        left = change_frequency
+        while left:
+            kind = rng.integers(3)
+            n = 1 if kind == 0 else left if kind == 1 else int(rng.integers(1, left + 1))
+            blocks.append(n)
+            left -= n
+    return blocks
+
+
 def indicators_by_hand(values, optima, change_frequency):
     """Independent recomputation: best-so-far per environment, then averages."""
     values = np.asarray(values, dtype=float)
@@ -52,7 +112,53 @@ class TestLedger:
 
     def test_first_evaluation_at_optimum(self):
         led = EvaluationLedger(1, 1)
-        assert led.record(50.0, 50.0) == 0.0
+        led.record(50.0, 50.0)
+        assert led.errors[0] == 0.0
+
+    @pytest.mark.parametrize("frequency,environments", [(1, 1), (1, 6), (2, 3), (7, 4), (25, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_derived_state_matches_the_incremental_oracle(self, frequency, environments, seed):
+        rng = np.random.default_rng(seed)
+        optima = rng.uniform(60, 80, environments)
+        led = EvaluationLedger(frequency, environments)
+        oracle = IncrementalLedger(frequency, environments)
+        for n in random_blocks(rng, frequency, environments):
+            # a small value set, so that blocks tie with the carried best
+            values = rng.choice(rng.uniform(-50, 70, 4), n)
+            optimum = optima[oracle.environments_completed]
+            led.record(values, optimum)
+            last = oracle.record(values, optimum)
+            assert_same_bits(led.errors, oracle.errors)
+            assert_same_bits(led.env_final_errors, oracle.env_final_errors)
+            assert led.errors[led.total - 1] == last
+            assert (led.total, led.env_eval_count, led.environments_completed) == (
+                oracle.total, oracle.env_eval_count, oracle.environments_completed)
+        assert led.complete
+
+    def test_state_is_values_optima_and_total(self):
+        led = EvaluationLedger(3, 2)
+        state = dict(vars(led))
+        assert set(state) == {"change_frequency", "num_environments", "capacity",
+                              "values", "optima", "total"}
+        for n in (2, 1, 3):
+            led.record(np.ones(n), 2.0)
+        assert set(vars(led)) == set(state)
+        for name, value in state.items():
+            if name != "total":
+                assert getattr(led, name) is value
+        assert led.total == 6
+
+    def test_writing_into_returned_errors_changes_no_indicator(self):
+        rng = np.random.default_rng(4)
+        led = EvaluationLedger(5, 3)
+        for optimum in (70.0, 75.0, 72.0):
+            led.record(rng.uniform(0, 60, 5), optimum)
+        before = offline_error(led), best_before_change_error(led)
+        errors = led.errors
+        errors[:] = -1.0
+        led.env_final_errors[:] = -1.0
+        assert led.errors is not errors
+        assert (offline_error(led), best_before_change_error(led)) == before
 
     def test_nonincreasing_within_environment(self):
         rng = np.random.default_rng(0)

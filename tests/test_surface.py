@@ -16,10 +16,21 @@ MODULES = (gmpbench, dynamics, harness, landscape, mqso, protocol)
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # the per-component object model, replaced by the stacked Landscape arrays,
-# and the one-matrix rotation helpers, now the oracles of tests/test_dynamics.py
+# the one-matrix rotation helpers, now the oracles of tests/test_dynamics.py,
+# and the private names of the stacked rotation and fold, now update_rotation
+# and reflect
 DELETED = ("ComponentState", "make_landscape", "component_value",
            "update_component", "irregularity_transform", "optimum",
-           "plane_pairs", "orthogonality_error", "gram_schmidt", "initial_rotation")
+           "plane_pairs", "orthogonality_error", "gram_schmidt", "initial_rotation",
+           "_rotate", "_fold")
+
+
+def load_tracer():
+    """The benchmark's tracer module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("_gmpbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def test_every_exported_name_resolves():
@@ -60,12 +71,25 @@ def test_deleted_names_are_gone(module):
 def test_every_traced_name_is_defined_where_the_tracer_patches_it():
     # the tracer replaces owner.__dict__[attr]; a name removed from its
     # owner would fail only when the benchmark runs
-    spec = importlib.util.spec_from_file_location("_gmpbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_tracer()
     assert tracer.TARGETS
     for owner, attr, *_ in tracer.TARGETS:
         assert attr in owner.__dict__, (owner.__name__, attr)
+
+
+def test_traced_dynamics_names_are_the_code_that_runs():
+    # a change folds its six parameter arrays and rotates its stack through
+    # the names the tracer patches, so their spans are entered
+    tracer = load_tracer().Tracer()
+    scenario = landscape.ScenarioConfig(dimension=3, num_components=4, change_frequency=20,
+                                        num_environments=4, seed=5)
+    assert scenario.rotation_enabled
+    with tracer.installed():
+        harness.run_session(scenario, "random")
+    changes = scenario.num_environments - 1
+    assert tracer.calls("dynamics.advance_environment") == changes
+    assert tracer.calls("dynamics.update_rotation") == changes
+    assert tracer.calls("dynamics.reflect") == 6 * changes
 
 
 def test_signatures_without_the_removed_flags():
