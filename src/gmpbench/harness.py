@@ -20,9 +20,9 @@ import numpy as np
 from . import __version__
 from .dynamics import advance_environment, init_landscape
 from .landscape import (FIELD_TYPES, MAX_ARRAY_ELEMENTS, _TYPE_RULES, ScenarioConfig,
-                        _is_integer, evaluate_batch)
+                        _is_finite, _is_integer, evaluate_batch)
 from .mqso import MQSO, SolverConfig
-from .protocol import BenchmarkSession, ScenarioComplete, best_before_change_error, offline_error
+from .protocol import BenchmarkSession, ScenarioComplete
 
 __all__ = [
     "ExperimentError",
@@ -72,11 +72,14 @@ class RandomSearch:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A multi-run experiment: scenario, solver choice, seeds, output."""
+    """A multi-run experiment: scenario, solver choice, seeds, output.
+
+    The mQSO runs use ``SolverConfig.for_scenario(scenario)``, which the
+    result reports as ``solver_params``.
+    """
 
     scenario: ScenarioConfig
     solver: str = "mqso"
-    solver_config: SolverConfig | None = None
     run_count: int = 31
     master_seed: int = 0
     output_dir: str | Path | None = None
@@ -89,8 +92,6 @@ class ExperimentSpec:
             bad.append("run_count must be an integer >= 1")
         if not _is_integer(self.master_seed) or self.master_seed < 0:
             bad.append("master_seed must be a nonnegative integer")
-        if self.solver_config is not None:
-            bad.extend(self.solver_config.violations())
         return bad
 
 
@@ -99,23 +100,14 @@ def _solver_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, 1])
 
 
-def _resolved_solver_config(scenario: ScenarioConfig,
-                            solver_config: SolverConfig | None) -> SolverConfig:
-    """``solver_config`` (default: :class:`SolverConfig`) with the radii it
-    leaves open tied to ``scenario``."""
-    given = solver_config if solver_config is not None else SolverConfig()
-    return SolverConfig.for_scenario(scenario, **dataclasses.asdict(given))
-
-
 def run_session(scenario: ScenarioConfig, solver: str = "mqso",
-                solver_config: SolverConfig | None = None,
                 seed: int | None = None) -> tuple[dict, BenchmarkSession]:
     """Drive one full session and return (run record, session).
 
     ``seed`` overrides the scenario seed; the solver draws from a separate
-    stream derived from the same seed. ``solver_config`` is the mQSO config
-    with its radii set, as :meth:`SolverConfig.for_scenario` gives it;
-    ``None`` runs the default config resolved for ``scenario``.
+    stream derived from the same seed. mQSO runs with
+    ``SolverConfig.for_scenario(scenario)``; its radii do not depend on the
+    seed.
     """
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
@@ -123,9 +115,7 @@ def run_session(scenario: ScenarioConfig, solver: str = "mqso",
     rng = _solver_rng(scenario.seed)
     try:
         if solver == "mqso":
-            if solver_config is None:
-                solver_config = _resolved_solver_config(scenario, None)
-            MQSO(session, solver_config, rng).run()
+            MQSO(session, SolverConfig.for_scenario(scenario), rng).run()
         elif solver == "random":
             RandomSearch(session, rng).run()
         else:
@@ -150,12 +140,11 @@ def _mean_sem(values: list[float]) -> dict:
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run all sessions of an experiment; returns (and optionally writes) the
-    result record."""
+    result record. Its ``solver_params`` is the mQSO config every run used,
+    and empty for random search."""
     bad = spec.violations()
     if bad:
         raise ValueError("invalid experiment spec: " + "; ".join(bad))
-    solver_config = (_resolved_solver_config(spec.scenario, spec.solver_config)
-                     if spec.solver == "mqso" else None)
     if spec.output_dir is not None:
         # an unwritable output path fails here, before any run's compute
         Path(spec.output_dir).mkdir(parents=True, exist_ok=True)
@@ -163,7 +152,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     for i in range(spec.run_count):
         seed_i = spec.master_seed + i
         try:
-            record, _ = run_session(spec.scenario, spec.solver, solver_config, seed=seed_i)
+            record, _ = run_session(spec.scenario, spec.solver, seed=seed_i)
         except Exception as exc:
             raise ExperimentError(f"run {i} (seed {seed_i}) failed: {exc}") from exc
         record["run_index"] = i
@@ -172,7 +161,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "artifact_version": __version__,
         "scenario": scenario_to_dict(spec.scenario),
         "solver": spec.solver,
-        "solver_params": dataclasses.asdict(solver_config) if solver_config is not None else {},
+        "solver_params": (dataclasses.asdict(SolverConfig.for_scenario(spec.scenario))
+                          if spec.solver == "mqso" else {}),
         "master_seed": spec.master_seed,
         "run_count": spec.run_count,
         "runs": runs,
@@ -207,8 +197,11 @@ def write_result(result: dict, output_dir: str | Path) -> tuple[Path, Path]:
 # -- landscape grids ---------------------------------------------------------
 
 def landscape_at(scenario: ScenarioConfig, env_index: int):
-    """Fresh landscape advanced to the given environment index."""
+    """Fresh landscape advanced to the given environment index, an integer
+    by the schema's rule (a ``bool`` is not one)."""
     scenario.validate()
+    if not _is_integer(env_index):
+        raise ValueError(f"environment index must be an integer, got {env_index!r}")
     if not 0 <= env_index < scenario.num_environments:
         raise ValueError(f"environment index {env_index} outside 0..{scenario.num_environments - 1}")
     rng = np.random.default_rng(scenario.seed)
@@ -225,13 +218,14 @@ def export_grid(scenario: ScenarioConfig, env_index: int, resolution: int,
     Rows are ``x1,x2,f`` with ``x2`` varying fastest; grid lines include both
     domain edges. Component metadata (centers, heights, widths, angle, tau,
     eta, rotation flag) goes to ``<out>.meta.json``. Identical inputs produce
-    identical bytes. A grid of more than ``MAX_ARRAY_ELEMENTS`` points is
+    identical bytes. ``env_index`` and ``resolution`` are integers by the
+    schema's rule. A grid of more than ``MAX_ARRAY_ELEMENTS`` points is
     rejected before any compute.
     """
     if scenario.dimension != 2:
         raise ValueError(f"grid export requires a 2-d scenario, got dimension {scenario.dimension}")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    if not _is_integer(resolution) or resolution < 2:
+        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
     if resolution ** 2 > MAX_ARRAY_ELEMENTS:
         raise ValueError(f"resolution {resolution} gives {resolution ** 2} grid points, "
                          f"above the {MAX_ARRAY_ELEMENTS} a grid may hold")
@@ -308,14 +302,17 @@ def scenario_from_dict(data: dict) -> tuple[ScenarioConfig, list[str]]:
         if key not in FIELD_TYPES:
             problems.append(f"unknown key {key!r}")
             continue
-        accepts, convert, what = _TYPE_RULES[FIELD_TYPES[key]]
+        kind = FIELD_TYPES[key]
+        accepts, convert, what = _TYPE_RULES[kind]
         if not accepts(value):
             problems.append(f"{key} must be {what}")
-            continue
-        try:
-            kwargs[key] = convert(value)
-        except OverflowError:  # an integer beyond the float range
+        elif kind in (float, tuple) and not all(
+                map(_is_finite, filter(_is_integer, value if kind is tuple else [value]))):
+            # an integer beyond the float range; a float one is read as an
+            # infinity, which violations() names
             problems.append(f"{key} must be finite")
+        else:
+            kwargs[key] = convert(value)
     cfg = ScenarioConfig(**kwargs)
     problems.extend(cfg.violations())
     return cfg, problems

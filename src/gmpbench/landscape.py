@@ -43,6 +43,7 @@ dynamics module between environments.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass, field, fields
 
@@ -70,6 +71,8 @@ _MAX_DRAW = 64.0
 # time.
 MAX_ARRAY_ELEMENTS = 1 << 26
 
+_FLOAT_MAX = sys.float_info.max
+
 
 def _is_integer(value) -> bool:
     """The schema's integer rule: an ``int`` that is not a ``bool``."""
@@ -79,6 +82,13 @@ def _is_integer(value) -> bool:
 def _is_number(value) -> bool:
     """The schema's number rule: an ``int`` or ``float`` that is not a ``bool``."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """The schema's finiteness rule for a number: NaN, the infinities and
+    an ``int`` beyond the float range are not finite. The comparison is
+    exact, so it never converts an ``int`` to a float."""
+    return -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
 def _is_pair(value) -> bool:
@@ -128,11 +138,13 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a malformed range is left as it is, for violations() to name
+        # a malformed range, or one with an int beyond the float range, is
+        # left as it is, for violations() to name
         accepts, convert, _ = _TYPE_RULES[tuple]
         for name, kind in FIELD_TYPES.items():
-            if kind is tuple and accepts(getattr(self, name)):
-                object.__setattr__(self, name, convert(getattr(self, name)))
+            value = getattr(self, name)
+            if kind is tuple and accepts(value) and all(map(_is_finite, filter(_is_integer, value))):
+                object.__setattr__(self, name, convert(value))
 
     @property
     def budget(self) -> int:
@@ -153,7 +165,7 @@ class ScenarioConfig:
             elif not accepts(value):
                 bad.append(f"{name} must be {what}")
             elif kind is float:  # a severity
-                if not math.isfinite(value):
+                if not _is_finite(value):
                     bad.append(f"{name} must be finite")
                 elif value < 0:
                     bad.append(f"{name} must be nonnegative")
@@ -163,9 +175,9 @@ class ScenarioConfig:
                     bad.append(f"{name} is too large: {_MAX_DRAW:g} * {name} must be finite")
             elif kind is tuple:
                 lo, hi = value
-                if not (math.isfinite(lo) and math.isfinite(hi)):
+                if not (_is_finite(lo) and _is_finite(hi)):
                     bad.append(f"{name} bounds must be finite")
-                elif not math.isfinite(hi - lo):
+                elif not _is_finite(hi - lo):
                     bad.append(f"{name} width (upper - lower) must be finite")
                 elif name == "search_range" and not lo < hi:
                     bad.append("search_range must satisfy lower < upper")
@@ -182,8 +194,8 @@ class ScenarioConfig:
         ranges = (self.search_range, self.width_range, self.tau_range)
         if _is_integer(d) and d >= 1 and all(map(_is_pair, ranges)):
             (lb, ub), (w_lo, w_hi), taus = ranges
-            if (0 < ub - lb < math.inf and 0 < w_lo <= w_hi < math.inf
-                    and all(map(math.isfinite, taus))):
+            if (all(map(_is_finite, (lb, ub, ub - lb, w_lo, w_hi, *taus)))
+                    and 0 < ub - lb and 0 < w_lo <= w_hi):
                 log_form = (2 * math.log(d) + math.log(w_hi) + 2 * math.log(ub - lb)
                             + 4 * max(map(abs, taus)))
                 if not log_form < math.log(np.finfo(float).max):

@@ -31,12 +31,11 @@ reproducible from the seed.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landscape import _is_integer, _is_number
+from .landscape import _is_finite, _is_integer, _is_number
 from .protocol import BenchmarkSession, ScenarioComplete
 
 __all__ = ["SolverConfig", "Swarm", "MQSO", "CHANGE_DETECTION_TOL"]
@@ -52,20 +51,19 @@ class SolverConfig:
     """mQSO parameters.
 
     ``chi``, ``c1``, ``c2`` are the standard constriction constants. The
-    three radii have one rule, applied by :meth:`for_scenario` to the radii
-    left as ``None``, after Blackwell & Branke (2006):
+    three radii are required keyword arguments. :meth:`for_scenario` sets
+    them by one rule, after Blackwell & Branke (2006):
 
     * ``cloud_radius`` = the scenario's ``shift_severity``;
     * ``exclusion_radius`` = ``convergence_radius`` =
       ``0.5 * (ub - lb) / num_components ** (1 / dimension)``, half the
       expected spacing of the peaks in the search box ``[lb, ub]``.
 
-    :class:`MQSO` takes a config with all three radii set, so the solver
-    that the harness runs and one built by hand from ``for_scenario`` are
-    the same solver. The exclusion and convergence radii must be positive.
-    The cloud radius may be 0, as it is for a scenario whose peaks do not
-    move (``shift_severity`` 0): each quantum particle then samples the
-    global best itself.
+    The harness runs the config that ``for_scenario`` gives; another one is
+    built with :func:`dataclasses.replace`. The exclusion and convergence
+    radii must be positive. The cloud radius may be 0, as it is for a
+    scenario whose peaks do not move (``shift_severity`` 0): each quantum
+    particle then samples the global best itself.
     """
 
     num_swarms: int = 10
@@ -74,30 +72,23 @@ class SolverConfig:
     chi: float = 0.729843788
     c1: float = 2.05
     c2: float = 2.05
-    cloud_radius: float | None = None
-    exclusion_radius: float | None = None
-    convergence_radius: float | None = None
+    cloud_radius: float = field(kw_only=True)
+    exclusion_radius: float = field(kw_only=True)
+    convergence_radius: float = field(kw_only=True)
 
     @classmethod
-    def for_scenario(cls, scenario, **overrides) -> "SolverConfig":
-        """A config with ``overrides`` and the radii they leave open
-        resolved from ``scenario`` by the rule of the class docstring."""
-        cfg = cls(**overrides)
+    def for_scenario(cls, scenario) -> "SolverConfig":
+        """The default constants with the radii set from ``scenario`` by the
+        rule of the class docstring."""
         lb, ub = scenario.search_range
         spacing = 0.5 * (ub - lb) / scenario.num_components ** (1.0 / scenario.dimension)
-        if cfg.cloud_radius is None:
-            cfg = replace(cfg, cloud_radius=scenario.shift_severity)
-        if cfg.exclusion_radius is None:
-            cfg = replace(cfg, exclusion_radius=spacing)
-        if cfg.convergence_radius is None:
-            cfg = replace(cfg, convergence_radius=spacing)
-        return cfg
+        return cls(cloud_radius=scenario.shift_severity, exclusion_radius=spacing,
+                   convergence_radius=spacing)
 
     def violations(self) -> list[str]:
-        """All violated constraints, each naming the offending field; radii
-        left as ``None`` are not violations here. A constant or a set radius
-        that is not a number (a ``bool`` is not one) is named, and its range
-        checks are skipped."""
+        """All violated constraints, each naming the offending field. A
+        constant or radius that is not a number (a ``bool`` or ``None`` is
+        not one) is named, and its range checks are skipped."""
         bad = [f"{name} must be an integer" for name in _COUNTS
                if not _is_integer(getattr(self, name))]
         if not bad:
@@ -107,15 +98,13 @@ class SolverConfig:
                 bad.append("particle counts must be nonnegative")
             if self.neutral_count + self.quantum_count < 1:
                 bad.append("each swarm needs at least one particle")
-        # the finite numbers among the constants and the radii that are set
+        # the finite numbers among the constants and the radii
         finite = {}
         for name in ("chi", "c1", "c2") + _RADII:
             v = getattr(self, name)
-            if v is None and name in _RADII:
-                continue
             if not _is_number(v):
                 bad.append(f"{name} must be a number")
-            elif not math.isfinite(v):
+            elif not _is_finite(v):
                 bad.append(f"{name} must be finite")
             else:
                 finite[name] = v
@@ -203,19 +192,15 @@ class MQSO:
     exclusion and anti-convergence. Swarm reinitializations evaluate the
     fresh particles right away, so the ledger accounts for every evaluation
     the solver causes. Budget exhaustion surfaces as ``ScenarioComplete``
-    from any evaluating call; a partially executed step is valid. The radii
-    are read from ``config``, which must have all three set. Every random
-    draw comes from ``rng``, so a run is reproducible from the generator's
-    seed.
+    from any evaluating call; a partially executed step is valid. A
+    ``config`` with a violation is rejected with ``ValueError``. Every
+    random draw comes from ``rng``, so a run is reproducible from the
+    generator's seed.
     """
 
     def __init__(self, session: BenchmarkSession, config: SolverConfig,
                  rng: np.random.Generator):
         bad = config.violations()
-        unresolved = [name for name in _RADII if getattr(config, name) is None]
-        if unresolved:
-            bad.append(f"{', '.join(unresolved)} not set; resolve the radii with "
-                       "SolverConfig.for_scenario(scenario)")
         if bad:
             raise ValueError("invalid solver config: " + "; ".join(bad))
         self.session = session

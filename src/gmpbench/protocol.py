@@ -49,14 +49,8 @@ class IncompleteLedgerError(ValueError):
 
 
 class ScenarioComplete(Exception):
-    """The evaluation budget is spent. Carries the final indicators."""
-
-    def __init__(self, offline_error: float, best_before_change_error: float):
-        super().__init__(
-            f"scenario complete: offline error {offline_error:.6g}, "
-            f"best-before-change error {best_before_change_error:.6g}")
-        self.offline_error = offline_error
-        self.best_before_change_error = best_before_change_error
+    """The evaluation budget is spent. A plain signal: the indicators are
+    read from the session with :meth:`BenchmarkSession.indicators`."""
 
 
 class EvaluationLedger:
@@ -195,7 +189,7 @@ class BenchmarkSession:
         """
         ledger = self.ledger
         if ledger.complete:
-            raise ScenarioComplete(offline_error(ledger), best_before_change_error(ledger))
+            raise ScenarioComplete("scenario complete: the evaluation budget is spent")
         if type(x) is not np.ndarray or x.dtype != np.float64:
             x = np.asarray(x, dtype=float)
         config = self.config

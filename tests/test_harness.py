@@ -54,28 +54,27 @@ class TestExperiment:
     def test_solver_params_are_the_resolved_config(self):
         scenario = ScenarioConfig(dimension=2, num_components=4, change_frequency=60,
                                   num_environments=2)
-        spec = ExperimentSpec(scenario=scenario, solver_config=SolverConfig(num_swarms=2),
-                              run_count=1)
+        spec = ExperimentSpec(scenario=scenario, run_count=1)
         result = run_experiment(spec)
-        resolved = SolverConfig.for_scenario(scenario, num_swarms=2)
+        resolved = SolverConfig.for_scenario(scenario)
         assert result["solver_params"] == dataclasses.asdict(resolved)
         assert run_experiment(dataclasses.replace(spec, solver="random"))["solver_params"] == {}
 
-    def test_solver_config_is_resolved_once(self, monkeypatch):
-        calls = []
+    def test_each_run_uses_the_reported_config(self, monkeypatch):
+        configs = []
 
-        def resolve(*args):
-            calls.append(args)
-            return original(*args)
+        class Capturing(harness.MQSO):
+            def __init__(self, session, config, rng):
+                configs.append(config)
+                super().__init__(session, config, rng)
 
-        original = harness._resolved_solver_config
-        monkeypatch.setattr(harness, "_resolved_solver_config", resolve)
-        scenario = ScenarioConfig(dimension=2, num_components=2, change_frequency=120,
-                                  num_environments=1)
+        monkeypatch.setattr(harness, "MQSO", Capturing)
+        scenario = ScenarioConfig(dimension=3, num_components=5, shift_severity=1.5,
+                                  change_frequency=120, num_environments=1)
         result = run_experiment(ExperimentSpec(scenario=scenario, run_count=3))
-        assert len(calls) == 1
-        assert len(result["runs"]) == 3
-
+        assert len(configs) == 3
+        assert [dataclasses.asdict(c) for c in configs] == [result["solver_params"]] * 3
+        assert result["solver_params"]["cloud_radius"] == 1.5
 
     @pytest.mark.parametrize("name, message", [
         ("run_count", "run_count must be an integer >= 1"),
@@ -87,6 +86,25 @@ class TestExperiment:
 
 
 class TestExportGrid:
+    @pytest.mark.parametrize("env_index, resolution, name", [
+        (True, 5, "environment index"),
+        (1.5, 5, "environment index"),
+        (1.0, 5, "environment index"),
+        (0, 2.5, "resolution"),
+        (0, 5.0, "resolution"),
+        (0, True, "resolution"),
+    ])
+    def test_arguments_follow_the_schema_integer_rule(self, tmp_path, env_index, resolution,
+                                                      name):
+        # a bool or a float is not an integer; it is named, and nothing is written
+        scenario = ScenarioConfig(dimension=2, num_components=3, num_environments=3)
+        with pytest.raises(ValueError, match=name):
+            export_grid(scenario, env_index, resolution, tmp_path / "grid.csv")
+        assert not (tmp_path / "grid.csv").exists()
+        if name == "environment index":
+            with pytest.raises(ValueError, match=name):
+                landscape_at(scenario, env_index)
+
     def test_csv_rows_are_grid_points_and_their_exact_values(self, tmp_path):
         scenario = ScenarioConfig(dimension=2, num_components=5, num_environments=3, seed=4)
         csv_path, _ = export_grid(scenario, 2, 7, tmp_path / "grid.csv")

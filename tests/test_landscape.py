@@ -591,6 +591,65 @@ class TestModality:
                 np.testing.assert_allclose(self.HEIGHT - values, depth, rtol=1e-12)
 
 
+class TestSeparabilityAndSymmetry:
+    """The paper's separability and symmetry claims, on one component."""
+
+    GRID = np.linspace(-100.0, 100.0, 401)
+
+    def line_argmaxes(self, landscape, j, others):
+        """For each row of ``others``, the grid index of the best ``x_j`` on
+        the line through that row along axis ``j``."""
+        argmaxes = set()
+        for row in others:
+            points = np.repeat(row[None], len(self.GRID), axis=0)
+            points[:, j] = self.GRID
+            argmaxes.add(int(np.argmax(evaluate_raw(points, landscape))))
+        return argmaxes
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_unrotated_component_is_separable(self, seed):
+        # the value is height - sqrt(sum_j w_j T(x_j - c_j)^2): along axis j
+        # the best x_j minimizes |T(x_j - c_j)| whatever the other coordinates
+        cfg = ScenarioConfig(dimension=3, num_components=1, rotation_enabled=False,
+                             num_environments=4, seed=seed)
+        rng = np.random.default_rng(seed)
+        landscapes = [init_landscape(cfg, rng)]
+        for _ in range(cfg.num_environments - 1):
+            landscapes.append(advance_environment(landscapes[-1], cfg, rng))
+        others = np.random.default_rng(seed + 100).uniform(-100.0, 100.0, (25, 3))
+        for landscape in landscapes:
+            for j in range(3):
+                assert len(self.line_argmaxes(landscape, j, others)) == 1, (j, landscape.environment_index)
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_rotated_component_is_not_separable(self, seed):
+        cfg = ScenarioConfig(dimension=3, num_components=1, seed=seed)
+        landscape = init_landscape(cfg, np.random.default_rng(seed))
+        others = np.random.default_rng(seed + 100).uniform(-100.0, 100.0, (25, 3))
+        assert any(len(self.line_argmaxes(landscape, j, others)) > 1 for j in range(3))
+
+    @pytest.mark.parametrize("eta, symmetric", [
+        ((3.0, -4.5, 3.0, -4.5), True),
+        ((3.0, -4.5, 8.0, 1.5), False),
+        ((3.0, -4.5, -4.5, 3.0), True),
+        ((3.0, -4.5, 3.0, 4.5), False),
+    ])
+    def test_unequal_eta_pairs_break_the_mirror_symmetry(self, eta, symmetric):
+        # |T(-y)| = |T(y)| when the negative side's frequencies are the
+        # positive side's; otherwise c + t e_j and c - t e_j score apart
+        center = np.array([5.0, -20.0, 40.0])
+        comp = plain_component(center, 50.0, [2.0, 7.0, 11.0], tau=0.4, eta=eta)
+        t = np.geomspace(1e-2, 50.0, 500)
+        for j in range(3):
+            step = t[:, None] * np.eye(3)[j]
+            plus = evaluate_raw(center + step, comp)
+            minus = evaluate_raw(center - step, comp)
+            if symmetric:
+                np.testing.assert_allclose(plus, minus, rtol=1e-9)
+            else:
+                assert np.abs(plus - minus).max() > 1.0, j
+
+
 class TestOptimum:
     def test_single_component(self):
         comp = plain_component([4.0, 5.0], 50.0, [1.0, 1.0])
@@ -748,6 +807,24 @@ class TestScenarioConfig:
     def test_validate_raises(self):
         with pytest.raises(ValueError, match="change_frequency"):
             ScenarioConfig(change_frequency=0).validate()
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("search_range", (0, 10 ** 400), "search_range bounds must be finite"),
+        ("tau_range", (-10 ** 400, 1), "tau_range bounds must be finite"),
+        ("width_range", [1, 10 ** 400], "width_range bounds must be finite"),
+        ("shift_severity", 10 ** 400, "shift_severity must be finite"),
+        ("height_severity", -10 ** 400, "height_severity must be finite"),
+    ], ids=["search_range", "tau_range", "width_range", "shift_severity", "height_severity"])
+    def test_an_integer_beyond_the_float_range_is_not_finite(self, name, value, message):
+        # named, not crashed on; such a range is left as given, and the
+        # parser keeps its own words for the JSON form
+        cfg = ScenarioConfig(**{name: value})
+        assert getattr(cfg, name) == value
+        assert cfg.violations() == [message]
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
+        data = dict(scenario_to_dict(ScenarioConfig()), **{name: value})
+        assert scenario_from_dict(data)[1] == [f"{name} must be finite"]
 
     @pytest.mark.parametrize("name, value, what", [
         ("shift_severity", True, "a number"),

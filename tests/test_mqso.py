@@ -50,9 +50,17 @@ class ZeroNormalOnce:
         return draw
 
 
+# three valid radii, for configs built by hand
+RADII = dict(cloud_radius=1.0, exclusion_radius=2.0, convergence_radius=2.0)
+
+
+def solver_config(scenario, **changes):
+    """The config the harness runs for ``scenario``, with ``changes``."""
+    return dataclasses.replace(SolverConfig.for_scenario(scenario), **changes)
+
+
 def make_solver(session, rng_seed=0, cls=MQSO, **cfg_kw):
-    cfg = SolverConfig.for_scenario(session.config, **cfg_kw)
-    return cls(session, cfg, np.random.default_rng(rng_seed))
+    return cls(session, solver_config(session.config, **cfg_kw), np.random.default_rng(rng_seed))
 
 
 class Recording:
@@ -96,9 +104,9 @@ class TestSolverConfig:
         assert cfg.convergence_radius == cfg.exclusion_radius
 
     def test_violations(self):
-        assert SolverConfig(chi=1.5).violations()
-        assert SolverConfig(num_swarms=0).violations()
-        assert SolverConfig(cloud_radius=-1.0).violations()
+        assert SolverConfig(chi=1.5, **RADII).violations()
+        assert SolverConfig(num_swarms=0, **RADII).violations()
+        assert SolverConfig(**dict(RADII, cloud_radius=-1.0)).violations()
         assert not SolverConfig(cloud_radius=1.0, exclusion_radius=2.0,
                                 convergence_radius=2.0).violations()
 
@@ -106,68 +114,69 @@ class TestSolverConfig:
         # a scenario whose peaks do not move resolves the cloud radius to 0
         assert not SolverConfig(cloud_radius=0.0, exclusion_radius=2.0,
                                 convergence_radius=2.0).violations()
-        assert SolverConfig(cloud_radius=-1e-9).violations() == ["cloud_radius must be nonnegative"]
+        assert (SolverConfig(**dict(RADII, cloud_radius=-1e-9)).violations()
+                == ["cloud_radius must be nonnegative"])
         for name in ("exclusion_radius", "convergence_radius"):
-            assert SolverConfig(**{name: 0.0}).violations() == [f"{name} must be positive"]
+            assert (SolverConfig(**dict(RADII, **{name: 0.0})).violations()
+                    == [f"{name} must be positive"])
 
     @pytest.mark.parametrize("name, value", [
         ("num_swarms", 2.5), ("neutral_count", 2.5), ("quantum_count", 1.5), ("num_swarms", True)])
     def test_counts_must_be_integers(self, name, value):
-        # rejected with the spec, before any run starts
-        cfg = SolverConfig(**{name: value})
+        # rejected when the solver is built, before it evaluates anything
+        cfg = SolverConfig(**{name: value}, **RADII)
         assert cfg.violations() == [f"{name} must be an integer"]
-        scenario = ScenarioConfig(dimension=2, num_components=3)
-        spec = ExperimentSpec(scenario=scenario, solver_config=cfg, run_count=1)
-        with pytest.raises(ValueError, match=f"invalid experiment spec: {name} must be an integer"):
-            run_experiment(spec)
+        session = make_session()
+        with pytest.raises(ValueError, match=f"invalid solver config: {name} must be an integer"):
+            MQSO(session, cfg, np.random.default_rng(0))
+        assert session.total_evaluations == 0
 
     def test_bad_config_rejected_at_attach(self):
         with pytest.raises(ValueError, match="chi"):
-            MQSO(make_session(), SolverConfig(chi=0.0), np.random.default_rng(0))
+            MQSO(make_session(), SolverConfig(chi=0.0, **RADII), np.random.default_rng(0))
 
     @pytest.mark.parametrize("name", ["chi", "c1", "c2", "cloud_radius",
                                       "exclusion_radius", "convergence_radius"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       pytest.param(10 ** 400, id="huge-int"),
+                                       pytest.param(-10 ** 400, id="huge-negative-int")])
     def test_non_finite_constants_are_violations(self, name, value):
         # nan radii would switch exclusion off or reinitialize every step,
-        # an infinite cloud sends quantum particles to the box corners
-        scenario = ScenarioConfig(dimension=2, num_components=3)
-        cfg = SolverConfig.for_scenario(scenario, **{name: value})
+        # an infinite cloud sends quantum particles to the box corners; an
+        # int beyond the float range is not finite either
+        cfg = solver_config(ScenarioConfig(dimension=2, num_components=3), **{name: value})
         assert f"{name} must be finite" in "; ".join(cfg.violations())
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             MQSO(make_session(), cfg, np.random.default_rng(0))
-        spec = ExperimentSpec(scenario=scenario, solver_config=cfg, run_count=1)
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            run_experiment(spec)
-
 
     @pytest.mark.parametrize("name", ["chi", "c1", "c2", "cloud_radius",
                                       "exclusion_radius", "convergence_radius"])
     @pytest.mark.parametrize("value", ["0.5", True, [0.5]])
     def test_constants_that_are_not_numbers_are_violations(self, name, value):
         # named, not crashed on; a bool is not a number
-        scenario = ScenarioConfig(dimension=2, num_components=3)
-        cfg = SolverConfig.for_scenario(scenario, **{name: value})
+        cfg = solver_config(ScenarioConfig(dimension=2, num_components=3), **{name: value})
         assert cfg.violations() == [f"{name} must be a number"]
         with pytest.raises(ValueError, match=f"{name} must be a number"):
             MQSO(make_session(), cfg, np.random.default_rng(0))
-        spec = ExperimentSpec(scenario=scenario, solver_config=cfg, run_count=1)
-        with pytest.raises(ValueError, match=f"invalid experiment spec: {name} must be a number"):
-            run_experiment(spec)
 
     def test_chi_left_unset_is_a_violation(self):
-        assert SolverConfig(chi=None).violations() == ["chi must be a number"]
+        assert SolverConfig(chi=None, **RADII).violations() == ["chi must be a number"]
 
 
 class TestRadiusRule:
     @pytest.mark.parametrize("name", ["cloud_radius", "exclusion_radius", "convergence_radius"])
     def test_unresolved_radius_rejected(self, name):
+        # the radii are required: a config cannot leave one unset, and an
+        # explicit None is not a number
+        with pytest.raises(TypeError, match=name):
+            SolverConfig()
+        with pytest.raises(TypeError, match=name):
+            SolverConfig(**{other: 1.0 for other in RADII if other != name})
         session = make_session()
-        resolved = SolverConfig.for_scenario(session.config)
-        with pytest.raises(ValueError, match=f"{name} not set.*for_scenario"):
-            MQSO(session, dataclasses.replace(resolved, **{name: None}), np.random.default_rng(0))
-        with pytest.raises(ValueError, match="cloud_radius, exclusion_radius, convergence_radius"):
-            MQSO(session, SolverConfig(), np.random.default_rng(0))
+        cfg = solver_config(session.config, **{name: None})
+        assert cfg.violations() == [f"{name} must be a number"]
+        with pytest.raises(ValueError, match=f"invalid solver config: {name} must be a number"):
+            MQSO(session, cfg, np.random.default_rng(0))
 
     def test_solver_uses_the_radii_the_experiment_reports(self):
         scenario = ScenarioConfig(dimension=5, num_components=25, shift_severity=2.0,
@@ -363,7 +372,7 @@ class TestExclusion:
         # for a scan that sees the reinitialized swarm.
         def excluded(cls, spot_3):
             s = make_session(seed=29)
-            solver = cls(s, SolverConfig.for_scenario(s.config, num_swarms=4),
+            solver = cls(s, solver_config(s.config, num_swarms=4),
                          np.random.default_rng(3))
             places = [[10.0, 10.0], [10.0, 10.0], [-80.0, 80.0], spot_3]
             for sw, place, value in zip(solver.swarms, places, [1.0, 2.0, 3.0, -1e9]):
@@ -606,7 +615,7 @@ class TestBlockScoring:
         for cls in (RecordingPerParticleMQSO, RecordingMQSO):
             session = BenchmarkSession(config)
             blocks = log_blocks(session)
-            solver = cls(session, SolverConfig.for_scenario(config, **solver_kw),
+            solver = cls(session, solver_config(config, **solver_kw),
                          np.random.default_rng(d))
             solver.run()
             runs.append((session, solver, blocks))
@@ -661,7 +670,7 @@ class TestSentinelBlock:
         runs = []
         for cls in (RecordingPerParticleMQSO, RecordingMQSO):
             session = BenchmarkSession(config)
-            solver = cls(session, SolverConfig.for_scenario(config, **self.SOLVER),
+            solver = cls(session, solver_config(config, **self.SOLVER),
                          np.random.default_rng(7))
             for _ in range(self.STEPS):
                 solver.step()

@@ -257,16 +257,17 @@ class TestSession:
             assert s.ledger.optima[i - 1] == pytest.approx(
                 s.ledger.optima[scored_env * 5])
 
-    def test_budget_exhaustion_carries_indicators(self):
+    def test_budget_exhaustion_leaves_final_indicators(self):
         s = BenchmarkSession(self.cfg())
         x = np.ones(2)
         for _ in range(15):
             s.evaluate(x)
-        with pytest.raises(ScenarioComplete) as exc:
-            s.evaluate(x)
         e_o, e_bbc = s.indicators()
-        assert exc.value.offline_error == e_o
-        assert exc.value.best_before_change_error == e_bbc
+        with pytest.raises(ScenarioComplete):
+            s.evaluate(x)
+        # the raise spends nothing and the indicators stay final
+        assert s.total_evaluations == 15
+        assert s.indicators() == (e_o, e_bbc)
         assert e_bbc <= e_o
 
     def test_error_zero_at_optimum(self):

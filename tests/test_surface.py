@@ -2,6 +2,8 @@
 names the benchmark's tracer patches, and the session surface the solvers
 use."""
 
+import ast
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
@@ -17,12 +19,13 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # the per-component object model, replaced by the stacked Landscape arrays,
 # the one-matrix rotation helpers, now the oracles of tests/test_dynamics.py,
-# and the private names of the stacked rotation and fold, now update_rotation
-# and reflect
+# the private names of the stacked rotation and fold, now update_rotation
+# and reflect, and the experiment's mQSO config resolver, now
+# SolverConfig.for_scenario alone
 DELETED = ("ComponentState", "make_landscape", "component_value",
            "update_component", "irregularity_transform", "optimum",
            "plane_pairs", "orthogonality_error", "gram_schmidt", "initial_rotation",
-           "_rotate", "_fold")
+           "_rotate", "_fold", "_resolved_solver_config")
 
 
 def load_tracer():
@@ -98,6 +101,65 @@ def test_signatures_without_the_removed_flags():
     for function in (protocol.offline_error, protocol.best_before_change_error,
                      protocol.BenchmarkSession.indicators):
         assert "partial" not in inspect.signature(function).parameters, function.__name__
+
+
+def test_one_mqso_config_path():
+    # the config is SolverConfig.for_scenario(scenario); nothing carries another
+    assert list(inspect.signature(harness.run_session).parameters) == ["scenario", "solver", "seed"]
+    assert [f.name for f in dataclasses.fields(harness.ExperimentSpec)] == [
+        "scenario", "solver", "run_count", "master_seed", "output_dir"]
+    assert list(inspect.signature(mqso.SolverConfig.for_scenario).parameters) == ["scenario"]
+
+
+def test_scenario_complete_is_a_plain_signal():
+    assert "__init__" not in vars(protocol.ScenarioComplete)
+    scenario = landscape.ScenarioConfig(dimension=2, num_components=2, change_frequency=3,
+                                        num_environments=1)
+    session = protocol.BenchmarkSession(scenario)
+    session.evaluate(np.zeros((3, 2)))
+    with pytest.raises(protocol.ScenarioComplete) as exc:
+        session.evaluate(np.zeros(2))
+    for name in ("offline_error", "best_before_change_error"):
+        assert not hasattr(exc.value, name), name
+
+
+def read_names(tree):
+    """Every name a module reads: each loaded identifier, the base of each
+    attribute chain included."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def imported_names(tree):
+    """Each name a module's imports bind, with the line that binds it;
+    ``from __future__`` imports bind none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def exported_names(tree):
+    """The names a module lists in its ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(Path(gmpbench.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    # a name the module exports, as the package re-exports its modules'
+    # names, is used by being exported
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = read_names(tree) | exported_names(tree)
+    unused = [(name, line) for name, line in imported_names(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never reads: {unused}"
 
 
 def solver_view(session):
