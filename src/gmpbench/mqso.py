@@ -24,7 +24,7 @@ swarm, go out as one block too, which the session stops after the first
 sentinel whose value differs from the remembered one.
 
 The solver touches the benchmark only through the black-box session surface
-(evaluate / bounds / dimension / budget), keeps no log of its steps, and is
+(evaluate / bounds / dimension), keeps no log of its steps, and is
 single-threaded: evaluation order determines the error ledger, so it must be
 reproducible from the seed.
 """
@@ -36,11 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .landscape import _is_finite, _is_integer, _is_number
-from .protocol import BenchmarkSession, ScenarioComplete
+from .protocol import CHANGE_DETECTION_TOL, BenchmarkSession, ScenarioComplete
 
-__all__ = ["SolverConfig", "Swarm", "MQSO", "CHANGE_DETECTION_TOL"]
-
-CHANGE_DETECTION_TOL = 1e-9
+__all__ = ["SolverConfig", "Swarm", "MQSO"]
 
 _COUNTS = ("num_swarms", "neutral_count", "quantum_count")
 _RADII = ("cloud_radius", "exclusion_radius", "convergence_radius")
@@ -160,20 +158,6 @@ class Swarm:
         return float(np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1).max())
 
 
-def _above(best: float):
-    """Stop rule for a block of moves: the rows scoring strictly above
-    ``best``. Built by a function, not written inline, so that each rule
-    keeps its own threshold once the caller's variable moves on."""
-    return lambda values, rows: values > best
-
-
-def _differs_from(remembered: np.ndarray):
-    """Stop rule for a block of sentinels: the rows whose value differs from
-    the value remembered for that row by more than the detection tolerance,
-    as ``abs(value - remembered) > CHANGE_DETECTION_TOL``."""
-    return lambda values, rows: np.abs(values - remembered[rows]) > CHANGE_DETECTION_TOL
-
-
 def _gbest_gaps(points: np.ndarray) -> np.ndarray:
     """Euclidean distances between every pair of rows of ``points``.
 
@@ -266,8 +250,8 @@ class MQSO:
         """Sentinel-check each swarm's gbest; on a mismatch, refresh memory.
 
         The gbests are sent as one block of sentinels, in swarm order, with
-        the stop rule ``abs(value - gbest_value) > CHANGE_DETECTION_TOL``, so
-        the session stops after the first sentinel that detects a change and
+        their remembered values as the stop rule ``differs_from``, so the
+        session stops after the first sentinel that detects a change and
         the evaluations are those of sentinels sent one at a time.
 
         Returns whether a change was detected. Reaction re-evaluates every
@@ -282,7 +266,7 @@ class MQSO:
         # a block cut short without a detection was cut by the budget, and
         # the next call raises ScenarioComplete
         while not detected and done < len(self.swarms):
-            values = self.session.evaluate(sentinels[done:], stop=_differs_from(remembered[done:]))
+            values = self.session.evaluate(sentinels[done:], differs_from=remembered[done:])
             done += values.shape[0]
             detected = bool(abs(values[-1] - remembered[done - 1]) > CHANGE_DETECTION_TOL)
         if detected:
@@ -351,7 +335,7 @@ class MQSO:
                 swarm.positions[start] = x[0]
                 swarm.velocities[start:nc][:1] = v[:1]
                 best = swarm.gbest_value
-                values = self.session.evaluate(x, stop=_above(best))
+                values = self.session.evaluate(x, above=best)
                 k = values.shape[0]
                 stop = start + k
                 swarm.positions[start:stop] = x[:k]

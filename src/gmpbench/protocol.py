@@ -21,10 +21,11 @@ new environment, and the call does not end there, which would tell the
 solver that the environment changed). The block is range-checked as a whole,
 so one bad row rejects the call and spends nothing. A call ends early only
 when the budget runs out, or after the first row that meets the caller's
-stop rule, a predicate on the scored values and their row indices (for
-example "beats my best" or "differs from the value I remembered"); rows
-after that are neither recorded nor returned, so a solver can send
-speculative moves and resend the rest.
+stop rule, given as data: a value strictly above ``above``, or one more than
+``CHANGE_DETECTION_TOL`` from that row's ``differs_from`` value. Rows after
+that are neither recorded nor returned, so a solver can send speculative
+moves and resend the rest. The session applies the rule itself and runs no
+solver code during a call, so a solver learns only the values it pays for.
 """
 
 from __future__ import annotations
@@ -41,7 +42,10 @@ __all__ = [
     "BenchmarkSession",
     "offline_error",
     "best_before_change_error",
+    "CHANGE_DETECTION_TOL",
 ]
+
+CHANGE_DETECTION_TOL = 1e-9
 
 
 class IncompleteLedgerError(ValueError):
@@ -77,10 +81,6 @@ class EvaluationLedger:
     @property
     def env_eval_count(self) -> int:
         return self.total % self.change_frequency
-
-    @property
-    def environments_completed(self) -> int:
-        return self.total // self.change_frequency
 
     @property
     def errors(self) -> np.ndarray:
@@ -134,8 +134,8 @@ def best_before_change_error(ledger: EvaluationLedger) -> float:
 class BenchmarkSession:
     """Black-box face of one benchmark run.
 
-    Solvers may call :meth:`evaluate` and read :attr:`bounds`,
-    :attr:`dimension` and :attr:`budget_remaining`; the optimum and the change
+    Solvers may call :meth:`evaluate` and read :attr:`bounds` and
+    :attr:`dimension`; the optimum, the remaining budget and the change
     schedule are deliberately not part of that surface. Exactly one solver
     drives a session at a time; independent sessions share nothing.
     """
@@ -159,11 +159,7 @@ class BenchmarkSession:
     def total_evaluations(self) -> int:
         return self.ledger.total
 
-    @property
-    def budget_remaining(self) -> int:
-        return self.ledger.capacity - self.ledger.total
-
-    def evaluate(self, x, stop=None):
+    def evaluate(self, x, *, above=None, differs_from=None):
         """Objective value of ``x`` under the current environment.
 
         ``x`` is one ``(d,)`` point, which gives a float, or an ``(n, d)``
@@ -171,21 +167,25 @@ class BenchmarkSession:
         order (an empty block gives an empty array and spends nothing). The
         rows are scored as if sent one by one, across environment changes.
 
-        ``stop`` is the caller's stop rule. It is called once per
-        environment segment of the block as ``stop(values, rows)``, with the
-        segment's values and ``rows``, the slice of the block's row indices
-        they belong to, and returns a boolean array over the segment. The
-        call ends after the first row where it is true, or when the budget
-        runs out; the rows after it are neither recorded nor returned.
+        At most one stop rule is given. ``above=best`` ends the call after
+        the first row whose value is strictly above ``best``;
+        ``differs_from=remembered``, one value per row, after the first row
+        whose value is more than ``CHANGE_DETECTION_TOL`` from that row's
+        remembered value. The call also ends when the budget runs out. The
+        rows after its end are neither recorded nor returned. The session
+        computes the rule on each environment segment and runs no solver
+        code during the call.
 
         The evaluation that exhausts an environment's quota is scored there;
         the landscape then advances without notice. Raises
         :class:`ScenarioComplete` once the total budget is spent, and
-        ``ValueError``, spending no budget, when any point has a NaN or
-        infinite coordinate or lies outside the search box. Such points are
-        rejected rather than clamped: a clamped point would be scored at a
-        position the solver never asked for, so a solver must keep its own
-        points inside :attr:`bounds` (the box edges included).
+        ``ValueError``, spending no budget, when both stop rules are given,
+        when ``differs_from`` does not hold one value per row, or when any
+        point has a NaN or infinite coordinate or lies outside the search
+        box. Such points are rejected rather than clamped: a clamped point
+        would be scored at a position the solver never asked for, so a
+        solver must keep its own points inside :attr:`bounds` (the box edges
+        included).
         """
         ledger = self.ledger
         if ledger.complete:
@@ -197,6 +197,15 @@ class BenchmarkSession:
             raise ValueError(f"points of shape {x.shape} do not match dimension {config.dimension}")
         points = x if x.ndim == 2 else x[None, :]
         n = points.shape[0]
+        # plain floats, so that no solver code runs once values are scored
+        if above is not None:
+            if differs_from is not None:
+                raise ValueError("give at most one stop rule: above or differs_from")
+            above = float(above)
+        elif differs_from is not None:
+            differs_from = np.asarray(differs_from, dtype=float)
+            if differs_from.shape != (n,):
+                raise ValueError(f"differs_from of shape {differs_from.shape} does not match {n} rows")
         if n == 0:
             return np.empty(0)
         lb, ub = config.search_range
@@ -212,8 +221,12 @@ class BenchmarkSession:
             end = min(n, done + ledger.change_frequency - ledger.env_eval_count)
             segment = values[done:end]
             segment[:] = evaluate_raw(points[done:end], self.landscape)
-            if stop is not None:
-                hit = stop(segment, slice(done, end))
+            hit = None
+            if above is not None:
+                hit = segment > above
+            elif differs_from is not None:
+                hit = np.abs(segment - differs_from[done:end]) > CHANGE_DETECTION_TOL
+            if hit is not None:
                 first = int(hit.argmax())
                 if hit[first]:
                     # the rows after the first hit are dropped

@@ -14,7 +14,8 @@ from gmpbench import (
     SolverConfig,
     run_experiment,
 )
-from gmpbench.mqso import CHANGE_DETECTION_TOL, Swarm, _gbest_gaps
+from gmpbench.mqso import Swarm, _gbest_gaps
+from gmpbench.protocol import CHANGE_DETECTION_TOL
 
 
 def make_session(**kw):
@@ -566,25 +567,30 @@ class RecordingPerParticleMQSO(Recording, PerParticleMQSO):
 
 def log_blocks(session):
     """Wrap ``session.evaluate`` to log (rows sent, values, stop rule) of
-    each block call; every keyword is passed on."""
+    each block call, the rule as its keywords (``above`` or
+    ``differs_from``); every keyword is passed on."""
     blocks = []
     evaluate = session.evaluate
 
     def logging(x, **kwargs):
         values = evaluate(x, **kwargs)
         if np.ndim(x) == 2:
-            blocks.append((len(x), values, kwargs.get("stop")))
+            blocks.append((len(x), values, kwargs))
         return values
 
     session.evaluate = logging
     return blocks
 
 
-def stopped(values, stop):
-    """Per consumed row of a logged block, whether its stop rule fired."""
-    if stop is None:
-        return np.zeros(len(values), dtype=bool)
-    return stop(values, slice(0, len(values)))
+def stopped(values, rule):
+    """Per consumed row of a logged block, whether its stop rule fired,
+    recomputed from the logged keywords."""
+    if "above" in rule:
+        return values > rule["above"]
+    if "differs_from" in rule:
+        remembered = rule["differs_from"][:len(values)]
+        return np.abs(values - remembered) > CHANGE_DETECTION_TOL
+    return np.zeros(len(values), dtype=bool)
 
 
 def assert_same_run(s_new, new, s_old, old):
@@ -621,12 +627,12 @@ class TestBlockScoring:
             runs.append((session, solver, blocks))
         (s_old, old, _), (s_new, new, blocks) = runs
         # the budget ran out inside a block that no row of it had stopped
-        n, values, stop = blocks[-1]
-        assert len(values) < n and not stopped(values, stop).any()
+        n, values, rule = blocks[-1]
+        assert len(values) < n and not stopped(values, rule).any()
         assert s_new.ledger.complete and s_old.ledger.complete
         assert_same_run(s_new, new, s_old, old)
         # moves were scored as blocks, some of them cut short by a new gbest
-        assert any(len(v) < rows and stopped(v, stop)[-1] for rows, v, stop in blocks)
+        assert any(len(v) < rows and stopped(v, rule)[-1] for rows, v, rule in blocks)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_zero_direction_matches_the_oracle(self, d):
@@ -681,9 +687,9 @@ class TestSentinelBlock:
             runs.append((session, solver, blocks))
         (s_old, old, _), (s_new, new, blocks) = runs
         assert_same_run(s_new, new, s_old, old)
-        n, values, stop = blocks[0]  # the sentinel block of step STEPS
-        assert n == self.SOLVER["num_swarms"]
-        return new, values, stopped(values, stop)
+        n, values, rule = blocks[0]  # the sentinel block of step STEPS
+        assert n == self.SOLVER["num_swarms"] and "differs_from" in rule
+        return new, values, stopped(values, rule)
 
     def test_detection_at_a_later_sentinel(self):
         config = self.config(change_frequency=2000, num_environments=2)

@@ -131,7 +131,7 @@ class TestLedger:
             assert_same_bits(led.errors, oracle.errors)
             assert_same_bits(led.env_final_errors, oracle.env_final_errors)
             assert led.errors[led.total - 1] == last
-            assert (led.total, led.env_eval_count, led.environments_completed) == (
+            assert (led.total, led.env_eval_count, led.total // led.change_frequency) == (
                 oracle.total, oracle.env_eval_count, oracle.environments_completed)
         assert led.complete
 
@@ -223,7 +223,7 @@ class TestSession:
         s = BenchmarkSession(self.cfg())
         assert s.dimension == 2
         assert s.bounds == (-100.0, 100.0)
-        assert s.budget_remaining == 15
+        assert s.ledger.capacity - s.total_evaluations == 15
         assert s.total_evaluations == 0
 
     def test_scheduling_and_transitions(self):
@@ -281,7 +281,7 @@ class TestSession:
             with pytest.raises(ValueError, match="non-finite"):
                 s.evaluate(np.array([0.0, bad]))
         assert s.total_evaluations == 0
-        assert s.budget_remaining == 15
+        assert s.ledger.capacity - s.total_evaluations == 15
 
     def test_point_outside_box_rejected_without_spending_budget(self):
         s = BenchmarkSession(self.cfg())
@@ -289,7 +289,7 @@ class TestSession:
             with pytest.raises(ValueError, match="outside the search box"):
                 s.evaluate(np.array(bad))
         assert s.total_evaluations == 0
-        assert s.budget_remaining == 15
+        assert s.ledger.capacity - s.total_evaluations == 15
         # the box edges belong to the box
         s.evaluate(np.array([-100.0, 100.0]))
         assert s.total_evaluations == 1
@@ -361,7 +361,7 @@ class TestBlockEvaluation:
         s = BenchmarkSession(self.cfg())
         best = s.landscape.optimum_position
         block = np.array([low, high, high, best, low])
-        values = s.evaluate(block, stop=lambda v, rows: v > v_high)  # equal rows do not stop
+        values = s.evaluate(block, above=v_high)  # equal rows do not stop
         np.testing.assert_array_equal(values, [v_low, v_high, v_high, s.landscape.optimum_value])
         assert s.total_evaluations == 4
         np.testing.assert_array_equal(s.ledger.values[:4], values)
@@ -372,23 +372,23 @@ class TestBlockEvaluation:
         block = np.zeros((8, 3))
         block[4] = s.landscape.optimum_position
         threshold = s.landscape.optimum_value - 1e-6
-        values = s.evaluate(block, stop=lambda v, rows: v > threshold)
+        values = s.evaluate(block, above=threshold)
         assert values.shape == (5,)
         assert s.total_evaluations == 5
         assert s.landscape.environment_index == 1
 
-    def test_stop_rule_sees_each_segment_with_its_rows(self):
+    def test_differs_from_lines_up_with_the_block_rows_across_segments(self):
+        # 12 rows span environments 0-2; only row 7, in the second
+        # segment, differs from its remembered value
+        block = np.random.default_rng(5).uniform(-100, 100, (12, 3))
+        scored = BenchmarkSession(self.cfg()).evaluate(block)
+        assert len(np.unique(scored)) == 12  # a misaligned row would differ
+        remembered = scored.copy()
+        remembered[7] += 1e-6
+        remembered[3] += 5e-10  # within the tolerance, so no stop
         s = BenchmarkSession(self.cfg())
-        block = np.zeros((12, 3))
-        calls = []
-
-        def stop(values, rows):
-            calls.append(rows)
-            return np.arange(rows.start, rows.stop) == 7
-
-        values = s.evaluate(block, stop=stop)
-        assert calls == [slice(0, 5), slice(5, 10)]
-        assert values.shape == (8,)
+        values = s.evaluate(block, differs_from=remembered)
+        np.testing.assert_array_equal(values, scored[:8])
         assert s.total_evaluations == 8
         np.testing.assert_array_equal(s.ledger.values[:8], values)
 
@@ -431,3 +431,70 @@ class TestBlockEvaluation:
             np.testing.assert_array_equal(getattr(blocks, name), getattr(one, name))
         with pytest.raises(ValueError, match="environment"):
             EvaluationLedger(4, 3).record(values[:5], 75.0)
+
+
+class TestStopRulesAsData:
+    """The session applies the stop rule itself: a solver learns only the
+    values the ledger charges it for."""
+
+    ROWS = 4000
+
+    def session(self):
+        return BenchmarkSession(ScenarioConfig(dimension=3, num_components=4,
+                                               change_frequency=5000, num_environments=2))
+
+    def block(self):
+        return np.random.default_rng(2).uniform(-100, 100, (self.ROWS, 3))
+
+    def test_a_callable_stop_is_rejected_and_never_called(self):
+        s = self.session()
+        shown = []
+        with pytest.raises(TypeError):
+            s.evaluate(self.block(), stop=lambda values, rows: shown.append(values.copy()))
+        assert shown == []
+        assert s.total_evaluations == 0
+        assert np.isnan(s.ledger.values).all()
+
+    @pytest.mark.parametrize("rule", ["above", "differs_from"])
+    def test_a_hit_on_row_zero_returns_one_charged_value(self, rule):
+        # every row meets the rule, so the call ends after row 0
+        s = self.session()
+        threshold = {"above": -math.inf, "differs_from": np.full(self.ROWS, 1e3)}[rule]
+        values = s.evaluate(self.block(), **{rule: threshold})
+        assert values.shape == (1,)
+        assert s.ledger.total == 1
+        np.testing.assert_array_equal(values, s.ledger.values[:1])
+
+    def test_a_threshold_object_sees_no_values(self):
+        shown = []
+
+        class Spy:
+            """A threshold that numpy's comparison would hand the values."""
+            __array_ufunc__ = None
+
+            def __float__(self):
+                return 1e3
+
+            def __lt__(self, other):
+                shown.append(other)
+                return np.zeros(len(other), dtype=bool)
+
+            __gt__ = __lt__
+
+        s = self.session()
+        values = s.evaluate(self.block(), above=Spy())
+        assert shown == []
+        assert values.shape == (self.ROWS,) and s.ledger.total == self.ROWS
+
+    @pytest.mark.parametrize("rules", [
+        {"differs_from": np.zeros(ROWS - 1)},
+        {"differs_from": np.zeros((ROWS, 1))},
+        {"differs_from": 0.0},
+        {"above": 0.0, "differs_from": np.zeros(ROWS)},
+    ], ids=["short", "column", "scalar", "both"])
+    def test_malformed_rules_are_rejected_without_spending_budget(self, rules):
+        s = self.session()
+        with pytest.raises(ValueError, match="differs_from"):
+            s.evaluate(self.block(), **rules)
+        assert s.total_evaluations == 0
+        assert np.isnan(s.ledger.values).all()

@@ -20,12 +20,13 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # the per-component object model, replaced by the stacked Landscape arrays,
 # the one-matrix rotation helpers, now the oracles of tests/test_dynamics.py,
 # the private names of the stacked rotation and fold, now update_rotation
-# and reflect, and the experiment's mQSO config resolver, now
-# SolverConfig.for_scenario alone
+# and reflect, the experiment's mQSO config resolver, now
+# SolverConfig.for_scenario alone, and mQSO's stop-rule closures, now the
+# session's above and differs_from rules
 DELETED = ("ComponentState", "make_landscape", "component_value",
            "update_component", "irregularity_transform", "optimum",
            "plane_pairs", "orthogonality_error", "gram_schmidt", "initial_rotation",
-           "_rotate", "_fold", "_resolved_solver_config")
+           "_rotate", "_fold", "_resolved_solver_config", "_above", "_differs_from")
 
 
 def load_tracer():
@@ -69,6 +70,8 @@ def test_deleted_names_are_gone(module):
         assert not hasattr(module, name), (module.__name__, name)
         assert name not in getattr(module, "__all__", ()), (module.__name__, name)
     assert not hasattr(landscape.Landscape, "components")
+    assert not hasattr(protocol.BenchmarkSession, "budget_remaining")
+    assert not hasattr(protocol.EvaluationLedger, "environments_completed")
 
 
 def test_every_traced_name_is_defined_where_the_tracer_patches_it():
@@ -109,6 +112,17 @@ def test_one_mqso_config_path():
     assert [f.name for f in dataclasses.fields(harness.ExperimentSpec)] == [
         "scenario", "solver", "run_count", "master_seed", "output_dir"]
     assert list(inspect.signature(mqso.SolverConfig.for_scenario).parameters) == ["scenario"]
+
+
+def test_stop_rules_are_data_owned_by_the_session():
+    # no callable reaches evaluate: the two rules are keyword-only data, and
+    # the detection tolerance is protocol's
+    P = inspect.Parameter
+    params = inspect.signature(protocol.BenchmarkSession.evaluate).parameters
+    assert [(name, p.kind, p.default) for name, p in params.items()] == [
+        ("self", P.POSITIONAL_OR_KEYWORD, P.empty), ("x", P.POSITIONAL_OR_KEYWORD, P.empty),
+        ("above", P.KEYWORD_ONLY, None), ("differs_from", P.KEYWORD_ONLY, None)]
+    assert mqso.CHANGE_DETECTION_TOL is protocol.CHANGE_DETECTION_TOL
 
 
 def test_scenario_complete_is_a_plain_signal():
@@ -164,15 +178,14 @@ def test_every_import_is_used(path):
 
 def solver_view(session):
     """A stand-in for ``session`` with exactly the documented solver
-    surface: ``evaluate``, ``bounds``, ``dimension`` and
-    ``budget_remaining``. Any other attribute raises ``AttributeError``."""
+    surface: ``evaluate``, ``bounds`` and ``dimension``. Any other attribute
+    raises ``AttributeError``."""
 
     class View:
         __slots__ = ()
         evaluate = staticmethod(session.evaluate)
         bounds = property(lambda self: session.bounds)
         dimension = property(lambda self: session.dimension)
-        budget_remaining = property(lambda self: session.budget_remaining)
 
     return View()
 
@@ -196,7 +209,7 @@ def test_solvers_use_only_the_documented_surface(solver):
     for name in ("values", "errors", "optima", "env_final_errors"):
         assert np.array_equal(getattr(viewed.ledger, name), getattr(direct.ledger, name)), name
     members = {name for name in dir(view) if not name.startswith("__")}
-    assert members == {"evaluate", "bounds", "dimension", "budget_remaining"}
+    assert members == {"evaluate", "bounds", "dimension"}
     for name in ("landscape", "ledger", "config", "rng", "total_evaluations", "indicators"):
         with pytest.raises(AttributeError):
             getattr(view, name)
