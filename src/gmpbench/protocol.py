@@ -236,7 +236,8 @@ class BenchmarkSession:
             if ledger.env_eval_count == 0 and not ledger.complete:
                 self.landscape = advance_environment(self.landscape, config, self.rng)
             done = end
-        return values[:done] if x.ndim == 2 else float(values[0])
+        # a copy: a view would keep the unconsumed rows reachable through .base
+        return values[:done].copy() if x.ndim == 2 else float(values[0])
 
     def indicators(self) -> tuple[float, float]:
         """(offline error, best-before-change error) for this run, once its

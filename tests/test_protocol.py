@@ -464,6 +464,16 @@ class TestStopRulesAsData:
         assert values.shape == (1,)
         assert s.ledger.total == 1
         np.testing.assert_array_equal(values, s.ledger.values[:1])
+        # no buffer of the other scored rows stays reachable
+        assert values.base is None
+
+    def test_a_block_past_the_budget_returns_only_the_charged_rows(self):
+        s = BenchmarkSession(ScenarioConfig(dimension=3, num_components=4,
+                                            change_frequency=5, num_environments=2))
+        values = s.evaluate(self.block()[:25])
+        assert values.shape == (10,) and s.ledger.total == 10
+        np.testing.assert_array_equal(values, s.ledger.values)
+        assert values.base is None
 
     def test_a_threshold_object_sees_no_values(self):
         shown = []
