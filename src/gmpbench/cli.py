@@ -79,11 +79,7 @@ def _cmd_grid(args) -> int:
     scenario = _load_scenario(args.config)
     if scenario is None:
         return 1
-    try:
-        csv_path, meta_path = export_grid(scenario, args.env, args.resolution, args.out)
-    except ValueError as exc:
-        print(f"invalid grid request: {exc}", file=sys.stderr)
-        return 1
+    csv_path, meta_path = export_grid(scenario, args.env, args.resolution, args.out)
     print(f"wrote {csv_path} and {meta_path}")
     return 0
 
@@ -102,7 +98,7 @@ def main(argv=None) -> int:
     handler = {"run": _cmd_run, "grid": _cmd_grid, "validate": _cmd_validate}[args.command]
     try:
         return handler(args)
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

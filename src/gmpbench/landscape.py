@@ -20,10 +20,11 @@ A :class:`Landscape` holds the components stacked, one row per component:
 ``centers`` (m, d), ``rotations`` (m, d, d), ``widths`` (m, d), ``heights``
 (m,), ``angles`` (m,), ``tau`` (m,) and ``eta`` (m, 4). One private kernel
 scores a block of points against all components at once, with a single
-:func:`transform_vector` call, the only code that computes ``T``. The one
-entry to it is :func:`evaluate_raw`, which scores a point or a block of any
-length in pieces of bounded size (``evaluate_batch`` is the same function
-under its older name). A row's value does not depend on the block around
+:func:`transform_vector` call, the only code that computes ``T``; the
+kernel is its one caller and always hands it the workspace below. The one
+entry to the kernel is :func:`evaluate_raw`, which scores a point or a
+block of any length in pieces of bounded size (``evaluate_batch`` is the
+same function under its older name). A row's value does not depend on the block around
 it, so a point alone and inside any block score bit for bit the same.
 
 The kernel writes its (component, point, axis) temporaries into a
@@ -34,7 +35,7 @@ temporary, and a piece larger than that (one row of a landscape with more
 than ``_BLOCK_ELEMENTS`` component-axis pairs) gets fresh arrays. A block
 scored in several pieces frees the workspace when it is done, so between
 calls a thread keeps only the workspace of its last one-piece blocks. No
-array returned to a caller is a view of a workspace.
+array :func:`evaluate_raw` returns is a view of a workspace.
 
 Evaluation never mutates landscape state; all mutation goes through the
 dynamics module between environments.
@@ -256,7 +257,8 @@ class Landscape:
     optimum_position: np.ndarray = field(init=False)
     # the kernel's operands, views of the arrays above laid out to broadcast
     # over (component, point, axis): centers, transposed rotations, tau, eta,
-    # widths and heights
+    # widths and heights. The warp gathers eta into float64 slots, so eta's
+    # is a float64 copy when eta is of another dtype.
     _operands: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -266,7 +268,7 @@ class Landscape:
         object.__setattr__(self, "optimum_position", self.centers[k].copy())
         object.__setattr__(self, "_operands", (
             self.centers[:, None, :], self.rotations.transpose(0, 2, 1)[:, None],
-            self.tau[:, None, None], self.eta[:, None, None, :],
+            self.tau[:, None, None], np.asarray(self.eta, dtype=float)[:, None, None, :],
             self.widths[:, None, :], self.heights[:, None]))
 
     @property
@@ -278,8 +280,9 @@ class Landscape:
         return self.heights.shape[0]
 
 
-def transform_vector(y: np.ndarray, tau, eta: np.ndarray, *, scratch=None) -> np.ndarray:
-    """The warp ``T`` of the module docstring, elementwise over ``y``.
+def transform_vector(y: np.ndarray, tau, eta: np.ndarray, *, scratch: tuple) -> np.ndarray:
+    """The warp ``T`` of the module docstring, elementwise over the float64
+    array ``y``, written into ``scratch``.
 
     ``tau`` and ``eta[..., 0]`` broadcast against ``y``, so one call can warp
     the offsets of many components, each with its own parameters: ``eta``
@@ -291,39 +294,27 @@ def transform_vector(y: np.ndarray, tau, eta: np.ndarray, *, scratch=None) -> np
     == 0`` the result is ``exp(log|y|) * sign(y)``, equal to ``y`` up to
     rounding.
 
-    Only the kernel passes ``scratch``: views of its workspace, shaped as
-    ``y``, for ``log|y|``, the result, the second gather (then ``sign(y)``),
-    the bool mask and the gather index, plus the component rows ``2 *
-    arange(m)`` laid out as ``eta``'s leading axes. Without it every
-    temporary and the result are fresh arrays.
+    The kernel is the one caller. ``scratch`` holds views of its workspace,
+    shaped as ``y``, for ``log|y|``, the result, the second gather (then
+    ``sign(y)``), the bool mask and the gather index, plus the component
+    rows ``2 * arange(m)`` laid out as ``eta``'s leading axes.
     """
-    if type(y) is not np.ndarray or y.dtype != np.float64:
-        y = np.asarray(y, dtype=float)
-    if type(eta) is not np.ndarray or eta.dtype != np.float64:
-        eta = np.asarray(eta, dtype=float)
-    if scratch is None:
-        ly = out = wave = mask = pair = None
-        rows = np.arange(0, eta.size // 2, 2).reshape(eta.shape[:-1])
-        # the gather's indices are in range for any (..., 4) eta; "raise"
-        # keeps an error for any other shape
-        mode = "raise"
-    else:
-        ly, out, wave, mask, pair, rows = scratch
-        # "raise" would gather through a copy of ``out``
-        mode = "clip"
+    ly, out, wave, mask, pair, rows = scratch
     # log|y|, with a zero offset read as 1 so that it needs no mask: it maps
     # to sign(0) * exp(0) = 0
-    ly = np.abs(y, out=ly)
+    np.abs(y, out=ly)
     ly += np.equal(y, 0.0, out=mask)
     np.log(ly, out=ly)
     # 2 * row + (y <= 0), doubled: the index of a in the flat eta; b follows
-    pair = np.add(rows, np.less_equal(y, 0.0, out=mask), out=pair)
+    np.add(rows, np.less_equal(y, 0.0, out=mask), out=pair)
     pair <<= 1
     flat = eta.reshape(-1)
-    out = flat.take(pair, out=out, mode=mode)
+    # "clip" gathers straight into out, "raise" through a copy of it; the
+    # indices are in range for any (..., 4) eta
+    flat.take(pair, out=out, mode="clip")
     out *= ly
     np.sin(out, out=out)
-    wave = flat[1:].take(pair, out=wave, mode=mode)
+    flat[1:].take(pair, out=wave, mode="clip")
     wave *= ly
     np.sin(wave, out=wave)
     out += wave

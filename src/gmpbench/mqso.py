@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .landscape import _is_finite, _is_integer, _is_number
-from .protocol import CHANGE_DETECTION_TOL, BenchmarkSession, ScenarioComplete
+from .protocol import BenchmarkSession, ScenarioComplete, differs
 
 __all__ = ["SolverConfig", "Swarm", "MQSO"]
 
@@ -268,7 +268,7 @@ class MQSO:
         while not detected and done < len(self.swarms):
             values = self.session.evaluate(sentinels[done:], differs_from=remembered[done:])
             done += values.shape[0]
-            detected = bool(abs(values[-1] - remembered[done - 1]) > CHANGE_DETECTION_TOL)
+            detected = bool(differs(values[-1], remembered[done - 1]))
         if detected:
             for swarm in self.swarms:
                 self._evaluate_into(swarm.pbest_positions, swarm.pbest_values)

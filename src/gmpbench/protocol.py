@@ -43,9 +43,16 @@ __all__ = [
     "offline_error",
     "best_before_change_error",
     "CHANGE_DETECTION_TOL",
+    "differs",
 ]
 
 CHANGE_DETECTION_TOL = 1e-9
+
+
+def differs(values, remembered):
+    """The change-detection rule: whether each value is more than
+    ``CHANGE_DETECTION_TOL`` from its remembered value."""
+    return np.abs(values - remembered) > CHANGE_DETECTION_TOL
 
 
 class IncompleteLedgerError(ValueError):
@@ -155,10 +162,6 @@ class BenchmarkSession:
     def bounds(self) -> tuple[float, float]:
         return self.config.search_range
 
-    @property
-    def total_evaluations(self) -> int:
-        return self.ledger.total
-
     def evaluate(self, x, *, above=None, differs_from=None):
         """Objective value of ``x`` under the current environment.
 
@@ -225,7 +228,7 @@ class BenchmarkSession:
             if above is not None:
                 hit = segment > above
             elif differs_from is not None:
-                hit = np.abs(segment - differs_from[done:end]) > CHANGE_DETECTION_TOL
+                hit = differs(segment, differs_from[done:end])
             if hit is not None:
                 first = int(hit.argmax())
                 if hit[first]:

@@ -107,7 +107,10 @@ class TestGrid:
         monkeypatch.setattr(harness, "landscape_at", compute)
         out = tmp_path / "g.csv"
         assert main(["grid", "--config", config, "--resolution", "8193", "--out", str(out)]) == 1
-        assert "resolution 8193" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # main's one ValueError handler words every rejected request
+        assert err.startswith("error: ")
+        assert "resolution 8193" in err
         assert computed == []
         assert not out.exists()
         # 8192**2 is the cap itself: the check passes and compute starts

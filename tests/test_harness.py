@@ -7,6 +7,7 @@ import pytest
 
 from gmpbench import harness
 from gmpbench import (
+    MQSO,
     BenchmarkSession,
     ExperimentSpec,
     RandomSearch,
@@ -18,6 +19,7 @@ from gmpbench import (
     export_grid,
     landscape_at,
     run_experiment,
+    run_session,
 )
 
 
@@ -48,6 +50,22 @@ class TestRandomSearch:
         for name in ("values", "errors", "optima", "env_final_errors"):
             np.testing.assert_array_equal(getattr(session.ledger, name),
                                           getattr(oracle.ledger, name))
+
+
+class TestRunSession:
+    def test_budget_spent_while_mqso_builds_its_swarms(self):
+        # 30 evaluations run out before mQSO's first swarms are all scored,
+        # so ScenarioComplete reaches run_session from the constructor
+        scenario = ScenarioConfig(dimension=2, num_components=2, change_frequency=30,
+                                  num_environments=1)
+        with pytest.raises(ScenarioComplete):
+            MQSO(BenchmarkSession(scenario), SolverConfig.for_scenario(scenario),
+                 np.random.default_rng(0))
+        record, session = run_session(scenario, "mqso")
+        assert session.ledger.complete
+        assert np.isfinite([record["offline_error"], record["best_before_change_error"]]).all()
+        assert len(record["env_final_errors"]) == 1
+        assert record["env_final_errors"][0] == record["best_before_change_error"]
 
 
 class TestExperiment:

@@ -56,6 +56,17 @@ def irregularity_transform(y, tau, eta):
     return out if y > 0.0 else -out
 
 
+def warp(y, tau, eta):
+    """:func:`transform_vector` of a float64 ``y`` with a fresh scratch laid
+    out as the kernel's workspace: three float slots, the bool mask and the
+    gather index shaped as ``y``, and ``eta``'s rows ``2 * arange`` laid out
+    as its leading axes."""
+    scratch = (np.empty(y.shape), np.empty(y.shape), np.empty(y.shape),
+               np.empty(y.shape, dtype=bool), np.empty(y.shape, dtype=np.intp),
+               np.arange(0, eta.size // 2, 2).reshape(eta.shape[:-1]))
+    return transform_vector(y, tau, eta, scratch=scratch)
+
+
 def where_transform(y, tau, eta):
     """The warp with each element's frequency pair picked by two ``np.where``
     selections on ``y > 0``: the oracle of the gather in
@@ -166,7 +177,7 @@ class TestIrregularityTransform:
     def test_vector_matches_scalar(self, y, tau, e1, e2, e3, e4):
         eta = np.array([e1, e2, e3, e4])
         arr = np.array([y, -y, 0.0])
-        out = transform_vector(arr, tau, eta)
+        out = warp(arr, tau, eta)
         expect = [irregularity_transform(v, tau, eta) for v in arr]
         assert out == pytest.approx(expect, rel=1e-15)
 
@@ -191,7 +202,7 @@ class TestFrequencyGather:
             y = self.offsets(shape, 31)
             eta = rng.uniform(-20, 20, 4)
             for tau in (0.0, 0.8, -1.0):
-                assert same_bits(transform_vector(y, tau, eta), where_transform(y, tau, eta))
+                assert same_bits(warp(y, tau, eta), where_transform(y, tau, eta))
 
     def test_one_row_per_component(self):
         # the kernel's layout: y (m, n, d), tau (m, 1, 1), eta (m, 1, 1, 4)
@@ -200,7 +211,7 @@ class TestFrequencyGather:
             y = self.offsets((m, n, d), 33)
             tau = rng.uniform(-1, 1, m)[:, None, None]
             eta = rng.uniform(-20, 20, (m, 4))[:, None, None, :]
-            assert same_bits(transform_vector(y, tau, eta), where_transform(y, tau, eta))
+            assert same_bits(warp(y, tau, eta), where_transform(y, tau, eta))
 
     def test_one_row_per_element(self):
         rng = np.random.default_rng(34)
@@ -208,18 +219,10 @@ class TestFrequencyGather:
             y = self.offsets(shape, 35)
             tau = rng.uniform(-1, 1, shape)
             eta = rng.uniform(-20, 20, shape + (4,))
-            assert same_bits(transform_vector(y, tau, eta), where_transform(y, tau, eta))
+            assert same_bits(warp(y, tau, eta), where_transform(y, tau, eta))
             # a strided eta is gathered from its own copy
             wide = np.repeat(eta, 2, axis=-1)[..., ::2]
-            assert same_bits(transform_vector(y, tau, wide), where_transform(y, tau, eta))
-
-    def test_non_float64_inputs(self):
-        y = [3, -2, 0]
-        eta = [1, 2, 3, 4]
-        assert same_bits(transform_vector(y, 0.5, eta), where_transform(y, 0.5, eta))
-        y32 = np.array([0.5, -0.25, 0.0], dtype=np.float32)
-        assert same_bits(transform_vector(y32, 0.5, np.array(eta, dtype=np.float32)),
-                         where_transform(y32, 0.5, eta))
+            assert same_bits(warp(y, tau, wide), where_transform(y, tau, eta))
 
 
 class TestKernelOperands:
@@ -235,6 +238,19 @@ class TestKernelOperands:
         before = evaluate_raw(x, ls)
         ls.heights[:] += 100.0
         assert evaluate_raw(x, ls) > before
+
+    def test_integer_eta_scores_as_its_float64_copy(self):
+        # the warp gathers eta into float64 slots, so a hand-built landscape
+        # with an integer eta is given a float64 operand once, at construction
+        rng = np.random.default_rng(39)
+        ls = init_landscape(ScenarioConfig(dimension=3, num_components=4), rng)
+        arrays = {name: getattr(ls, name) for name in FIELDS}
+        eta = rng.integers(-20, 21, (4, 4))
+        ints = Landscape(environment_index=0, **dict(arrays, eta=eta))
+        floats = Landscape(environment_index=0, **dict(arrays, eta=eta.astype(float)))
+        xs = np.vstack([rng.uniform(-100, 100, (40, 3)), ls.centers])
+        assert same_bits(evaluate_raw(xs, ints), evaluate_raw(xs, floats))
+        assert evaluate_raw(xs[0], ints) == evaluate_raw(xs[0], floats)
 
     def test_one_piece_block_is_scored_in_one_kernel_call(self, monkeypatch):
         from gmpbench import landscape as module
@@ -300,16 +316,13 @@ class TestWorkspace:
         ls = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
         xs = rng.uniform(-100, 100, (16, 20))
         block = evaluate_raw(xs, ls)
-        y = rng.standard_normal((50, 16, 20))
-        warped = transform_vector(y, ls.tau[:, None, None], ls.eta[:, None, None, :])
-        kept = block.copy(), warped.copy()
+        kept = block.copy()
         for n in (16, 16, 1, 9):
             evaluate_raw(rng.uniform(-100, 100, (n, 20)), ls)
         workspace = landscape_module._workspace
-        for result, copy in zip((block, warped), kept):
-            assert same_bits(result, copy)
-            for arena in (workspace.floats, workspace.mask, workspace.index):
-                assert not np.shares_memory(result, arena)
+        assert same_bits(block, kept)
+        for arena in (workspace.floats, workspace.mask, workspace.index):
+            assert not np.shares_memory(block, arena)
 
     def test_workspace_stays_within_the_block_bound(self, monkeypatch):
         workspace = landscape_module._workspace

@@ -130,7 +130,7 @@ class TestSolverConfig:
         session = make_session()
         with pytest.raises(ValueError, match=f"invalid solver config: {name} must be an integer"):
             MQSO(session, cfg, np.random.default_rng(0))
-        assert session.total_evaluations == 0
+        assert session.ledger.total == 0
 
     def test_bad_config_rejected_at_attach(self):
         with pytest.raises(ValueError, match="chi"):
@@ -197,7 +197,7 @@ class TestInitialization:
         solver = make_solver(s, num_swarms=3, neutral_count=4, quantum_count=2)
         assert len(solver.swarms) == 3
         assert all(sw.size == 6 for sw in solver.swarms)
-        assert s.total_evaluations == 18
+        assert s.ledger.total == 18
         for sw in solver.swarms:
             assert sw.gbest_value == sw.pbest_values.max()
             lb, ub = s.bounds
@@ -346,10 +346,10 @@ class TestExclusion:
         solver = make_solver(s, num_swarms=3)
         for i, sw in enumerate(solver.swarms):
             sw.gbest_position = np.array([i * 80.0 - 80.0, 0.0])
-        evals_before = s.total_evaluations
+        evals_before = s.ledger.total
         solver.exclusion()
         assert all(sw.generation == 0 for sw in solver.swarms)
-        assert s.total_evaluations == evals_before
+        assert s.ledger.total == evals_before
 
     def test_survivors_separated_or_fresh(self):
         s = make_session(seed=23)
@@ -462,7 +462,7 @@ class TestFullRun:
         session = make_session(change_frequency=400, num_environments=3)
         solver = make_solver(session, rng_seed=11)
         solver.run()
-        assert session.total_evaluations == 1200
+        assert session.ledger.total == 1200
         assert session.ledger.complete
         e_o, e_bbc = session.indicators()
         assert e_bbc <= e_o
@@ -667,7 +667,7 @@ class TestSentinelBlock:
         solver = make_solver(session, rng_seed=7, **self.SOLVER)
         for _ in range(self.STEPS):
             solver.step()
-        return session.total_evaluations
+        return session.ledger.total
 
     def run_both(self, config, perturb=None):
         """Both solvers on ``config``; ``perturb`` names a swarm whose

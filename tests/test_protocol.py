@@ -223,8 +223,8 @@ class TestSession:
         s = BenchmarkSession(self.cfg())
         assert s.dimension == 2
         assert s.bounds == (-100.0, 100.0)
-        assert s.ledger.capacity - s.total_evaluations == 15
-        assert s.total_evaluations == 0
+        assert s.ledger.capacity - s.ledger.total == 15
+        assert s.ledger.total == 0
 
     def test_scheduling_and_transitions(self):
         s = BenchmarkSession(self.cfg())
@@ -236,7 +236,7 @@ class TestSession:
             if s.landscape.environment_index != last_index:
                 transitions.append(i)
                 last_index = s.landscape.environment_index
-        assert s.total_evaluations == 15
+        assert s.ledger.total == 15
         assert transitions == [5, 10]  # none after the final environment
         assert s.landscape.environment_index == 2
 
@@ -266,7 +266,7 @@ class TestSession:
         with pytest.raises(ScenarioComplete):
             s.evaluate(x)
         # the raise spends nothing and the indicators stay final
-        assert s.total_evaluations == 15
+        assert s.ledger.total == 15
         assert s.indicators() == (e_o, e_bbc)
         assert e_bbc <= e_o
 
@@ -280,19 +280,19 @@ class TestSession:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 s.evaluate(np.array([0.0, bad]))
-        assert s.total_evaluations == 0
-        assert s.ledger.capacity - s.total_evaluations == 15
+        assert s.ledger.total == 0
+        assert s.ledger.capacity - s.ledger.total == 15
 
     def test_point_outside_box_rejected_without_spending_budget(self):
         s = BenchmarkSession(self.cfg())
         for bad in ([100.5, 0.0], [0.0, -100.0 - 1e-9], [1e300, -1e300]):
             with pytest.raises(ValueError, match="outside the search box"):
                 s.evaluate(np.array(bad))
-        assert s.total_evaluations == 0
-        assert s.ledger.capacity - s.total_evaluations == 15
+        assert s.ledger.total == 0
+        assert s.ledger.capacity - s.ledger.total == 15
         # the box edges belong to the box
         s.evaluate(np.array([-100.0, 100.0]))
-        assert s.total_evaluations == 1
+        assert s.ledger.total == 1
 
     def test_best_resets_across_change(self):
         s = BenchmarkSession(self.cfg(seed=4))
@@ -323,7 +323,7 @@ class TestBlockEvaluation:
     def assert_same_state(self, a, b):
         for name in ("values", "errors", "optima", "env_final_errors"):
             np.testing.assert_array_equal(getattr(a.ledger, name), getattr(b.ledger, name))
-        assert a.total_evaluations == b.total_evaluations
+        assert a.ledger.total == b.ledger.total
         assert a.landscape.environment_index == b.landscape.environment_index
         for name in ("centers", "rotations", "widths", "heights", "angles", "tau", "eta"):
             np.testing.assert_array_equal(getattr(a.landscape, name), getattr(b.landscape, name))
@@ -346,7 +346,7 @@ class TestBlockEvaluation:
         s = BenchmarkSession(self.cfg())
         values = s.evaluate(np.zeros((12, 3)))
         assert values.shape == (12,)
-        assert s.total_evaluations == 12
+        assert s.ledger.total == 12
         assert s.landscape.environment_index == 2
         # each row is scored under the environment it falls in
         assert s.ledger.optima[4] != s.ledger.optima[5]
@@ -363,7 +363,7 @@ class TestBlockEvaluation:
         block = np.array([low, high, high, best, low])
         values = s.evaluate(block, above=v_high)  # equal rows do not stop
         np.testing.assert_array_equal(values, [v_low, v_high, v_high, s.landscape.optimum_value])
-        assert s.total_evaluations == 4
+        assert s.ledger.total == 4
         np.testing.assert_array_equal(s.ledger.values[:4], values)
         assert np.isnan(s.ledger.values[4])  # the row after the stop is not recorded
 
@@ -374,7 +374,7 @@ class TestBlockEvaluation:
         threshold = s.landscape.optimum_value - 1e-6
         values = s.evaluate(block, above=threshold)
         assert values.shape == (5,)
-        assert s.total_evaluations == 5
+        assert s.ledger.total == 5
         assert s.landscape.environment_index == 1
 
     def test_differs_from_lines_up_with_the_block_rows_across_segments(self):
@@ -389,14 +389,14 @@ class TestBlockEvaluation:
         s = BenchmarkSession(self.cfg())
         values = s.evaluate(block, differs_from=remembered)
         np.testing.assert_array_equal(values, scored[:8])
-        assert s.total_evaluations == 8
+        assert s.ledger.total == 8
         np.testing.assert_array_equal(s.ledger.values[:8], values)
 
     def test_empty_block_spends_nothing(self):
         s = BenchmarkSession(self.cfg())
         values = s.evaluate(np.empty((0, 3)))
         assert values.shape == (0,)
-        assert s.total_evaluations == 0
+        assert s.ledger.total == 0
         assert np.isnan(s.ledger.values).all()
 
     def test_budget_end_returns_the_consumed_prefix(self):
@@ -416,7 +416,7 @@ class TestBlockEvaluation:
                 s.evaluate(block)
         with pytest.raises(ValueError, match="dimension"):
             s.evaluate(np.zeros((2, 4)))
-        assert s.total_evaluations == 0
+        assert s.ledger.total == 0
         assert np.isnan(s.ledger.values).all()
 
     def test_ledger_block_matches_value_by_value(self):
@@ -452,7 +452,7 @@ class TestStopRulesAsData:
         with pytest.raises(TypeError):
             s.evaluate(self.block(), stop=lambda values, rows: shown.append(values.copy()))
         assert shown == []
-        assert s.total_evaluations == 0
+        assert s.ledger.total == 0
         assert np.isnan(s.ledger.values).all()
 
     @pytest.mark.parametrize("rule", ["above", "differs_from"])
@@ -506,5 +506,5 @@ class TestStopRulesAsData:
         s = self.session()
         with pytest.raises(ValueError, match="differs_from"):
             s.evaluate(self.block(), **rules)
-        assert s.total_evaluations == 0
+        assert s.ledger.total == 0
         assert np.isnan(s.ledger.values).all()

@@ -50,6 +50,15 @@ def test_one_kernel_entry():
     assert landscape.evaluate_batch is landscape.evaluate_raw
 
 
+def test_one_warp_calling_convention():
+    # the kernel is the warp's one caller and always hands it its workspace
+    P = inspect.Parameter
+    params = inspect.signature(landscape.transform_vector).parameters
+    assert [(name, p.kind, p.default) for name, p in params.items()] == [
+        ("y", P.POSITIONAL_OR_KEYWORD, P.empty), ("tau", P.POSITIONAL_OR_KEYWORD, P.empty),
+        ("eta", P.POSITIONAL_OR_KEYWORD, P.empty), ("scratch", P.KEYWORD_ONLY, P.empty)]
+
+
 def test_one_orthonormalization_pass_at_init(monkeypatch):
     # init_landscape orthonormalizes its whole stack at once
     calls = []
@@ -71,6 +80,7 @@ def test_deleted_names_are_gone(module):
         assert name not in getattr(module, "__all__", ()), (module.__name__, name)
     assert not hasattr(landscape.Landscape, "components")
     assert not hasattr(protocol.BenchmarkSession, "budget_remaining")
+    assert not hasattr(protocol.BenchmarkSession, "total_evaluations")
     assert not hasattr(protocol.EvaluationLedger, "environments_completed")
 
 
@@ -98,6 +108,20 @@ def test_traced_dynamics_names_are_the_code_that_runs():
     assert tracer.calls("dynamics.reflect") == 6 * changes
 
 
+def test_traced_warp_is_the_code_that_runs():
+    # the kernel looks transform_vector up by its module-global name, so the
+    # tracer's warp span opens once per kernel call; a block of random
+    # search fits in one piece, so that is once per evaluate_raw call
+    tracer = load_tracer().Tracer()
+    scenario = landscape.ScenarioConfig(dimension=3, num_components=4, change_frequency=40,
+                                        num_environments=3, seed=6)
+    assert harness._RANDOM_BLOCK_ROWS * scenario.num_components * scenario.dimension \
+        <= landscape._BLOCK_ELEMENTS
+    with tracer.installed():
+        harness.run_session(scenario, "random")
+    assert tracer.calls("landscape.transform_vector") == tracer.calls("landscape.evaluate_raw") > 0
+
+
 def test_signatures_without_the_removed_flags():
     # the history log and the partial-run indicators are gone
     assert list(inspect.signature(mqso.MQSO).parameters) == ["session", "config", "rng"]
@@ -116,13 +140,14 @@ def test_one_mqso_config_path():
 
 def test_stop_rules_are_data_owned_by_the_session():
     # no callable reaches evaluate: the two rules are keyword-only data, and
-    # the detection tolerance is protocol's
+    # the detection rule and its tolerance are protocol's alone
     P = inspect.Parameter
     params = inspect.signature(protocol.BenchmarkSession.evaluate).parameters
     assert [(name, p.kind, p.default) for name, p in params.items()] == [
         ("self", P.POSITIONAL_OR_KEYWORD, P.empty), ("x", P.POSITIONAL_OR_KEYWORD, P.empty),
         ("above", P.KEYWORD_ONLY, None), ("differs_from", P.KEYWORD_ONLY, None)]
-    assert mqso.CHANGE_DETECTION_TOL is protocol.CHANGE_DETECTION_TOL
+    assert not hasattr(mqso, "CHANGE_DETECTION_TOL")
+    assert mqso.differs is protocol.differs
 
 
 def test_scenario_complete_is_a_plain_signal():
