@@ -262,6 +262,15 @@ class Landscape:
     _operands: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        # the kernel broadcasts the arrays against each other, so a wrong
+        # shape could be scored silently with the wrong parameters
+        if np.ndim(self.centers) != 2:
+            raise ValueError(f"centers has shape {np.shape(self.centers)}, not (m, d)")
+        m, d = np.shape(self.centers)
+        for name, shape in (("rotations", (m, d, d)), ("widths", (m, d)), ("heights", (m,)),
+                            ("angles", (m,)), ("tau", (m,)), ("eta", (m, 4))):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} has shape {np.shape(getattr(self, name))}, not {shape}")
         k = int(np.argmax(self.heights))
         object.__setattr__(self, "environment_index", int(self.environment_index))
         object.__setattr__(self, "optimum_value", float(self.heights[k]))

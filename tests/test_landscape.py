@@ -252,6 +252,20 @@ class TestKernelOperands:
         assert same_bits(evaluate_raw(xs, ints), evaluate_raw(xs, floats))
         assert evaluate_raw(xs[0], ints) == evaluate_raw(xs[0], floats)
 
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_wrong_shape_is_rejected(self, name):
+        # an (m, 3) eta would broadcast in the kernel and score x = (7, 7, 7)
+        # with the wrong frequencies instead of failing
+        ls = init_landscape(ScenarioConfig(dimension=3, num_components=4),
+                            np.random.default_rng(39))
+        arrays = {field: getattr(ls, field) for field in FIELDS}
+        cut = {"centers": np.s_[0], "rotations": np.s_[:, :, :2], "widths": np.s_[:, :2],
+               "heights": np.s_[:3], "angles": np.s_[None], "tau": np.s_[:, None],
+               "eta": np.s_[:, :3]}[name]
+        arrays[name] = arrays[name][cut]
+        with pytest.raises(ValueError, match=f"^{name} has shape"):
+            Landscape(environment_index=0, **arrays)
+
     def test_one_piece_block_is_scored_in_one_kernel_call(self, monkeypatch):
         from gmpbench import landscape as module
         ls = init_landscape(ScenarioConfig(dimension=3, num_components=5),
