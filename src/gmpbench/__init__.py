@@ -11,7 +11,7 @@ solvers and the experiment runner. The rest of each module (rotation
 helpers, the ledger, the swarm record) is imported from that module.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .landscape import Landscape, ScenarioConfig, evaluate_batch, evaluate_raw
 from .dynamics import ScenarioExhausted, advance_environment, init_landscape

@@ -2,11 +2,16 @@
 
 All randomness flows through a single ``numpy.random.Generator`` per run with
 a fixed draw order, so a scenario's full trajectory is a pure function of its
-seed. Draw order during initialization, per component: center, height,
-widths, angle, eta, tau, rotation source matrix (skipped when rotation is
-disabled). Draw order per update, per component in index order: shift
-direction, height, widths, angle, eta and tau in one ``standard_normal(2d +
-7)`` call, then the plane permutation (skipped when rotation is disabled).
+seed. Each array is drawn in one call, row ``k`` for component ``k``. Draw
+order during initialization: centers (m, d), heights (m,), widths (m, d),
+angles (m,), eta (m, 4), tau (m,), then the (m, d, d) rotation source
+matrices (skipped when rotation is disabled). Draw order per update: one
+``standard_normal((m, 2d + 7))`` block, whose row ``k`` holds component
+``k``'s shift direction, height, widths, angle, eta and tau, then the plane
+orders, each row an independent uniform permutation, in one
+``permuted(..., axis=1)`` call (skipped when rotation is disabled). The
+order is not part of the model, which states only the distributions; it is
+fixed so that a seed gives one trajectory.
 
 Every initialization and every change makes exactly these draws. A draw
 that cannot be used as it is, an event of probability zero, is replaced by a
@@ -14,14 +19,13 @@ fixed value instead of drawn again: a shift direction whose norm is below
 1e-12 becomes the first axis, and a source matrix with a Gram-Schmidt pivot
 below 1e-12 becomes the identity.
 
-Only the draws are made component by component: :func:`init_landscape`
-writes each component's draws into row ``k`` of the :class:`Landscape`
-arrays and orthonormalizes all ``m`` source matrices in one stacked
-Gram-Schmidt pass, and :func:`advance_environment` perturbs all ``m`` rows
-with array operations: one :func:`reflect` call folds each parameter array
-into its range, and one :func:`update_rotation` call applies each of the
-d(d-1)/2 plane steps to every rotation matrix with one batched 2x2 matmul. A
-one-component landscape is the change of a single component.
+:func:`init_landscape` orthonormalizes all ``m`` source matrices in one
+stacked Gram-Schmidt pass, and :func:`advance_environment` perturbs all
+``m`` rows with array operations: one :func:`reflect` call folds each
+parameter array into its range, and one :func:`update_rotation` call
+applies each of the d(d-1)/2 plane steps to every rotation matrix with one
+batched 2x2 matmul. A one-component landscape is the change of a single
+component.
 
 Every orthonormalization goes through one modified Gram-Schmidt routine on
 an (m, d, d) stack: the initial rotations and the re-orthonormalization of
@@ -173,7 +177,7 @@ def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
     rotation matrix is advanced with its component's *new* angle. The new
     landscape caches its optimum.
 
-    The draws are made component by component in the documented order; all
+    The draws are made in the documented order, each in one call, and all
     the arithmetic on them is done on the stacked (m, ...) arrays. A
     direction whose norm is below 1e-12 (probability zero) is replaced by
     the first axis, so the step is still exactly ``shift_severity`` long.
@@ -182,18 +186,11 @@ def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
         raise ScenarioExhausted(
             f"environment {landscape.environment_index} is the last of {cfg.num_environments}")
     m, d = landscape.centers.shape
-    num_pairs = d * (d - 1) // 2
-    # per component: shift direction (d), height, widths (d), angle, eta (4),
-    # tau; one standard_normal(2d + 7) call is the same stream as
-    # standard_normal(d) followed by standard_normal(d + 7)
-    draws = np.empty((m, 2 * d + 7))
-    # rng.permutation(n) is a shuffle of np.arange(n): the same draws
-    orders = np.empty((m, num_pairs), dtype=np.intp)
-    orders[:] = np.arange(num_pairs)
-    for k in range(m):
-        draws[k] = rng.standard_normal(2 * d + 7)
-        if cfg.rotation_enabled:
-            rng.shuffle(orders[k])
+    # per component: shift direction (d), height, widths (d), angle, eta (4), tau
+    draws = rng.standard_normal((m, 2 * d + 7))
+    if cfg.rotation_enabled:
+        orders = np.tile(np.arange(d * (d - 1) // 2), (m, 1))
+        rng.permuted(orders, axis=1, out=orders)
     shifts = draws[:, :d]
     # one vector-vector product per row, np.linalg.norm's dot bit for bit
     norms = np.sqrt((shifts[:, None, :] @ shifts[:, :, None])[:, 0, 0])
@@ -220,36 +217,25 @@ def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
 def init_landscape(cfg: ScenarioConfig, rng: np.random.Generator) -> Landscape:
     """Draw the initial environment: all parameters uniform in their ranges.
 
-    The draws are made component by component in the documented order, each
-    written into its row of the arrays; with rotation enabled the last draw
-    of a component is its ``standard_normal((d, d))`` source matrix. All
-    ``m`` source matrices are then orthonormalized at once, each exactly as
-    alone. A source matrix with a pivot below 1e-12 (probability zero)
-    becomes the identity.
+    Each parameter array is drawn in one call, in the documented order;
+    with rotation enabled the last draw is the ``standard_normal((m, d,
+    d))`` stack of source matrices, all orthonormalized at once, each
+    exactly as alone. A source matrix with a pivot below 1e-12 (probability
+    zero) becomes the identity.
     """
     cfg.validate()
     lb, ub = cfg.search_range
     m, d = cfg.num_components, cfg.dimension
-    centers = np.empty((m, d))
-    heights = np.empty(m)
-    widths = np.empty((m, d))
-    angles = np.empty(m)
-    eta = np.empty((m, 4))
-    tau = np.empty(m)
-    rotations = np.empty((m, d, d))
-    for k in range(m):
-        centers[k] = rng.uniform(lb, ub, d)
-        heights[k] = rng.uniform(*cfg.height_range)
-        widths[k] = rng.uniform(*cfg.width_range, d)
-        angles[k] = rng.uniform(*cfg.angle_range)
-        eta[k] = rng.uniform(*cfg.eta_range, 4)
-        tau[k] = rng.uniform(*cfg.tau_range)
-        if cfg.rotation_enabled:
-            rotations[k] = rng.standard_normal((d, d))
+    centers = rng.uniform(lb, ub, (m, d))
+    heights = rng.uniform(*cfg.height_range, m)
+    widths = rng.uniform(*cfg.width_range, (m, d))
+    angles = rng.uniform(*cfg.angle_range, m)
+    eta = rng.uniform(*cfg.eta_range, (m, 4))
+    tau = rng.uniform(*cfg.tau_range, m)
     if cfg.rotation_enabled:
-        rotations, norms = _orthonormalize(rotations)
+        rotations, norms = _orthonormalize(rng.standard_normal((m, d, d)))
         rotations[(norms < _PIVOT_TOL).any(axis=1)] = np.eye(d)
     else:
-        rotations[:] = np.eye(d)
+        rotations = np.tile(np.eye(d), (m, 1, 1))
     return Landscape(environment_index=0, centers=centers, rotations=rotations,
                      widths=widths, heights=heights, angles=angles, tau=tau, eta=eta)

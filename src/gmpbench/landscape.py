@@ -236,8 +236,9 @@ class Landscape:
 
     Row ``k`` of each array belongs to component ``k``: ``centers`` (m, d),
     ``rotations`` (m, d, d), ``widths`` (m, d), ``heights`` (m,), ``angles``
-    (m,), ``tau`` (m,) and ``eta`` (m, 4). Evaluation reads only these, and
-    the dynamics module advances them all at once.
+    (m,), ``tau`` (m,) and ``eta`` (m, 4); an array of another shape is
+    rejected with ``ValueError``. Evaluation reads only these, and the
+    dynamics module advances them all at once.
 
     The optimum is analytic and cached at construction: a component's value
     never exceeds its height and attains it only at the center, so the

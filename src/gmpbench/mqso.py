@@ -13,15 +13,16 @@ contracted. Changes are detected by re-evaluating each swarm's global best
 once per iteration, since the session gives no change signal.
 
 Each swarm's moves are scored as blocks, speculatively and exactly. All of
-a swarm's random draws are made first, in the order of a particle-by-particle
-step; the moves of the particles not yet scored are then computed from the
-current global best and sent as one block that the session stops after the
-first row beating that global best. The consumed rows are committed, and the
-rest are recomputed around the new global best and sent again. Every
-particle therefore moves, and every evaluation lands in the ledger, exactly
-as in the particle-by-particle step. The change-detection sentinels, one per
-swarm, go out as one block too, which the session stops after the first
-sentinel whose value differs from the remembered one.
+a swarm's random draws are made first: its neutral particles' uniforms, then
+its quantum particles' directions and radii. The moves of the particles not
+yet scored are then computed from the current global best and sent as one
+block that the session stops after the first row beating that global best.
+The consumed rows are committed, and the rest are recomputed around the new
+global best and sent again. Every particle therefore moves, and every
+evaluation lands in the ledger, exactly as in the particle-by-particle
+step. The change-detection sentinels, one per swarm, go out as one block
+too, which the session stops after the first sentinel whose value differs
+from the remembered one.
 
 The solver touches the benchmark only through the black-box session surface
 (evaluate / bounds / dimension), keeps no log of its steps, and is
@@ -225,23 +226,19 @@ class MQSO:
         """Offsets of ``count`` uniform samples from the ball of
         ``cloud_radius`` around the origin, one per row.
 
-        The draws are made sample by sample: a normal direction, then a
-        uniform radius. A direction whose norm is below 1e-12 (probability
-        zero) becomes the first axis, so each sample makes exactly these
-        two draws. The norms and scales are computed once for all rows.
+        All normal directions are drawn in one call, then all uniform
+        radii in another. A direction whose norm is below 1e-12
+        (probability zero) becomes the first axis, so a call makes exactly
+        these two draws.
         """
-        cloud = self.config.cloud_radius
-        offsets = np.empty((count, d))
-        radii = []
-        for v in offsets:
-            self.rng.standard_normal(d, out=v)
-            radii.append(cloud * self.rng.random() ** (1.0 / d))
+        offsets = self.rng.standard_normal((count, d))
+        radii = self.config.cloud_radius * self.rng.random(count) ** (1.0 / d)
         # one vector-vector product per row, np.linalg.norm's dot bit for bit
         norms = np.sqrt((offsets[:, None, :] @ offsets[:, :, None])[:, 0, 0])
         degenerate = norms < 1e-12
         offsets[degenerate] = np.eye(1, d)
         norms[degenerate] = 1.0
-        offsets *= (np.array(radii) / norms)[:, None]
+        offsets *= (radii / norms)[:, None]
         return offsets
 
     # -- the four phases ----------------------------------------------------
@@ -302,7 +299,7 @@ class MQSO:
         for swarm in self.swarms:
             nc = swarm.neutral_count
             # the draws of a particle-by-particle step, in its order: u1 and
-            # u2 per neutral particle, then a ball sample per quantum particle
+            # u2 per neutral particle, then the quantum particles' ball samples
             u = self.rng.random((nc, 2, d))
             offsets = self._ball_offsets(swarm.size - nc, d)
             # the neutral update, v = chi * (inertia + pull * (gbest - x)),

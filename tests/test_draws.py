@@ -15,14 +15,21 @@ about once in a million seeds; it is never set from an observed p-value.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from gmpbench import BenchmarkSession, ScenarioConfig, SolverConfig, advance_environment, init_landscape
-from gmpbench import dynamics
-from gmpbench.mqso import MQSO
+from gmpbench import (
+    MQSO,
+    BenchmarkSession,
+    ScenarioConfig,
+    SolverConfig,
+    advance_environment,
+    dynamics,
+    init_landscape,
+)
 
 FALSE_ALARM = 1e-6
 SEEDS = (7, 8, 9)
@@ -139,9 +146,11 @@ def middle(landscape, cfg):
                                **mid)
 
 
+@functools.lru_cache(maxsize=4)
 def walk(cfg, seed):
     """The steps of every parameter over all changes of ``cfg``, started
-    from the middle of the ranges: name -> (changes, m, ...) array."""
+    from the middle of the ranges: name -> (changes, m, ...) array. The
+    arrays are shared between callers, who must not write to them."""
     rng = np.random.default_rng(seed)
     ls = middle(init_landscape(cfg, rng), cfg)
     steps = {name: [] for name in ("centers", *SEVERITIES)}
@@ -163,6 +172,22 @@ class TestChangeModel:
         steps = walk(WIDE, seed)
         for name, severity in SEVERITIES.items():
             assert_fits(steps[name] / getattr(WIDE, severity), normal_cdf, name)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_of_a_component_are_uncorrelated(self, seed):
+        # one column per coordinate of the shift direction and per Gaussian
+        # step of a component: sqrt(n) times a correlation is about N(0, 1)
+        # for two independent steps, and N(0, d/(d+2)) for two coordinates
+        # of a uniform direction; |z| < 4.89 is p > 1e-6
+        steps = walk(WIDE, seed)
+        n = steps["heights"].size
+        shifts = steps["centers"].reshape(n, -1)
+        columns = [shifts / np.linalg.norm(shifts, axis=1, keepdims=True)]
+        columns += [steps[name].reshape(n, -1) for name in SEVERITIES]
+        r = np.corrcoef(np.hstack(columns), rowvar=False)
+        z = math.sqrt(n) * r[np.triu_indices(r.shape[0], 1)]
+        assert r.shape == (2 * WIDE.dimension + 7, 2 * WIDE.dimension + 7)
+        assert np.abs(z).max() < 4.89, np.abs(z).max()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_shift_is_a_fixed_step_in_a_uniform_direction(self, seed):
@@ -254,3 +279,46 @@ class TestBallSamples:
         # the mass inside radius r grows as r**d
         assert_fits((radii / cloud) ** d, uniform_cdf(0.0, 1.0), "radius")
         assert_fits((offsets[:, 0] / radii) ** 2, sphere_coordinate_cdf(d), "direction")
+
+
+class CountingGenerator:
+    """A seeded ``Generator`` that counts the calls made to its methods."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+class TestDrawCalls:
+    """Each array is drawn in one call: the number of generator calls does
+    not grow with the number of components or samples."""
+
+    @pytest.mark.parametrize("rotation", [True, False])
+    def test_dynamics_calls_do_not_grow_with_components(self, rotation):
+        counts = set()
+        for m in (1, 3, 50):
+            cfg = ScenarioConfig(dimension=4, num_components=m, num_environments=2,
+                                 rotation_enabled=rotation)
+            rng = CountingGenerator(m)
+            ls = init_landscape(cfg, rng)
+            init_calls = rng.calls
+            advance_environment(ls, cfg, rng)
+            counts.add((init_calls, rng.calls - init_calls))
+        assert counts == {(7, 2) if rotation else (6, 1)}
+
+    def test_ball_offsets_make_two_calls(self):
+        session = BenchmarkSession(ScenarioConfig(dimension=3, num_components=2))
+        solver = MQSO(session, SolverConfig.for_scenario(session.config),
+                      np.random.default_rng(0))
+        for count in (0, 1, 5, 200):
+            solver.rng = rng = CountingGenerator(count)
+            assert solver._ball_offsets(count, 3).shape == (count, 3)
+            assert rng.calls == 2, count

@@ -102,9 +102,10 @@ def orthogonality_error(r):
     return float(np.abs(r.T @ r - np.eye(r.shape[0])).max())
 
 
-# -- per-component oracle: the initial draws and the environment change one
-# component at a time, with the per-matrix Gram-Schmidt loop and the mirror
-# loop of reflect, as the stacked dynamics must reproduce them
+# -- per-component oracle: the initial landscape and the environment change
+# built one component at a time from its rows of the draws, with the
+# per-matrix Gram-Schmidt loop and the mirror loop of reflect, as the
+# stacked dynamics must reproduce them
 
 def gram_schmidt(a):
     """Modified Gram-Schmidt on the columns of ``a``, in index order."""
@@ -120,30 +121,31 @@ def gram_schmidt(a):
     return q
 
 
-def initial_rotation(d, rng):
-    """One component's rotation: its ``standard_normal((d, d))`` source
-    matrix orthonormalized, or the identity when the source is degenerate."""
+def initial_rotation(source):
+    """One component's rotation: its source matrix orthonormalized, or the
+    identity when the source is degenerate."""
     try:
-        return gram_schmidt(rng.standard_normal((d, d)))
+        return gram_schmidt(source)
     except ValueError:
-        return np.eye(d)
+        return np.eye(source.shape[0])
 
 
 def oracle_init_landscape(cfg, rng):
+    """The initial components one at a time, each from its rows of the
+    parameter arrays drawn in the documented order."""
     lb, ub = cfg.search_range
-    d = cfg.dimension
-    comps = []
-    for _ in range(cfg.num_components):
-        center = rng.uniform(lb, ub, d)
-        height = rng.uniform(*cfg.height_range)
-        widths = rng.uniform(*cfg.width_range, d)
-        angle = rng.uniform(*cfg.angle_range)
-        eta = rng.uniform(*cfg.eta_range, 4)
-        tau = rng.uniform(*cfg.tau_range)
-        rotation = initial_rotation(d, rng) if cfg.rotation_enabled else np.eye(d)
-        comps.append(Peak(center=center, height=height, widths=widths, angle=angle,
-                          tau=tau, eta=eta, rotation=rotation))
-    return comps
+    m, d = cfg.num_components, cfg.dimension
+    centers = rng.uniform(lb, ub, (m, d))
+    heights = rng.uniform(*cfg.height_range, m)
+    widths = rng.uniform(*cfg.width_range, (m, d))
+    angles = rng.uniform(*cfg.angle_range, m)
+    eta = rng.uniform(*cfg.eta_range, (m, 4))
+    tau = rng.uniform(*cfg.tau_range, m)
+    sources = rng.standard_normal((m, d, d)) if cfg.rotation_enabled else None
+    return [Peak(center=centers[k], height=float(heights[k]), widths=widths[k],
+                 angle=float(angles[k]), tau=float(tau[k]), eta=eta[k],
+                 rotation=initial_rotation(sources[k]) if cfg.rotation_enabled else np.eye(d))
+            for k in range(m)]
 
 
 def assert_same_peaks(landscape, comps, context=None):
@@ -155,53 +157,47 @@ def assert_same_peaks(landscape, comps, context=None):
 
 
 class DegenerateOnce:
-    """A generator whose source matrix for component ``k`` is the rank-one
-    ``np.ones((d, d))``; every other draw is the seeded generator's."""
+    """A generator whose stack of source matrices comes back with matrix
+    ``k`` the rank-one ``np.ones((d, d))``; every other draw is the seeded
+    generator's."""
 
-    def __init__(self, seed, d, k):
+    def __init__(self, seed, k):
         self._rng = np.random.default_rng(seed)
         self.bit_generator = self._rng.bit_generator
-        self._shape = (d, d)
-        self._left = k  # source matrices still to draw before the bad one
+        self._k = k
 
     def uniform(self, *args):
         return self._rng.uniform(*args)
 
     def standard_normal(self, size=None):
         out = self._rng.standard_normal(size)
-        if size == self._shape:
-            self._left -= 1
-            if self._left == -1:
-                return np.ones(self._shape)
+        out[self._k] = 1.0
         return out
 
 
 class DegenerateShift:
-    """A generator, started at ``state``, whose draw made at generator state
-    ``target`` comes back with its first ``d`` entries zeroed: the shift
-    direction drawn there is degenerate, whether it is drawn alone or at the
-    head of a component's other draws. Every other draw is the seeded
+    """A generator, started at ``state``, whose block of change normals
+    comes back with the first ``d`` entries of row ``k`` zeroed: component
+    ``k``'s shift direction is degenerate. Every other draw is the seeded
     generator's."""
 
-    def __init__(self, state, d, target):
+    def __init__(self, state, d, k):
         self._rng = np.random.default_rng()
         self._rng.bit_generator.state = state
         self.bit_generator = self._rng.bit_generator
         self._d = d
-        self._target = target
+        self._k = k
 
     def standard_normal(self, size=None):
-        hit = self.bit_generator.state == self._target
         out = self._rng.standard_normal(size)
-        if hit:
-            out[:self._d] = 0.0
+        out[self._k, :self._d] = 0.0
         return out
 
     def permutation(self, n):
         return self._rng.permutation(n)
 
-    def shuffle(self, x):
-        self._rng.shuffle(x)
+    def permuted(self, x, axis=None, out=None):
+        return self._rng.permuted(x, axis=axis, out=out)
 
 
 def oracle_reflect(value, delta, lo, hi):
@@ -213,9 +209,8 @@ def oracle_reflect(value, delta, lo, hi):
     return v
 
 
-def oracle_update_rotation(r, theta, rng):
+def oracle_update_rotation(r, theta, order):
     pairs = plane_pairs(r.shape[0])
-    order = rng.permutation(len(pairs))
     out = np.array(r, dtype=float)
     c, s = math.cos(theta), math.sin(theta)
     rot2 = np.array([[c, -s], [s, c]])
@@ -227,17 +222,35 @@ def oracle_update_rotation(r, theta, rng):
     return out
 
 
+def oracle_change(comps, cfg, rng):
+    """One environment change of every component, each from its row of the
+    normals and its plane order, drawn in the documented order."""
+    d = cfg.dimension
+    normals = rng.standard_normal((len(comps), 2 * d + 7))
+    # one permutation per component, in component order
+    orders = [rng.permutation(d * (d - 1) // 2) if cfg.rotation_enabled else None
+              for _ in comps]
+    return [oracle_step(c, cfg, row, order) for c, row, order in zip(comps, normals, orders)]
+
+
 def oracle_update_component(comp, cfg, rng):
+    """The change of one component alone."""
+    return oracle_change([comp], cfg, rng)[0]
+
+
+def oracle_step(comp, cfg, normals, order):
+    """One component's change from its row of normals: shift direction (d),
+    height, widths (d), angle, eta (4) and tau; and its plane order."""
     d = comp.dimension
-    r = rng.standard_normal(d)
+    r = normals[:d]
     norm = float(np.linalg.norm(r))
     if norm < 1e-12:
         r, norm = np.eye(d)[0], 1.0
-    height_draw = float(rng.standard_normal())
-    width_draws = rng.standard_normal(d)
-    angle_draw = float(rng.standard_normal())
-    eta_draws = rng.standard_normal(4)
-    tau_draw = float(rng.standard_normal())
+    height_draw = float(normals[d])
+    width_draws = normals[d + 1:2 * d + 1]
+    angle_draw = float(normals[2 * d + 1])
+    eta_draws = normals[2 * d + 2:2 * d + 6]
+    tau_draw = float(normals[2 * d + 6])
 
     def each(values, deltas, lo, hi):
         return np.array([oracle_reflect(float(v), float(dv), lo, hi)
@@ -251,7 +264,7 @@ def oracle_update_component(comp, cfg, rng):
         angle=angle,
         eta=each(comp.eta, cfg.eta_severity * eta_draws, *cfg.eta_range),
         tau=oracle_reflect(comp.tau, cfg.tau_severity * tau_draw, *cfg.tau_range),
-        rotation=(oracle_update_rotation(comp.rotation, angle, rng)
+        rotation=(oracle_update_rotation(comp.rotation, angle, order)
                   if cfg.rotation_enabled else comp.rotation))
 
 
@@ -377,7 +390,7 @@ class TestUpdateRotation:
         # stack with its own angle and order
         d, thetas = 5, [0.37, -1.1]
         rng = np.random.default_rng(5)
-        r0 = np.stack([initial_rotation(d, rng) for _ in thetas])
+        r0 = np.stack([initial_rotation(rng.standard_normal((d, d))) for _ in thetas])
         orders = plane_orders(np.random.default_rng(99), len(thetas), d)
         out = update_rotation(r0, thetas, orders)
         pairs = plane_pairs(d)
@@ -391,13 +404,13 @@ class TestUpdateRotation:
     @settings(max_examples=50)
     def test_stays_orthogonal(self, d, seed, theta):
         rng = np.random.default_rng(seed)
-        r = initial_rotation(d, rng)
+        r = initial_rotation(rng.standard_normal((d, d)))
         out = update_rotation(r[None], [theta], plane_orders(rng, 1, d))[0]
         assert orthogonality_error(out) <= 1e-9
         assert abs(abs(np.linalg.det(out)) - 1.0) <= 1e-6
 
     def test_deterministic(self):
-        r = initial_rotation(6, np.random.default_rng(1))[None]
+        r = initial_rotation(np.random.default_rng(1).standard_normal((6, 6)))[None]
         before = r.copy()
         a = update_rotation(r, [0.3], plane_orders(np.random.default_rng(7), 1, 6))
         b = update_rotation(r, [0.3], plane_orders(np.random.default_rng(7), 1, 6))
@@ -559,7 +572,7 @@ class TestStackedDynamics:
         assert_same_peaks(ls, comps, 0)
         for env in range(1, cfg.num_environments):
             ls = advance_environment(ls, cfg, rng)
-            comps = [oracle_update_component(c, cfg, oracle_rng) for c in comps]
+            comps = oracle_change(comps, cfg, oracle_rng)
             assert ls.environment_index == env
             assert_same_peaks(ls, comps, env)
             k = int(np.argmax([c.height for c in comps]))
@@ -584,8 +597,8 @@ class TestStackedDynamics:
         # a degenerate source matrix is not drawn again: it becomes the
         # identity, so the stream and every other draw are an ordinary run's
         cfg = ScenarioConfig(dimension=d, num_components=5, seed=11)
-        rng = DegenerateOnce(cfg.seed, d, k)
-        oracle_rng = DegenerateOnce(cfg.seed, d, k)
+        rng = DegenerateOnce(cfg.seed, k)
+        oracle_rng = DegenerateOnce(cfg.seed, k)
         ls = init_landscape(cfg, rng)
         assert_same_peaks(ls, oracle_init_landscape(cfg, oracle_rng))
         plain_rng = np.random.default_rng(cfg.seed)
@@ -611,17 +624,10 @@ class TestStackedDynamics:
         centers[k] = 0.0
         ls = dataclasses.replace(ls, centers=centers)
         start = rng.bit_generator.state
-        # the state at component k's direction, by the documented order
-        for _ in range(k):
-            rng.standard_normal(d)
-            rng.standard_normal(d + 7)
-            if rotation:
-                rng.permutation(d * (d - 1) // 2)
-        target = rng.bit_generator.state
-        stub = DegenerateShift(start, d, target)
-        oracle_rng = DegenerateShift(start, d, target)
+        stub = DegenerateShift(start, d, k)
+        oracle_rng = DegenerateShift(start, d, k)
         new = advance_environment(ls, cfg, stub)
-        assert_same_peaks(new, [oracle_update_component(c, cfg, oracle_rng) for c in peaks(ls)])
+        assert_same_peaks(new, oracle_change(peaks(ls), cfg, oracle_rng))
         plain = np.random.default_rng()
         plain.bit_generator.state = start
         undisturbed = advance_environment(ls, cfg, plain)

@@ -26,14 +26,16 @@ def make_session(**kw):
 
 
 class ZeroNormalOnce:
-    """A generator whose ``n``-th ``standard_normal`` call comes back as
-    zeros: the direction of that ball sample is degenerate. Every other draw
-    is the seeded generator's; ``hits`` counts the zeroed calls."""
+    """A generator whose ``n``-th ``standard_normal`` call comes back with
+    row ``row`` zeroed: the direction of that ball sample is degenerate.
+    Every other draw is the seeded generator's; ``hits`` counts the zeroed
+    rows."""
 
-    def __init__(self, seed, n):
+    def __init__(self, seed, n, row):
         self._rng = np.random.default_rng(seed)
         self.bit_generator = self._rng.bit_generator
         self._left = n
+        self._row = row
         self.hits = 0
 
     def uniform(self, *args):
@@ -42,11 +44,11 @@ class ZeroNormalOnce:
     def random(self, *args):
         return self._rng.random(*args)
 
-    def standard_normal(self, size=None, out=None):
-        draw = self._rng.standard_normal(size, out=out)
+    def standard_normal(self, size=None):
+        draw = self._rng.standard_normal(size)
         self._left -= 1
         if self._left == 0:
-            draw[...] = 0.0
+            draw[self._row] = 0.0
             self.hits += 1
         return draw
 
@@ -270,7 +272,7 @@ class TestSolverStep:
         # a degenerate direction is replaced, not drawn again: the sample's
         # radius lies on the first axis and the stream is an ordinary run's
         solver = make_solver(make_session(dimension=d), rng_seed=3)
-        solver.rng = stub = ZeroNormalOnce(30, 3)
+        solver.rng = stub = ZeroNormalOnce(30, 1, 2)
         offsets = solver._ball_offsets(5, d)
         solver.rng = plain = np.random.default_rng(30)
         expected = solver._ball_offsets(5, d)
@@ -279,11 +281,9 @@ class TestSolverStep:
         others = np.arange(5) != 2
         assert np.array_equal(offsets[others], expected[others])
         replay = np.random.default_rng(30)
-        for _ in range(3):
-            replay.standard_normal(d)
-            u = replay.random()
-        radius = solver.config.cloud_radius * u ** (1.0 / d)
-        assert offsets[2].tolist() == [radius] + [0.0] * (d - 1)
+        replay.standard_normal((5, d))
+        radii = solver.config.cloud_radius * replay.random(5) ** (1.0 / d)
+        assert offsets[2].tolist() == [radii[2]] + [0.0] * (d - 1)
 
     def test_gbest_nondecreasing_without_reinit(self):
         s = make_session(num_components=5, seed=9)
@@ -499,14 +499,18 @@ class PerParticleMQSO(MQSO):
                      pbest_positions=positions.copy(), pbest_values=values,
                      neutral_count=self.config.neutral_count)
 
-    def _sample_ball(self, center):
-        d = center.shape[0]
-        v = self.rng.standard_normal(d)
-        norm = float(np.linalg.norm(v))
-        radius = self.config.cloud_radius * float(self.rng.uniform(0.0, 1.0)) ** (1.0 / d)
-        if norm < 1e-12:
-            v, norm = np.eye(d)[0], 1.0
-        return center + (radius / norm) * v
+    def _sample_ball(self, count, d):
+        """The offsets of ``count`` ball samples, one at a time, from all
+        their directions drawn in one call and then all their radii."""
+        directions = self.rng.standard_normal((count, d))
+        radii = self.config.cloud_radius * self.rng.uniform(0.0, 1.0, count) ** (1.0 / d)
+        offsets = []
+        for v, radius in zip(directions, radii):
+            norm = float(np.linalg.norm(v))
+            if norm < 1e-12:
+                v, norm = np.eye(d)[0], 1.0
+            offsets.append((radius / norm) * v)
+        return offsets
 
     def change_reaction(self):
         detected = False
@@ -536,8 +540,9 @@ class PerParticleMQSO(MQSO):
         lb, ub = self.session.bounds
         cfg = self.config
         for swarm in self.swarms:
+            nc = swarm.neutral_count
             for i in range(swarm.size):
-                if i < swarm.neutral_count:
+                if i < nc:
                     u1 = self.rng.uniform(0.0, 1.0, self.session.dimension)
                     u2 = self.rng.uniform(0.0, 1.0, self.session.dimension)
                     v = cfg.chi * (swarm.velocities[i]
@@ -550,7 +555,9 @@ class PerParticleMQSO(MQSO):
                         v = np.where(out, 0.0, v)
                     swarm.velocities[i] = v
                 else:
-                    x = np.clip(self._sample_ball(swarm.gbest_position), lb, ub)
+                    if i == nc:  # the swarm's quantum draws, at its first quantum particle
+                        ball = self._sample_ball(swarm.size - nc, self.session.dimension)
+                    x = np.clip(swarm.gbest_position + ball[i - nc], lb, ub)
                 swarm.positions[i] = x
                 value = self.session.evaluate(x)
                 if value > swarm.pbest_values[i]:
@@ -641,7 +648,7 @@ class TestBlockScoring:
         runs = []
         for cls in (RecordingPerParticleMQSO, RecordingMQSO):
             session = BenchmarkSession(config)
-            rng = ZeroNormalOnce(d, 12)
+            rng = ZeroNormalOnce(d, 5, 2)
             solver = cls(session, SolverConfig.for_scenario(config), rng)
             solver.run()
             assert rng.hits == 1
