@@ -53,8 +53,8 @@ class RandomSearch:
 
     Points are drawn and sent in blocks of ``_RANDOM_BLOCK_ROWS``, which
     draws the same stream as one point at a time. A call with neither stop
-    rule (``above``, ``differs_from``) consumes every row until the budget
-    runs out, so each block is fresh.
+    rule (``above``, ``differs_from``) consumes every row, so each block is
+    fresh.
     """
 
     def __init__(self, session: BenchmarkSession, rng: np.random.Generator):

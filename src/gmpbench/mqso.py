@@ -16,13 +16,13 @@ Each swarm's moves are scored as blocks, speculatively and exactly. All of
 a swarm's random draws are made first: its neutral particles' uniforms, then
 its quantum particles' directions and radii. The moves of the particles not
 yet scored are then computed from the current global best and sent as one
-block that the session stops after the first row beating that global best.
-The consumed rows are committed, and the rest are recomputed around the new
-global best and sent again. Every particle therefore moves, and every
-evaluation lands in the ledger, exactly as in the particle-by-particle
+block that the session stops after the first row beating that global best;
+the consumed rows are committed and the rest recomputed and sent again. So
+every evaluation lands in the ledger exactly as in the particle-by-particle
 step. The change-detection sentinels, one per swarm, go out as one block
-too, which the session stops after the first sentinel whose value differs
-from the remembered one.
+too, stopped after the first sentinel whose value differs from the
+remembered one. The budget's end is the session's: it raises
+``ScenarioComplete``, which ends :meth:`MQSO.run` inside the step it cuts.
 
 The solver touches the benchmark only through the black-box session surface
 (evaluate / bounds / dimension), keeps no log of its steps, and is
@@ -172,14 +172,11 @@ def _gbest_gaps(points: np.ndarray) -> np.ndarray:
 class MQSO:
     """Drives a benchmark session with the multi-swarm solver.
 
-    Each :meth:`step` runs change detection (one sentinel evaluation per
-    swarm, in one block cut short after the first hit), particle moves,
-    exclusion and anti-convergence. Swarm reinitializations evaluate the
-    fresh particles right away, so the ledger accounts for every evaluation
-    the solver causes. Budget exhaustion surfaces as ``ScenarioComplete``
-    from any evaluating call; a partially executed step is valid. A
-    ``config`` with a violation is rejected with ``ValueError``. Every
-    random draw comes from ``rng``, so a run is reproducible from the
+    Each :meth:`step` runs change detection, particle moves, exclusion and
+    anti-convergence. Swarm reinitializations evaluate the fresh particles
+    right away, so the ledger accounts for every evaluation the solver
+    causes. A ``config`` with a violation is rejected with ``ValueError``.
+    Every random draw comes from ``rng``, so a run is reproducible from the
     generator's seed.
     """
 
@@ -200,27 +197,16 @@ class MQSO:
         d = self.session.dimension
         n = self.config.neutral_count + self.config.quantum_count
         positions = self.rng.uniform(lb, ub, (n, d))
-        values = np.empty(n)
-        self._evaluate_into(positions, values)
         return Swarm(positions=positions,
                      velocities=np.zeros((n, d)),
                      pbest_positions=positions.copy(),
-                     pbest_values=values,
+                     pbest_values=self.session.evaluate(positions),
                      neutral_count=self.config.neutral_count)
 
     def _reinitialize(self, index: int):
         generation = self.swarms[index].generation
         self.swarms[index] = self._new_swarm()
         self.swarms[index].generation = generation + 1
-
-    def _evaluate_into(self, points: np.ndarray, out: np.ndarray):
-        """Score every row of ``points`` into ``out``, block by block, so
-        that the rows scored before the budget runs out are kept."""
-        done = 0
-        while done < points.shape[0]:
-            values = self.session.evaluate(points[done:])
-            out[done:done + values.shape[0]] = values
-            done += values.shape[0]
 
     def _ball_offsets(self, count: int, d: int) -> np.ndarray:
         """Offsets of ``count`` uniform samples from the ball of
@@ -246,29 +232,20 @@ class MQSO:
     def change_reaction(self) -> bool:
         """Sentinel-check each swarm's gbest; on a mismatch, refresh memory.
 
-        The gbests are sent as one block of sentinels, in swarm order, with
-        their remembered values as the stop rule ``differs_from``, so the
-        session stops after the first sentinel that detects a change and
-        the evaluations are those of sentinels sent one at a time.
-
-        Returns whether a change was detected. Reaction re-evaluates every
-        personal best under the new environment and resets each swarm's
-        global best from them; when the budget runs out during it,
-        ``ScenarioComplete`` propagates and nothing is returned.
+        The gbests go out as one block, in swarm order, with their
+        remembered values as the stop rule ``differs_from``, so the block
+        ends on the first sentinel that detects a change, and only there.
+        The reaction re-evaluates every personal best under the new
+        environment and resets each swarm's global best from them. Returns
+        whether a change was detected.
         """
         sentinels = np.array([swarm.gbest_position for swarm in self.swarms])
         remembered = np.array([swarm.gbest_value for swarm in self.swarms])
-        detected = False
-        done = 0
-        # a block cut short without a detection was cut by the budget, and
-        # the next call raises ScenarioComplete
-        while not detected and done < len(self.swarms):
-            values = self.session.evaluate(sentinels[done:], differs_from=remembered[done:])
-            done += values.shape[0]
-            detected = bool(differs(values[-1], remembered[done - 1]))
+        values = self.session.evaluate(sentinels, differs_from=remembered)
+        detected = bool(differs(values[-1], remembered[len(values) - 1]))
         if detected:
             for swarm in self.swarms:
-                self._evaluate_into(swarm.pbest_positions, swarm.pbest_values)
+                swarm.pbest_values[:] = self.session.evaluate(swarm.pbest_positions)
                 swarm.refresh_gbest()
         return detected
 
@@ -281,17 +258,10 @@ class MQSO:
         zeroed). Quantum particles resample uniformly inside the cloud ball
         around the swarm's current global best; clamping cannot push them
         outside the ball. Bests update particle by particle, so later
-        particles see the freshest global best: each quantum particle lies
-        within ``cloud_radius`` of the global best as it stood when that
-        particle was sampled (the asynchronous attractor of Blackwell &
-        Branke, 2006). When a later particle improves the global best, an
-        earlier quantum particle may therefore end the step up to
-        ``2 * cloud_radius`` from it.
-
-        The moves are scored in blocks: those of all particles not yet
-        scored, computed from the current global best, stopped by the
-        session after the first row that beats it. Positions, velocities
-        and bests are exactly those of a particle-by-particle step.
+        particles see the freshest global best (the asynchronous attractor
+        of the module docstring). The moves are scored in blocks, each
+        stopped after the first row that beats the current global best, and
+        end exactly as in a particle-by-particle step.
         """
         lb, ub = self.session.bounds
         cfg = self.config
@@ -327,10 +297,6 @@ class MQSO:
                 x = moves[start:]
                 np.maximum(x, lb, out=x)
                 np.minimum(x, ub, out=x)
-                # the first move is stored before it is scored, as a
-                # particle-by-particle step does, should the budget run out
-                swarm.positions[start] = x[0]
-                swarm.velocities[start:nc][:1] = v[:1]
                 best = swarm.gbest_value
                 values = self.session.evaluate(x, above=best)
                 k = values.shape[0]

@@ -19,13 +19,19 @@ scored in order, exactly as if they had been sent one at a time: a block may
 run across environment changes (the rows after a change are scored under the
 new environment, and the call does not end there, which would tell the
 solver that the environment changed). The block is range-checked as a whole,
-so one bad row rejects the call and spends nothing. A call ends early only
-when the budget runs out, or after the first row that meets the caller's
-stop rule, given as data: a value strictly above ``above``, or one more than
-``CHANGE_DETECTION_TOL`` from that row's ``differs_from`` value. Rows after
-that are neither recorded nor returned, so a solver can send speculative
-moves and resend the rest. The session applies the rule itself and runs no
-solver code during a call, so a solver learns only the values it pays for.
+so one bad row rejects the call and spends nothing. A block comes back short
+only after the first row that meets the caller's stop rule, given as data: a
+value strictly above ``above``, or one more than ``CHANGE_DETECTION_TOL``
+from that row's ``differs_from`` value. Rows after that are neither recorded
+nor returned, so a solver can send speculative moves and resend the rest.
+The session applies the rule itself and runs no solver code during a call,
+so a solver learns only the values it pays for.
+
+The session alone owns the budget's end. A block whose rows outlast the
+budget records the rows that fit and raises :class:`ScenarioComplete`
+instead of returning; a block that ends exactly at the budget's end returns
+all its values, and the next call raises. A solver therefore never sees a
+block cut short by the budget.
 """
 
 from __future__ import annotations
@@ -174,25 +180,24 @@ class BenchmarkSession:
         the first row whose value is strictly above ``best``;
         ``differs_from=remembered``, one value per row, after the first row
         whose value is more than ``CHANGE_DETECTION_TOL`` from that row's
-        remembered value. The call also ends when the budget runs out. The
-        rows after its end are neither recorded nor returned. The session
-        computes the rule on each environment segment and runs no solver
-        code during the call.
+        remembered value. The rows after that are neither recorded nor
+        returned; no other cause returns fewer rows than were sent. The
+        session computes the rule on each environment segment and runs no
+        solver code during the call.
 
         The evaluation that exhausts an environment's quota is scored there;
         the landscape then advances without notice. Raises
-        :class:`ScenarioComplete` once the total budget is spent, and
-        ``ValueError``, spending no budget, when both stop rules are given,
-        when ``differs_from`` does not hold one value per row, or when any
-        point has a NaN or infinite coordinate or lies outside the search
-        box. Such points are rejected rather than clamped: a clamped point
-        would be scored at a position the solver never asked for, so a
-        solver must keep its own points inside :attr:`bounds` (the box edges
-        included).
+        :class:`ScenarioComplete` when a row is left to score and the total
+        budget is spent: on a call made after the budget's end, and on a
+        block whose rows outlast the budget, once the rows that fit are
+        recorded. Raises ``ValueError``, spending no budget, when both stop
+        rules are given, when ``differs_from`` does not hold one value per
+        row, or when any point has a NaN or infinite coordinate or lies
+        outside the search box. Such points are rejected rather than
+        clamped: a clamped point would be scored at a position the solver
+        never asked for, so a solver must keep its own points inside
+        :attr:`bounds` (the box edges included).
         """
-        ledger = self.ledger
-        if ledger.complete:
-            raise ScenarioComplete("scenario complete: the evaluation budget is spent")
         if type(x) is not np.ndarray or x.dtype != np.float64:
             x = np.asarray(x, dtype=float)
         config = self.config
@@ -217,10 +222,13 @@ class BenchmarkSession:
             if not np.isfinite(points).all():
                 raise ValueError(f"point has a non-finite coordinate: {x}")
             raise ValueError(f"point lies outside the search box [{lb}, {ub}]: {x}")
+        ledger = self.ledger
         values = np.empty(n)
         done = 0
         # one kernel call per environment the block reaches
-        while done < n and not ledger.complete:
+        while done < n:
+            if ledger.complete:
+                raise ScenarioComplete("scenario complete: the evaluation budget is spent")
             end = min(n, done + ledger.change_frequency - ledger.env_eval_count)
             segment = values[done:end]
             segment[:] = evaluate_raw(points[done:end], self.landscape)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmpbench import (
@@ -134,6 +134,11 @@ def random_component(rng, d=2):
     return init_landscape(ScenarioConfig(dimension=d, num_components=1), rng)
 
 
+# the machine epsilon, and the ulps within which a log, sin or exp is taken
+# to round
+EPS = np.finfo(float).eps
+ULPS = 4
+
 finite_offsets = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False)
 taus = st.floats(min_value=-1.0, max_value=1.0)
 etas = st.floats(min_value=-20.0, max_value=20.0)
@@ -174,12 +179,25 @@ class TestIrregularityTransform:
         assert got == pytest.approx(y, rel=1e-12, abs=0.0) or (y == 0.0 and got == 0.0)
 
     @given(y=finite_offsets, tau=taus, e1=etas, e2=etas, e3=etas, e4=etas)
+    # numpy's SIMD log and math.log differ by 1 ulp here, and exp turns that
+    # into a relative difference of 1.76e-15
+    @example(y=397295.4075321314, tau=0.0, e1=0.0, e2=0.0, e3=0.0, e4=0.0)
     def test_vector_matches_scalar(self, y, tau, e1, e2, e3, e4):
         eta = np.array([e1, e2, e3, e4])
         arr = np.array([y, -y, 0.0])
         out = warp(arr, tau, eta)
         expect = [irregularity_transform(v, tau, eta) for v in arr]
-        assert out == pytest.approx(expect, rel=1e-15)
+        # Error model: numpy's log, sin and exp (SIMD code on some CPUs) and
+        # the oracle's libm ones are each within ULPS ulp of the true value.
+        # An error of k ulp in ly = log|y| moves the exponent ly + tau *
+        # (sin(a ly) + sin(b ly)) by k ulp(ly) times at most 1 + |tau| (|a|
+        # + |b|); each sine adds ULPS ulp(1) times |tau|; exp turns an
+        # exponent error e into a relative error e and adds its own ULPS
+        # ulp. Both sides err, hence the factor 2.
+        ly = abs(math.log(y))
+        ab = max(abs(e1) + abs(e2), abs(e3) + abs(e4))
+        rel = 2 * ULPS * EPS * (1 + 2 * abs(tau) + ly * (1 + abs(tau) * ab))
+        assert out == pytest.approx(expect, rel=rel, abs=0.0)
 
 
 class TestFrequencyGather:

@@ -66,12 +66,24 @@ def make_solver(session, rng_seed=0, cls=MQSO, **cfg_kw):
     return cls(session, solver_config(session.config, **cfg_kw), np.random.default_rng(rng_seed))
 
 
+SWARM_STATE = ("positions", "velocities", "pbest_positions", "pbest_values",
+               "gbest_position", "gbest_value")
+
+
+def swarm_states(solver):
+    """A copy of every swarm's state, in swarm order."""
+    return [{name: np.copy(getattr(swarm, name)) for name in SWARM_STATE}
+            for swarm in solver.swarms]
+
+
 class Recording:
     """Solver mixin that records one entry per step, the step the budget
     cuts short included: the detection as :meth:`change_reaction` returned
     it (``None`` when the budget ran out before it returned), the
-    environment index read from the session, and each swarm's generation and
-    gbest value as the step left them."""
+    environment index read from the session, and each swarm's generation as
+    the step left it. A step that returned also records a copy of every
+    swarm's state (``"swarms"``); the step that ``ScenarioComplete`` cut
+    records none, as what it had committed is never used."""
 
     def __init__(self, *args, **kwargs):
         self.record = []
@@ -83,15 +95,15 @@ class Recording:
 
     def step(self):
         self._detected = None
+        entry = {}
         try:
             super().step()
+            entry["swarms"] = swarm_states(self)
         finally:
-            self.record.append({
-                "detected": self._detected,
-                "environment_index": self.session.landscape.environment_index,
-                "generations": tuple(s.generation for s in self.swarms),
-                "gbest_values": tuple(s.gbest_value for s in self.swarms),
-            })
+            entry.update(detected=self._detected,
+                         environment_index=self.session.landscape.environment_index,
+                         generations=tuple(s.generation for s in self.swarms))
+            self.record.append(entry)
 
 
 class RecordingMQSO(Recording, MQSO):
@@ -573,16 +585,25 @@ class RecordingPerParticleMQSO(Recording, PerParticleMQSO):
 
 
 def log_blocks(session):
-    """Wrap ``session.evaluate`` to log (rows sent, values, stop rule) of
-    each block call, the rule as its keywords (``above`` or
-    ``differs_from``); every keyword is passed on."""
+    """Wrap ``session.evaluate`` to log (rows sent, values, stop rule,
+    raised) of each block call. The values are those the call returned, or,
+    for a call that raised ``ScenarioComplete``, those it recorded in the
+    ledger; the rule is the call's keywords (``above`` or
+    ``differs_from``), and every keyword is passed on."""
     blocks = []
     evaluate = session.evaluate
 
     def logging(x, **kwargs):
-        values = evaluate(x, **kwargs)
+        before = session.ledger.total
+        try:
+            values = evaluate(x, **kwargs)
+        except ScenarioComplete:
+            if np.ndim(x) == 2:
+                recorded = session.ledger.values[before:session.ledger.total].copy()
+                blocks.append((len(x), recorded, kwargs, True))
+            raise
         if np.ndim(x) == 2:
-            blocks.append((len(x), values, kwargs))
+            blocks.append((len(x), values, kwargs, False))
         return values
 
     session.evaluate = logging
@@ -600,17 +621,31 @@ def stopped(values, rule):
     return np.zeros(len(values), dtype=bool)
 
 
+def assert_same_swarms(new, old):
+    """Two lists of :func:`swarm_states` are equal bit for bit."""
+    for a, b in zip(new, old, strict=True):
+        for name in SWARM_STATE:
+            np.testing.assert_array_equal(a[name], b[name], err_msg=name)
+
+
 def assert_same_run(s_new, new, s_old, old):
-    """The two sessions' ledgers and the two solvers are equal bit for bit."""
+    """The two sessions' full ledgers are equal bit for bit, and so are the
+    two solvers' records: each step's detection, environment index and
+    generations, and the swarms' state after every step that returned. The
+    solvers' current state is compared too, unless a step that the budget
+    cut left it."""
     for name in ("values", "errors", "optima", "env_final_errors"):
         np.testing.assert_array_equal(getattr(s_new.ledger, name), getattr(s_old.ledger, name))
-    assert new.record == old.record
-    for a, b in zip(new.swarms, old.swarms, strict=True):
-        for name in ("positions", "velocities", "pbest_positions", "pbest_values",
-                     "gbest_position"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        assert a.gbest_value == b.gbest_value
-        assert a.generation == b.generation
+    assert len(new.record) == len(old.record)
+    for a, b in zip(new.record, old.record):
+        assert a.keys() == b.keys()
+        for key in ("detected", "environment_index", "generations"):
+            assert a[key] == b[key], key
+        if "swarms" in a:
+            assert_same_swarms(a["swarms"], b["swarms"])
+    if not new.record or "swarms" in new.record[-1]:
+        assert [s.generation for s in new.swarms] == [s.generation for s in old.swarms]
+        assert_same_swarms(swarm_states(new), swarm_states(old))
 
 
 class TestBlockScoring:
@@ -633,13 +668,17 @@ class TestBlockScoring:
             solver.run()
             runs.append((session, solver, blocks))
         (s_old, old, _), (s_new, new, blocks) = runs
-        # the budget ran out inside a block that no row of it had stopped
-        n, values, rule = blocks[-1]
-        assert len(values) < n and not stopped(values, rule).any()
+        # the budget ran out inside a block that no row of it had stopped:
+        # the block recorded the rows that fit and raised
+        n, values, rule, raised = blocks[-1]
+        assert raised and 0 < len(values) < n and not stopped(values, rule).any()
         assert s_new.ledger.complete and s_old.ledger.complete
         assert_same_run(s_new, new, s_old, old)
-        # moves were scored as blocks, some of them cut short by a new gbest
-        assert any(len(v) < rows and stopped(v, rule)[-1] for rows, v, rule in blocks)
+        # moves were scored as blocks, some of them cut short by a new
+        # gbest, and a block came back short only after its rule's hit
+        short = [stopped(v, rule) for rows, v, rule, raised in blocks
+                 if len(v) < rows and not raised]
+        assert short and all(hits[-1] for hits in short)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_zero_direction_matches_the_oracle(self, d):
@@ -694,30 +733,31 @@ class TestSentinelBlock:
             runs.append((session, solver, blocks))
         (s_old, old, _), (s_new, new, blocks) = runs
         assert_same_run(s_new, new, s_old, old)
-        n, values, rule = blocks[0]  # the sentinel block of step STEPS
+        n, values, rule, raised = blocks[0]  # the sentinel block of step STEPS
         assert n == self.SOLVER["num_swarms"] and "differs_from" in rule
-        return new, values, stopped(values, rule)
+        return new, values, stopped(values, rule), raised
 
     def test_detection_at_a_later_sentinel(self):
         config = self.config(change_frequency=2000, num_environments=2)
-        new, values, hits = self.run_both(config, perturb=3)
-        assert len(values) == 4 and hits[-1] and not hits[:-1].any()
+        new, values, hits, raised = self.run_both(config, perturb=3)
+        assert len(values) == 4 and hits[-1] and not hits[:-1].any() and not raised
         assert new.record[self.STEPS]["detected"] is True
 
     def test_block_across_a_change_detects_on_its_first_new_row(self):
         # sentinels 0-2 are scored before the change, sentinel 3 after it
         start = self.sentinel_start()
         config = self.config(change_frequency=start + 3, num_environments=2)
-        new, values, hits = self.run_both(config)
-        assert len(values) == 4 and hits[-1] and not hits[:-1].any()
+        new, values, hits, raised = self.run_both(config)
+        assert len(values) == 4 and hits[-1] and not hits[:-1].any() and not raised
         assert new.record[self.STEPS]["detected"] is True
         assert new.record[self.STEPS]["environment_index"] == 1
 
     def test_budget_ends_inside_the_block(self):
         start = self.sentinel_start()
         config = self.config(change_frequency=start + 3, num_environments=1)
-        new, values, hits = self.run_both(config)
-        assert len(values) == 3 and not hits.any()
+        new, values, hits, raised = self.run_both(config)
+        # the block recorded the three sentinels that fit and raised
+        assert raised and len(values) == 3 and not hits.any()
         assert len(new.record) == self.STEPS + 1
         # the budget ran out inside the sentinels, before any detection
         assert new.record[-1]["detected"] is None
@@ -725,9 +765,10 @@ class TestSentinelBlock:
     def test_detection_on_the_last_row_of_the_budget(self):
         start = self.sentinel_start()
         config = self.config(change_frequency=start + 4, num_environments=1)
-        new, values, hits = self.run_both(config, perturb=3)
-        # the detection itself is the last sentinel's hit; the reaction to
-        # it found no budget left, so change_reaction did not return
-        assert len(values) == 4 and hits[-1]
+        new, values, hits, raised = self.run_both(config, perturb=3)
+        # the detection itself is the last sentinel's hit, returned with
+        # the whole budget spent; the reaction to it found no budget left,
+        # so change_reaction did not return
+        assert len(values) == 4 and hits[-1] and not raised
         assert len(new.record) == self.STEPS + 1
         assert new.record[-1]["detected"] is None

@@ -13,9 +13,10 @@ from gmpbench import (
     ScenarioComplete,
     ScenarioConfig,
     best_before_change_error,
+    evaluate_raw,
     offline_error,
 )
-from gmpbench.protocol import EvaluationLedger
+from gmpbench.protocol import CHANGE_DETECTION_TOL, EvaluationLedger
 
 
 def feed(ledger, pairs):
@@ -399,13 +400,61 @@ class TestBlockEvaluation:
         assert s.ledger.total == 0
         assert np.isnan(s.ledger.values).all()
 
-    def test_budget_end_returns_the_consumed_prefix(self):
+    def test_budget_end_inside_a_block_records_the_rows_that_fit_and_raises(self):
+        xs = np.random.default_rng(4).uniform(-100, 100, (23, 3))
+        by_point = BenchmarkSession(self.cfg())
+        for x in xs[:20]:
+            by_point.evaluate(x)
         s = BenchmarkSession(self.cfg())
-        values = s.evaluate(np.ones((23, 3)))
-        assert values.shape == (20,)
-        assert s.ledger.complete
         with pytest.raises(ScenarioComplete):
-            s.evaluate(np.ones((1, 3)))
+            s.evaluate(xs)
+        assert s.ledger.complete
+        self.assert_same_state(s, by_point)
+        with pytest.raises(ScenarioComplete):
+            s.evaluate(xs[:1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_block_comes_back_short_only_after_its_rule_hits(self, seed):
+        # random blocks under random rules, crossing environment changes,
+        # up to the budget's end: a call that returns fewer rows than it
+        # was sent ends on its first hit, one that raises recorded every
+        # row that fit and met no rule, and the ledger is that of the rows
+        # scored one at a time
+        rng = np.random.default_rng(seed)
+        cfg = self.cfg(change_frequency=7, num_environments=30, seed=seed)
+        s, by_point = BenchmarkSession(cfg), BenchmarkSession(cfg)
+        short = crossed = 0
+        raised = False
+        while not raised:
+            n = int(rng.integers(1, 16))
+            block = rng.uniform(-100, 100, (n, 3))
+            # the rows' values if the environment stayed as it is
+            static = evaluate_raw(block, s.landscape)
+            rule = [{}, {"above": float(np.quantile(static, rng.random()))},
+                    {"differs_from": static + (rng.random(n) < 0.1)}][rng.integers(3)]
+            before = s.ledger.total
+            try:
+                values = s.evaluate(block, **rule)
+            except ScenarioComplete:
+                raised = True
+                values = s.ledger.values[before:s.ledger.total]
+            if "above" in rule:
+                hits = values > rule["above"]
+            elif "differs_from" in rule:
+                hits = np.abs(values - rule["differs_from"][:len(values)]) > CHANGE_DETECTION_TOL
+            else:
+                hits = np.zeros(len(values), dtype=bool)
+            assert not hits[:-1].any()
+            if raised:
+                assert s.ledger.complete and len(values) < n and not hits.any()
+            elif len(values) < n:
+                assert hits[-1]
+                short += 1
+                crossed += before // 7 != (before + len(values) - 1) // 7
+            for x in block[:len(values)]:
+                by_point.evaluate(x)
+            self.assert_same_state(s, by_point)
+        assert short > 0 and crossed > 0
 
     def test_one_bad_row_spends_nothing(self):
         s = BenchmarkSession(self.cfg())
@@ -467,13 +516,15 @@ class TestStopRulesAsData:
         # no buffer of the other scored rows stays reachable
         assert values.base is None
 
-    def test_a_block_past_the_budget_returns_only_the_charged_rows(self):
-        s = BenchmarkSession(ScenarioConfig(dimension=3, num_components=4,
-                                            change_frequency=5, num_environments=2))
-        values = s.evaluate(self.block()[:25])
-        assert values.shape == (10,) and s.ledger.total == 10
-        np.testing.assert_array_equal(values, s.ledger.values)
-        assert values.base is None
+    def test_a_block_past_the_budget_charges_the_rows_that_fit_and_raises(self):
+        cfg = ScenarioConfig(dimension=3, num_components=4, change_frequency=5,
+                             num_environments=2)
+        charged = BenchmarkSession(cfg).evaluate(self.block()[:10])
+        s = BenchmarkSession(cfg)
+        with pytest.raises(ScenarioComplete):
+            s.evaluate(self.block()[:25])
+        assert s.ledger.total == 10
+        np.testing.assert_array_equal(s.ledger.values, charged)
 
     def test_a_threshold_object_sees_no_values(self):
         shown = []

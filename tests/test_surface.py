@@ -21,12 +21,14 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # the one-matrix rotation helpers, now the oracles of tests/test_dynamics.py,
 # the private names of the stacked rotation and fold, now update_rotation
 # and reflect, the experiment's mQSO config resolver, now
-# SolverConfig.for_scenario alone, and mQSO's stop-rule closures, now the
-# session's above and differs_from rules
+# SolverConfig.for_scenario alone, mQSO's stop-rule closures, now the
+# session's above and differs_from rules, and mQSO's loop that resent the
+# rows a block cut short by the budget, now the session's ScenarioComplete
 DELETED = ("ComponentState", "make_landscape", "component_value",
            "update_component", "irregularity_transform", "optimum",
            "plane_pairs", "orthogonality_error", "gram_schmidt", "initial_rotation",
-           "_rotate", "_fold", "_resolved_solver_config", "_above", "_differs_from")
+           "_rotate", "_fold", "_resolved_solver_config", "_above", "_differs_from",
+           "_evaluate_into")
 
 
 def load_tracer():
@@ -82,6 +84,7 @@ def test_deleted_names_are_gone(module):
     assert not hasattr(protocol.BenchmarkSession, "budget_remaining")
     assert not hasattr(protocol.BenchmarkSession, "total_evaluations")
     assert not hasattr(protocol.EvaluationLedger, "environments_completed")
+    assert not hasattr(mqso.MQSO, "_evaluate_into")
 
 
 def test_every_traced_name_is_defined_where_the_tracer_patches_it():
