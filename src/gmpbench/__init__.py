@@ -14,7 +14,7 @@ helpers, the ledger, the swarm record) is imported from that module.
 __version__ = "0.2.0"
 
 from .landscape import Landscape, ScenarioConfig, evaluate_batch, evaluate_raw
-from .dynamics import ScenarioExhausted, advance_environment, init_landscape
+from .dynamics import advance_environment, init_landscape
 from .protocol import (
     BenchmarkSession,
     IncompleteLedgerError,
@@ -39,7 +39,7 @@ from .harness import (
 __all__ = [
     "__version__",
     "Landscape", "ScenarioConfig", "evaluate_batch", "evaluate_raw",
-    "ScenarioExhausted", "advance_environment", "init_landscape",
+    "advance_environment", "init_landscape",
     "BenchmarkSession", "IncompleteLedgerError", "ScenarioComplete",
     "best_before_change_error", "offline_error",
     "MQSO", "SolverConfig",

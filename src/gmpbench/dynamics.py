@@ -15,9 +15,10 @@ fixed so that a seed gives one trajectory.
 
 Every initialization and every change makes exactly these draws. A draw
 that cannot be used as it is, an event of probability zero, is replaced by a
-fixed value instead of drawn again: a shift direction whose norm is below
-1e-12 becomes the first axis, and a source matrix with a Gram-Schmidt pivot
-below 1e-12 becomes the identity.
+fixed value instead of drawn again: a direction whose norm is below
+``_PIVOT_TOL`` becomes the first axis (:func:`_directions`, the one rule of
+the shift directions and mQSO's ball samples), and a source matrix with a
+Gram-Schmidt pivot below ``_PIVOT_TOL`` becomes the identity.
 
 :func:`init_landscape` orthonormalizes all ``m`` source matrices in one
 stacked Gram-Schmidt pass, and :func:`advance_environment` perturbs all
@@ -43,7 +44,6 @@ import numpy as np
 from .landscape import Landscape, ScenarioConfig
 
 __all__ = [
-    "ScenarioExhausted",
     "ORTHOGONALITY_TOL",
     "update_rotation",
     "reflect",
@@ -55,8 +55,19 @@ ORTHOGONALITY_TOL = 1e-9
 _PIVOT_TOL = 1e-12
 
 
-class ScenarioExhausted(RuntimeError):
-    """Raised when advancing past the final environment of a scenario."""
+def _directions(normals: np.ndarray) -> np.ndarray:
+    """Make the rows of an (n, d) block of normal draws directions, in
+    place, and return their (n,) norms, by which each caller divides.
+
+    Each norm is one vector-vector product, ``np.linalg.norm``'s dot bit
+    for bit. A row whose norm is below ``_PIVOT_TOL`` (probability zero)
+    becomes the first axis, with norm 1.
+    """
+    norms = np.sqrt((normals[:, None, :] @ normals[:, :, None])[:, 0, 0])
+    degenerate = norms < _PIVOT_TOL
+    normals[degenerate] = np.eye(1, normals.shape[1])
+    norms[degenerate] = 1.0
+    return norms
 
 
 def _orthogonality_errors(rotations: np.ndarray) -> np.ndarray:
@@ -178,13 +189,10 @@ def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
     landscape caches its optimum.
 
     The draws are made in the documented order, each in one call, and all
-    the arithmetic on them is done on the stacked (m, ...) arrays. A
-    direction whose norm is below 1e-12 (probability zero) is replaced by
-    the first axis, so the step is still exactly ``shift_severity`` long.
+    the arithmetic on them is done on the stacked (m, ...) arrays. The
+    shift directions come from :func:`_directions`, so a degenerate one is
+    the first axis and the step is still exactly ``shift_severity`` long.
     """
-    if landscape.environment_index >= cfg.num_environments - 1:
-        raise ScenarioExhausted(
-            f"environment {landscape.environment_index} is the last of {cfg.num_environments}")
     m, d = landscape.centers.shape
     # per component: shift direction (d), height, widths (d), angle, eta (4), tau
     draws = rng.standard_normal((m, 2 * d + 7))
@@ -192,11 +200,7 @@ def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
         orders = np.tile(np.arange(d * (d - 1) // 2), (m, 1))
         rng.permuted(orders, axis=1, out=orders)
     shifts = draws[:, :d]
-    # one vector-vector product per row, np.linalg.norm's dot bit for bit
-    norms = np.sqrt((shifts[:, None, :] @ shifts[:, :, None])[:, 0, 0])
-    degenerate = norms < _PIVOT_TOL
-    shifts[degenerate] = np.eye(1, d)
-    norms[degenerate] = 1.0
+    norms = _directions(shifts)
     draws = draws[:, d:]  # height, widths (d), angle, eta (4), tau
 
     lb, ub = cfg.search_range
@@ -220,8 +224,8 @@ def init_landscape(cfg: ScenarioConfig, rng: np.random.Generator) -> Landscape:
     Each parameter array is drawn in one call, in the documented order;
     with rotation enabled the last draw is the ``standard_normal((m, d,
     d))`` stack of source matrices, all orthonormalized at once, each
-    exactly as alone. A source matrix with a pivot below 1e-12 (probability
-    zero) becomes the identity.
+    exactly as alone. A source matrix with a pivot below ``_PIVOT_TOL``
+    (probability zero) becomes the identity.
     """
     cfg.validate()
     lb, ub = cfg.search_range

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import _directions
 from .landscape import _is_finite, _is_integer, _is_number
 from .protocol import BenchmarkSession, ScenarioComplete, differs
 
@@ -142,9 +143,6 @@ class Swarm:
     def size(self) -> int:
         return self.positions.shape[0]
 
-    def neutral_positions(self) -> np.ndarray:
-        return self.positions[: self.neutral_count]
-
     def refresh_gbest(self):
         """Reset the global best from the personal bests (ties: lowest index)."""
         k = int(np.argmax(self.pbest_values))
@@ -152,11 +150,8 @@ class Swarm:
         self.gbest_value = float(self.pbest_values[k])
 
     def diameter(self) -> float:
-        """Largest pairwise distance among the neutral particles."""
-        p = self.neutral_positions()
-        if len(p) < 2:
-            return 0.0
-        return float(np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1).max())
+        """Largest pairwise distance among the neutral particles, 0 below two."""
+        return float(_gbest_gaps(self.positions[:self.neutral_count]).max(initial=0.0))
 
 
 def _gbest_gaps(points: np.ndarray) -> np.ndarray:
@@ -213,18 +208,13 @@ class MQSO:
         ``cloud_radius`` around the origin, one per row.
 
         All normal directions are drawn in one call, then all uniform
-        radii in another. A direction whose norm is below 1e-12
-        (probability zero) becomes the first axis, so a call makes exactly
-        these two draws.
+        radii in another. The directions follow the peaks' shift rule,
+        :func:`dynamics._directions`: a degenerate one becomes the first
+        axis, so a call makes exactly these two draws.
         """
         offsets = self.rng.standard_normal((count, d))
         radii = self.config.cloud_radius * self.rng.random(count) ** (1.0 / d)
-        # one vector-vector product per row, np.linalg.norm's dot bit for bit
-        norms = np.sqrt((offsets[:, None, :] @ offsets[:, :, None])[:, 0, 0])
-        degenerate = norms < 1e-12
-        offsets[degenerate] = np.eye(1, d)
-        norms[degenerate] = 1.0
-        offsets *= (radii / norms)[:, None]
+        offsets *= (radii / _directions(offsets))[:, None]
         return offsets
 
     # -- the four phases ----------------------------------------------------

@@ -192,13 +192,16 @@ class BenchmarkSession:
         block whose rows outlast the budget, once the rows that fit are
         recorded. Raises ``ValueError``, spending no budget, when both stop
         rules are given, when ``differs_from`` does not hold one value per
-        row, or when any point has a NaN or infinite coordinate or lies
-        outside the search box. Such points are rejected rather than
+        row, or when any point is complex, has a NaN or infinite coordinate
+        or lies outside the search box. Such points are rejected rather than
         clamped: a clamped point would be scored at a position the solver
         never asked for, so a solver must keep its own points inside
         :attr:`bounds` (the box edges included).
         """
         if type(x) is not np.ndarray or x.dtype != np.float64:
+            # a cast to float would drop an imaginary part without notice
+            if np.iscomplexobj(x):
+                raise ValueError("points must be real, not complex")
             x = np.asarray(x, dtype=float)
         config = self.config
         if x.ndim not in (1, 2) or x.shape[-1] != config.dimension:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmpbench
-from gmpbench import ScenarioConfig, ScenarioExhausted, advance_environment, init_landscape
+from gmpbench import ScenarioConfig, advance_environment, init_landscape
 from gmpbench.dynamics import (
     ORTHOGONALITY_TOL,
     _orthonormalize,
@@ -697,13 +697,6 @@ class TestLandscapeLifecycle:
         for a, b in zip(peaks(ls), peaks(nxt)):
             np.testing.assert_array_equal(a.center, b.center)
             assert a.height == b.height
-
-    def test_advance_past_end_raises(self):
-        cfg = ScenarioConfig(dimension=2, num_components=1, num_environments=1)
-        rng = np.random.default_rng(3)
-        ls = init_landscape(cfg, rng)
-        with pytest.raises(ScenarioExhausted):
-            advance_environment(ls, cfg, rng)
 
     def test_full_trajectory_invariants(self):
         cfg = ScenarioConfig(dimension=3, num_components=2, num_environments=30)

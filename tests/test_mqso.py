@@ -250,14 +250,14 @@ class TestSolverStep:
                 solver.config.chi = 1e-12  # chi = 0 is rejected; this is numerically zero
                 solver.config.c1 = 0.0
                 solver.config.c2 = 0.0
-                before = [sw.neutral_positions().copy() for sw in solver.swarms]
+                before = [sw.positions[:sw.neutral_count].copy() for sw in solver.swarms]
                 start = [(sw.gbest_position.copy(), sw.gbest_value) for sw in solver.swarms]
                 env = s.landscape.environment_index
                 calls = iter(record_evaluations(s))
                 solver.solver_step()
                 assert s.landscape.environment_index == env
                 for sw, prev, (g_pos, g_val) in zip(solver.swarms, before, start):
-                    np.testing.assert_allclose(sw.neutral_positions(), prev, atol=1e-9)
+                    np.testing.assert_allclose(sw.positions[:sw.neutral_count], prev, atol=1e-9)
                     for i in range(sw.size):
                         x, value = next(calls)
                         np.testing.assert_array_equal(x, sw.positions[i])
@@ -410,6 +410,13 @@ class TestExclusion:
             bests[7] = bests[4]
             norms = np.array([[np.linalg.norm(a - b) for b in bests] for a in bests])
             np.testing.assert_array_equal(_gbest_gaps(bests), norms)
+            # a swarm's diameter is the largest gap among its neutral rows
+            for nc in (0, 1, 2, 5):
+                swarm = Swarm(positions=bests, velocities=np.zeros_like(bests),
+                              pbest_positions=bests, pbest_values=np.zeros(12),
+                              neutral_count=nc)
+                assert swarm.diameter() == max((norms[i, j] for i in range(nc)
+                                                for j in range(nc)), default=0.0)
 
 
 class TestAntiConvergence:
@@ -547,6 +554,19 @@ class PerParticleMQSO(MQSO):
                 if gap < self.config.exclusion_radius:
                     worse = j if self.swarms[j].gbest_value <= self.swarms[i].gbest_value else i
                     self._reinitialize(worse)
+
+    def anti_convergence(self):
+        def diameter(swarm):
+            # numpy's axis=-1 norm, not the solver's stacked gaps
+            p = swarm.positions[:swarm.neutral_count]
+            if len(p) < 2:
+                return 0.0
+            return float(np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1).max())
+
+        if any(diameter(s) >= self.config.convergence_radius for s in self.swarms):
+            return
+        worst = int(np.argmin([s.gbest_value for s in self.swarms]))
+        self._reinitialize(worst)
 
     def solver_step(self):
         lb, ub = self.session.bounds

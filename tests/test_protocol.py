@@ -284,6 +284,17 @@ class TestSession:
         assert s.ledger.total == 0
         assert s.ledger.capacity - s.ledger.total == 15
 
+    def test_complex_point_rejected_without_spending_budget(self):
+        # a cast to float would score the real part, a point never asked for
+        s = BenchmarkSession(self.cfg())
+        for bad in (np.array([[1 + 500j, 2 - 900j]]), np.array([1 + 0j, 2 + 0j]),
+                    [[1 + 500j, 2.0]], [np.complex128(1 + 1j), 2.0]):
+            with pytest.raises(ValueError, match="complex"):
+                s.evaluate(bad)
+        assert s.ledger.total == 0
+        s.evaluate(np.array([[1.0, 2.0]]))
+        assert s.ledger.total == 1
+
     def test_point_outside_box_rejected_without_spending_budget(self):
         s = BenchmarkSession(self.cfg())
         for bad in ([100.5, 0.0], [0.0, -100.0 - 1e-9], [1e300, -1e300]):

@@ -22,13 +22,15 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # the private names of the stacked rotation and fold, now update_rotation
 # and reflect, the experiment's mQSO config resolver, now
 # SolverConfig.for_scenario alone, mQSO's stop-rule closures, now the
-# session's above and differs_from rules, and mQSO's loop that resent the
-# rows a block cut short by the budget, now the session's ScenarioComplete
+# session's above and differs_from rules, mQSO's loop that resent the rows
+# a block cut short by the budget, now the session's ScenarioComplete, and
+# the guard against advancing past the last environment, which the session's
+# schedule and landscape_at already bound
 DELETED = ("ComponentState", "make_landscape", "component_value",
            "update_component", "irregularity_transform", "optimum",
            "plane_pairs", "orthogonality_error", "gram_schmidt", "initial_rotation",
            "_rotate", "_fold", "_resolved_solver_config", "_above", "_differs_from",
-           "_evaluate_into")
+           "_evaluate_into", "ScenarioExhausted")
 
 
 def load_tracer():
@@ -40,7 +42,7 @@ def load_tracer():
 
 
 def test_every_exported_name_resolves():
-    assert len(gmpbench.__all__) <= 25
+    assert len(gmpbench.__all__) <= 24
     assert len(set(gmpbench.__all__)) == len(gmpbench.__all__)
     for name in gmpbench.__all__:
         assert getattr(gmpbench, name) is not None, name
@@ -59,6 +61,28 @@ def test_one_warp_calling_convention():
     assert [(name, p.kind, p.default) for name, p in params.items()] == [
         ("y", P.POSITIONAL_OR_KEYWORD, P.empty), ("tau", P.POSITIONAL_OR_KEYWORD, P.empty),
         ("eta", P.POSITIONAL_OR_KEYWORD, P.empty), ("scratch", P.KEYWORD_ONLY, P.empty)]
+
+
+def test_one_direction_rule(monkeypatch):
+    # a change's shift directions and a swarm's ball samples both go through
+    # dynamics' direction helper, once per call
+    calls = []
+    directions = dynamics._directions
+
+    def counted(normals):
+        calls.append(normals.shape)
+        return directions(normals)
+    monkeypatch.setattr(dynamics, "_directions", counted)
+    monkeypatch.setattr(mqso, "_directions", counted)
+    cfg = landscape.ScenarioConfig(dimension=3, num_components=4, num_environments=2)
+    rng = np.random.default_rng(0)
+    dynamics.advance_environment(dynamics.init_landscape(cfg, rng), cfg, rng)
+    assert calls == [(4, 3)]
+    session = protocol.BenchmarkSession(cfg)
+    solver = mqso.MQSO(session, mqso.SolverConfig.for_scenario(cfg), rng)
+    calls.clear()
+    assert solver._ball_offsets(7, 3).shape == (7, 3)
+    assert calls == [(7, 3)]
 
 
 def test_one_orthonormalization_pass_at_init(monkeypatch):
@@ -85,6 +109,7 @@ def test_deleted_names_are_gone(module):
     assert not hasattr(protocol.BenchmarkSession, "total_evaluations")
     assert not hasattr(protocol.EvaluationLedger, "environments_completed")
     assert not hasattr(mqso.MQSO, "_evaluate_into")
+    assert not hasattr(mqso.Swarm, "neutral_positions")
 
 
 def test_every_traced_name_is_defined_where_the_tracer_patches_it():
