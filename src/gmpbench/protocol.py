@@ -10,31 +10,32 @@ per-evaluation error sequence is non-increasing between changes.
 The ledger keeps only each evaluation's value and its environment's
 optimum; the errors and the indicators are derived from them when read.
 
-Only points inside the search box are scored. A point with a coordinate
-outside ``search_range``, NaN or infinite is rejected with ``ValueError``
-and costs no evaluation; it is not clamped into the box.
+A session takes one caller at a time and has one input rule. A call made
+during another raises ``RuntimeError``; complex input, a masked element, a
+NaN or infinite coordinate and a point outside ``search_range`` raise
+``ValueError`` and are not cast or clamped. Neither costs an evaluation. The
+session scores its own float64 copy of the rest, so the rows it checks are
+the rows it scores.
 
 A solver may hand the session a block of points, one per row. The rows are
 scored in order, exactly as if they had been sent one at a time: a block may
 run across environment changes (the rows after a change are scored under the
 new environment, and the call does not end there, which would tell the
-solver that the environment changed). The block is range-checked as a whole,
-so one bad row rejects the call and spends nothing. A block comes back short
-only after the first row that meets the caller's stop rule, given as data: a
-value strictly above ``above``, or one more than ``CHANGE_DETECTION_TOL``
-from that row's ``differs_from`` value. Rows after that are neither recorded
-nor returned, so a solver can send speculative moves and resend the rest.
-The session applies the rule itself and runs no solver code during a call,
-so a solver learns only the values it pays for.
+solver that the environment changed). One bad row rejects the whole call. A
+block comes back short only after the first row that meets the caller's stop
+rule, given as data (see :meth:`BenchmarkSession.evaluate`); rows after that
+are neither recorded nor returned, so a solver can send speculative moves
+and resend the rest. The session applies the rule itself and runs no solver
+code during a call, so a solver learns only the values it pays for.
 
-The session alone owns the budget's end. A block whose rows outlast the
-budget records the rows that fit and raises :class:`ScenarioComplete`
-instead of returning; a block that ends exactly at the budget's end returns
-all its values, and the next call raises. A solver therefore never sees a
-block cut short by the budget.
+The session alone owns the budget's end: a block whose rows outlast the
+budget records the rows that fit and raises :class:`ScenarioComplete`, so a
+solver never sees a block cut short by the budget.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -112,8 +113,7 @@ class EvaluationLedger:
     def record(self, values, optimum_value: float) -> None:
         """Record one evaluation, or a block of evaluations in order, all in
         the current environment."""
-        if type(values) is not np.ndarray or values.ndim != 1 or values.dtype != np.float64:
-            values = np.asarray(values, dtype=float).reshape(-1)
+        values = np.asarray(values, dtype=float).reshape(-1)
         n = values.shape[0]
         if n == 0:
             raise ValueError("cannot record an empty block of evaluations")
@@ -149,8 +149,12 @@ class BenchmarkSession:
 
     Solvers may call :meth:`evaluate` and read :attr:`bounds` and
     :attr:`dimension`; the optimum, the remaining budget and the change
-    schedule are deliberately not part of that surface. Exactly one solver
-    drives a session at a time; independent sessions share nothing.
+    schedule are deliberately not part of that surface. Independent sessions
+    share nothing. One caller at a time: a call made during another raises
+    ``RuntimeError`` rather than wait, so no thread scheduler orders the
+    calls. Complex input and masked elements are rejected, and the session
+    scores its own float64 copy of the rest, so the rows checked are the rows
+    scored.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -159,6 +163,7 @@ class BenchmarkSession:
         self.rng = np.random.default_rng(config.seed)
         self.landscape = init_landscape(config, self.rng)
         self.ledger = EvaluationLedger(config.change_frequency, config.num_environments)
+        self._calling = threading.Lock()
 
     @property
     def dimension(self) -> int:
@@ -185,73 +190,76 @@ class BenchmarkSession:
         session computes the rule on each environment segment and runs no
         solver code during the call.
 
-        The evaluation that exhausts an environment's quota is scored there;
-        the landscape then advances without notice. Raises
-        :class:`ScenarioComplete` when a row is left to score and the total
-        budget is spent: on a call made after the budget's end, and on a
-        block whose rows outlast the budget, once the rows that fit are
-        recorded. Raises ``ValueError``, spending no budget, when both stop
-        rules are given, when ``differs_from`` does not hold one value per
-        row, or when any point is complex, has a NaN or infinite coordinate
-        or lies outside the search box. Such points are rejected rather than
-        clamped: a clamped point would be scored at a position the solver
-        never asked for, so a solver must keep its own points inside
-        :attr:`bounds` (the box edges included).
+        Raises :class:`ScenarioComplete` when a row is left to score and the
+        budget is spent: on a call after the budget's end, and on a block whose
+        rows outlast the budget, once the rows that fit are recorded. Spending
+        nothing, raises ``RuntimeError`` on a call made during another, and
+        ``ValueError`` when both stop rules are given, when ``differs_from``
+        does not hold one value per row, when ``x`` is complex or has a masked
+        element, or when a point has a NaN or infinite coordinate or lies
+        outside :attr:`bounds` (edges included): such points are rejected,
+        not cast or clamped into points never asked for. The rest is scored
+        from the session's own float64 copy of ``x``, so the rows checked are
+        the rows scored even if the caller's array changes during the call.
         """
-        if type(x) is not np.ndarray or x.dtype != np.float64:
-            # a cast to float would drop an imaginary part without notice
-            if np.iscomplexobj(x):
-                raise ValueError("points must be real, not complex")
-            x = np.asarray(x, dtype=float)
-        config = self.config
-        if x.ndim not in (1, 2) or x.shape[-1] != config.dimension:
-            raise ValueError(f"points of shape {x.shape} do not match dimension {config.dimension}")
-        points = x if x.ndim == 2 else x[None, :]
-        n = points.shape[0]
-        # plain floats, so that no solver code runs once values are scored
-        if above is not None:
-            if differs_from is not None:
-                raise ValueError("give at most one stop rule: above or differs_from")
-            above = float(above)
-        elif differs_from is not None:
-            differs_from = np.asarray(differs_from, dtype=float)
-            if differs_from.shape != (n,):
-                raise ValueError(f"differs_from of shape {differs_from.shape} does not match {n} rows")
-        if n == 0:
-            return np.empty(0)
-        lb, ub = config.search_range
-        # one range check; a NaN fails both comparisons
-        if not (lb <= points.min() and points.max() <= ub):
-            if not np.isfinite(points).all():
-                raise ValueError(f"point has a non-finite coordinate: {x}")
-            raise ValueError(f"point lies outside the search box [{lb}, {ub}]: {x}")
-        ledger = self.ledger
-        values = np.empty(n)
-        done = 0
-        # one kernel call per environment the block reaches
-        while done < n:
-            if ledger.complete:
-                raise ScenarioComplete("scenario complete: the evaluation budget is spent")
-            end = min(n, done + ledger.change_frequency - ledger.env_eval_count)
-            segment = values[done:end]
-            segment[:] = evaluate_raw(points[done:end], self.landscape)
-            hit = None
+        if not self._calling.acquire(blocking=False):
+            raise RuntimeError("another call to evaluate is in progress on this session")
+        try:
+            # a cast would drop an imaginary part or a mask without notice
+            if np.iscomplexobj(x) or np.ma.is_masked(x):
+                raise ValueError("points must be real and unmasked, not complex or masked")
+            x = np.array(x, dtype=float)  # the session's own copy
+            config = self.config
+            if x.ndim not in (1, 2) or x.shape[-1] != config.dimension:
+                raise ValueError(f"points of shape {x.shape} do not match dimension {config.dimension}")
+            points = x if x.ndim == 2 else x[None, :]
+            n = points.shape[0]
+            # plain floats, so that no solver code runs once values are scored
             if above is not None:
-                hit = segment > above
+                if differs_from is not None:
+                    raise ValueError("give at most one stop rule: above or differs_from")
+                above = float(above)
             elif differs_from is not None:
-                hit = differs(segment, differs_from[done:end])
-            if hit is not None:
-                first = int(hit.argmax())
-                if hit[first]:
-                    # the rows after the first hit are dropped
-                    end = n = done + first + 1
-                    segment = segment[:first + 1]
-            ledger.record(segment, self.landscape.optimum_value)
-            if ledger.env_eval_count == 0 and not ledger.complete:
-                self.landscape = advance_environment(self.landscape, config, self.rng)
-            done = end
-        # a copy: a view would keep the unconsumed rows reachable through .base
-        return values[:done].copy() if x.ndim == 2 else float(values[0])
+                differs_from = np.asarray(differs_from, dtype=float)
+                if differs_from.shape != (n,):
+                    raise ValueError(f"differs_from of shape {differs_from.shape} does not match {n} rows")
+            if n == 0:
+                return np.empty(0)
+            lb, ub = config.search_range
+            # one range check; a NaN fails both comparisons
+            if not (lb <= points.min() and points.max() <= ub):
+                if not np.isfinite(points).all():
+                    raise ValueError(f"point has a non-finite coordinate: {x}")
+                raise ValueError(f"point lies outside the search box [{lb}, {ub}]: {x}")
+            ledger = self.ledger
+            values = np.empty(n)
+            done = 0
+            # one kernel call per environment the block reaches
+            while done < n:
+                if ledger.complete:
+                    raise ScenarioComplete("scenario complete: the evaluation budget is spent")
+                end = min(n, done + ledger.change_frequency - ledger.env_eval_count)
+                segment = values[done:end]
+                segment[:] = evaluate_raw(points[done:end], self.landscape)
+                hit = None
+                if above is not None:
+                    hit = segment > above
+                elif differs_from is not None:
+                    hit = differs(segment, differs_from[done:end])
+                if hit is not None:
+                    first = int(hit.argmax())
+                    if hit[first]:
+                        # the rows after the first hit are dropped
+                        end = n = done + first + 1
+                        segment = segment[:first + 1]
+                ledger.record(segment, self.landscape.optimum_value)
+                if ledger.env_eval_count == 0 and not ledger.complete:
+                    self.landscape = advance_environment(self.landscape, config, self.rng)
+                done = end
+            # a copy: a view would keep the unconsumed rows reachable through .base
+            return values[:done].copy() if x.ndim == 2 else float(values[0])
+        finally:
+            self._calling.release()
 
     def indicators(self) -> tuple[float, float]:
         """(offline error, best-before-change error) for this run, once its

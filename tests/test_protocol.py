@@ -1,6 +1,9 @@
 """Budget accounting, change scheduling, and the two performance indicators."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -295,6 +298,17 @@ class TestSession:
         s.evaluate(np.array([[1.0, 2.0]]))
         assert s.ledger.total == 1
 
+    def test_masked_point_rejected_without_spending_budget(self):
+        # a cast to float would score the data under the mask
+        s = BenchmarkSession(self.cfg())
+        with pytest.raises(ValueError, match="masked"):
+            s.evaluate(np.ma.array([[1.0, 2.0]], mask=[[False, True]]))
+        assert s.ledger.total == 0
+        # a masked array with nothing masked is scored as its data
+        value = s.evaluate(np.ma.array([[1.0, 2.0]], mask=[[False, False]]))
+        assert s.ledger.total == 1
+        np.testing.assert_array_equal(value, evaluate_raw(np.array([[1.0, 2.0]]), s.landscape))
+
     def test_point_outside_box_rejected_without_spending_budget(self):
         s = BenchmarkSession(self.cfg())
         for bad in ([100.5, 0.0], [0.0, -100.0 - 1e-9], [1e300, -1e300]):
@@ -323,6 +337,104 @@ class TestSession:
                 s.evaluate(rng.uniform(-100, 100, 2))
             results.append((s.indicators(), s.ledger.values.tolist()))
         assert results[0] == results[1]
+
+
+def run_threads(*targets):
+    """Run each target in its own thread under a 1-us switch interval, so
+    the interpreter hands the GIL over between almost any two bytecodes.
+    The interval is restored and every started thread joined, whatever
+    happens. Each target catches its own failures; a thread's exception
+    would otherwise only be printed."""
+    interval = sys.getswitchinterval()
+    threads = [threading.Thread(target=target) for target in targets]
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+        sys.setswitchinterval(interval)
+
+
+class TestConcurrentCallers:
+    """A session takes one caller at a time and scores its own copy of the
+    points: no thread can interleave a call with another, or change a block
+    between its range check and its scoring."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_four_threads_never_share_a_call(self, seed):
+        cfg = ScenarioConfig(change_frequency=37, num_environments=400, seed=seed)
+        s = BenchmarkSession(cfg)
+        rng = np.random.default_rng(seed)
+        # four lists of random 1-8-row blocks, each list a quarter of the budget
+        share = s.ledger.capacity // 4
+        work = []
+        for _ in range(4):
+            ends = np.cumsum(rng.integers(1, 9, size=share))
+            ends = ends[ends < share]
+            work.append(np.split(rng.uniform(-100, 100, (share, cfg.dimension)), ends))
+        returned, refused, failures = [], [], []
+
+        def caller(blocks):
+            try:
+                for block in blocks:
+                    # a refused block is sent again, after giving way to the call in progress
+                    while True:
+                        try:
+                            values = s.evaluate(block)
+                            break
+                        except RuntimeError as err:
+                            assert "in progress" in str(err)
+                            refused.append(len(block))
+                            time.sleep(1e-4)
+                    assert values.shape == (len(block),)
+                    returned.append(len(block))
+            except BaseException as err:  # the test reports it
+                failures.append(err)
+
+        run_threads(*(lambda blocks=blocks: caller(blocks) for blocks in work))
+        assert failures == []
+        assert refused, "no call ever met another; the test exercised nothing"
+        # a refused call recorded nothing, and each returned call its rows
+        assert sum(returned) == s.ledger.total == s.ledger.capacity
+        assert s.landscape.environment_index == min(s.ledger.total // 37, 399)
+
+    def test_a_block_changed_during_the_call_is_scored_as_checked(self):
+        # one environment, so every recorded row has one right value
+        s = BenchmarkSession(ScenarioConfig(change_frequency=64 * 50, num_environments=1))
+        block = np.random.default_rng(3).uniform(-100, 100, (64, 10))
+        block[:, 0] = 0.0
+        expected = evaluate_raw(block, s.landscape)
+        stop = threading.Event()
+        rejected, failures = [], []
+
+        def flipper():
+            # one write per pass, so the thread can be switched out in either state
+            x1 = 1e6
+            while not stop.is_set():
+                block[:, 0] = x1
+                x1 = 1e6 - x1
+
+        def caller():
+            try:
+                while not s.ledger.complete:
+                    try:
+                        s.evaluate(block)
+                    except ValueError as err:
+                        assert "outside the search box" in str(err)
+                        rejected.append(err)
+            except BaseException as err:  # the test reports it
+                failures.append(err)
+            finally:
+                stop.set()
+
+        run_threads(caller, flipper)
+        assert failures == []
+        assert rejected, "the flipper never moved a row out of the box; the test exercised nothing"
+        np.testing.assert_array_equal(s.ledger.values.reshape(-1, 64),
+                                      np.broadcast_to(expected, (50, 64)))
 
 
 class TestBlockEvaluation:
