@@ -86,10 +86,10 @@ def _cmd_grid(args) -> int:
 
 def _cmd_validate(args) -> int:
     scenario, problems = validate_config(args.config)
-    if scenario is not None:
-        print(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True))
     for p in problems:
         print(f"violation: {p}", file=sys.stderr)
+    if not problems:
+        print(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True))
     return 1 if problems else 0
 
 

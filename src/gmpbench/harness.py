@@ -1,26 +1,27 @@
 """Experiment runner, config validation, and landscape grid export.
 
 Scenario configs are JSON objects whose keys are exactly the
-``ScenarioConfig`` field names (ranges as two-element arrays); unknown keys
-are rejected to catch typos. Experiments run ``run_count`` independent
+``ScenarioConfig`` field names (ranges as two-element arrays). The parser
+only routes keys, rejecting unknown ones to catch typos; ``ScenarioConfig``
+converts and names the values. Experiments run ``run_count`` independent
 sessions with per-run seeds ``master_seed + i`` and write one JSON result
-document plus a per-run CSV. All outputs are pure functions of their inputs
-(no timestamps), so identical invocations produce identical bytes.
+document plus a per-run CSV to ``output_dir``. All outputs are pure
+functions of their inputs (no timestamps), so identical invocations produce
+identical bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .dynamics import advance_environment, init_landscape
-from .landscape import (FIELD_TYPES, MAX_ARRAY_ELEMENTS, _TYPE_RULES, ScenarioConfig,
-                        _is_finite, _is_integer, evaluate_batch)
+from .landscape import FIELD_TYPES, MAX_ARRAY_ELEMENTS, ScenarioConfig, _is_integer, evaluate_batch
 from .mqso import MQSO, SolverConfig
 from .protocol import BenchmarkSession, ScenarioComplete
 
@@ -83,7 +84,7 @@ class ExperimentSpec:
     solver: str = "mqso"
     run_count: int = 31
     master_seed: int = 0
-    output_dir: str | Path | None = None
+    output_dir: str | Path = field(kw_only=True)
 
     def violations(self) -> list[str]:
         bad = list(self.scenario.violations())
@@ -140,15 +141,14 @@ def _mean_sem(values: list[float]) -> dict:
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
-    """Run all sessions of an experiment; returns (and optionally writes) the
-    result record. Its ``solver_params`` is the mQSO config every run used,
-    and empty for random search."""
+    """Run all sessions of an experiment; writes the result record to
+    ``spec.output_dir`` and returns it. Its ``solver_params`` is the mQSO
+    config every run used, and empty for random search."""
     bad = spec.violations()
     if bad:
         raise ValueError("invalid experiment spec: " + "; ".join(bad))
-    if spec.output_dir is not None:
-        # an unwritable output path fails here, before any run's compute
-        Path(spec.output_dir).mkdir(parents=True, exist_ok=True)
+    # an unwritable output path fails here, before any run's compute
+    Path(spec.output_dir).mkdir(parents=True, exist_ok=True)
     runs = []
     for i in range(spec.run_count):
         seed_i = spec.master_seed + i
@@ -173,8 +173,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
                 [r["best_before_change_error"] for r in runs]),
         },
     }
-    if spec.output_dir is not None:
-        write_result(result, spec.output_dir)
+    write_result(result, spec.output_dir)
     return result
 
 
@@ -289,44 +288,27 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 def scenario_from_dict(data: dict) -> tuple[ScenarioConfig, list[str]]:
     """Build a config from a JSON object, filling defaults for omitted keys.
 
-    The schema is :data:`~gmpbench.landscape.FIELD_TYPES`: a key must name a
-    ``ScenarioConfig`` field, a range is a two-element numeric array, a
-    boolean a JSON boolean, an integer a JSON integer, and a severity a JSON
-    number (a boolean is never a number). A number too large for a float is
-    reported as not finite. Returns the config, built from the well-formed
-    keys, plus every problem found: unknown keys, malformed values, and
-    violated constraints.
+    The parser only routes keys: each key must name a ``ScenarioConfig``
+    field (the schema is :data:`~gmpbench.landscape.FIELD_TYPES`), and the
+    known keys' values go to ``ScenarioConfig`` as given, which converts and
+    names them as it does Python input. Returns that config, holding the
+    file's values, plus every problem found: the unknown keys, then
+    :meth:`~gmpbench.landscape.ScenarioConfig.violations`. The config is
+    valid exactly when the problems are empty.
     """
-    problems = []
-    kwargs = {}
-    for key, value in data.items():
-        if key not in FIELD_TYPES:
-            problems.append(f"unknown key {key!r}")
-            continue
-        kind = FIELD_TYPES[key]
-        accepts, convert, what = _TYPE_RULES[kind]
-        if not accepts(value):
-            problems.append(f"{key} must be {what}")
-        elif kind in (float, tuple) and not all(
-                map(_is_finite, filter(_is_integer, value if kind is tuple else [value]))):
-            # an integer beyond the float range; a float one is read as an
-            # infinity, which violations() names
-            problems.append(f"{key} must be finite")
-        else:
-            kwargs[key] = convert(value)
-    cfg = ScenarioConfig(**kwargs)
-    problems.extend(cfg.violations())
-    return cfg, problems
+    problems = [f"unknown key {key!r}" for key in data if key not in FIELD_TYPES]
+    cfg = ScenarioConfig(**{key: value for key, value in data.items() if key in FIELD_TYPES})
+    return cfg, problems + cfg.violations()
 
 
 def validate_config(path: str | Path) -> tuple[ScenarioConfig | None, list[str]]:
     """Read and parse a config file; returns (config, problems).
 
-    The file must hold one JSON object, parsed by the schema rule of
-    :func:`scenario_from_dict`. The config is ``None`` when the file cannot
-    be read or is not a JSON object; otherwise it is the full configuration
-    with defaults filled in, and :func:`scenario_to_dict` of it parses back
-    to the same config.
+    The file must hold one JSON object, parsed by :func:`scenario_from_dict`.
+    The config is ``None`` when the file cannot be read or is not a JSON
+    object; otherwise it holds the file's values with defaults filled in.
+    It is valid exactly when the problems are empty, and then
+    :func:`scenario_to_dict` of it parses back to the same config.
     """
     try:
         with open(path) as fh:

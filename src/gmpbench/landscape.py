@@ -97,14 +97,13 @@ def _is_pair(value) -> bool:
     return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
 
 
-# The schema's type rule, per field type: (accepts a value, converts an
-# accepted one, what it must be). The configs' violations and the JSON
-# parser both apply it.
+# The schema's type rule, per field type: (accepts a value, what it must
+# be). ScenarioConfig.violations applies it, to Python and JSON input alike.
 _TYPE_RULES = {
-    tuple: (_is_pair, lambda v: (float(v[0]), float(v[1])), "a two-element numeric array"),
-    bool: (lambda v: isinstance(v, bool), bool, "a boolean"),
-    int: (_is_integer, int, "an integer"),
-    float: (_is_number, float, "a number"),
+    tuple: (_is_pair, "a two-element numeric array"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    int: (_is_integer, "an integer"),
+    float: (_is_number, "a number"),
 }
 
 
@@ -117,6 +116,10 @@ class ScenarioConfig:
     number of fitness evaluations between changes and ``num_environments``
     the number of static intervals, so a full run spends exactly
     ``change_frequency * num_environments`` evaluations.
+
+    A value from Python or from JSON is converted and named here alone:
+    ranges are stored as pairs of floats and severities as floats; any other
+    value is kept as given, for :meth:`violations` to name.
     """
 
     dimension: int = 10
@@ -139,13 +142,13 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a malformed range, or one with an int beyond the float range, is
-        # left as it is, for violations() to name
-        accepts, convert, _ = _TYPE_RULES[tuple]
+        # a malformed value or an int beyond the float range is kept for violations()
         for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
-            if kind is tuple and accepts(value) and all(map(_is_finite, filter(_is_integer, value))):
-                object.__setattr__(self, name, convert(value))
+            parts = value if kind is tuple else [value]
+            if (kind in (tuple, float) and _TYPE_RULES[kind][0](value)
+                    and all(map(_is_finite, filter(_is_integer, parts)))):
+                object.__setattr__(self, name, tuple(map(float, value)) if kind is tuple else float(value))
 
     @property
     def budget(self) -> int:
@@ -158,7 +161,7 @@ class ScenarioConfig:
         bad = []
         for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
-            accepts, _, what = _TYPE_RULES[kind]
+            accepts, what = _TYPE_RULES[kind]
             if kind is int:
                 least = 0 if name == "seed" else 1
                 if not accepts(value) or value < least:

@@ -35,6 +35,7 @@ solver never sees a block cut short by the budget.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -205,8 +206,9 @@ class BenchmarkSession:
         if not self._calling.acquire(blocking=False):
             raise RuntimeError("another call to evaluate is in progress on this session")
         try:
-            # a cast would drop an imaginary part or a mask without notice
-            if np.iscomplexobj(x) or np.ma.is_masked(x):
+            # a cast would drop an imaginary part or a mask without notice. A
+            # masked array needs numpy.ma, which the session never imports
+            if np.iscomplexobj(x) or ("numpy.ma" in sys.modules and np.ma.is_masked(x)):
                 raise ValueError("points must be real and unmasked, not complex or masked")
             x = np.array(x, dtype=float)  # the session's own copy
             config = self.config

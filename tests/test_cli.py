@@ -2,6 +2,7 @@
 the scenario schema as the CLI reads it."""
 
 import json
+import math
 
 import pytest
 
@@ -15,8 +16,16 @@ from gmpbench import (
 )
 from gmpbench import harness
 from gmpbench.cli import main
+from gmpbench.landscape import FIELD_TYPES
 
 SMALL = {"dimension": 2, "num_components": 3, "change_frequency": 150, "num_environments": 2}
+
+# one of each kind of JSON value: null, the booleans, integers (two beyond the
+# float range), floats (NaN and the infinities among them), strings, arrays
+# of 0 to 3 items, mixed ones among them, and objects
+JSON_VALUES = [None, True, False, 0, 1, 7, -3, 10 ** 400, -10 ** 400, 0.0, 0.5, 2.5, -1.5, 1e308,
+               math.nan, math.inf, -math.inf, "", "1", [], [1], [-1.5, 2], [0, 10 ** 400],
+               [1, "2"], [1, 2, 3], {}, {"a": 1}]
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -127,15 +136,29 @@ class TestValidate:
                                                    rotation_enabled=False, seed=7))
         assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
-    @pytest.mark.parametrize("field, text", [
-        ("shift_severity", "1" * 401),
-        ("search_range", "[-" + "1" * 401 + ", 100]"),
+    @pytest.mark.parametrize("field, text, message", [
+        ("shift_severity", "1" * 401, "shift_severity must be finite"),
+        ("search_range", "[-" + "1" * 401 + ", 100]", "search_range bounds must be finite"),
     ], ids=["shift_severity", "search_range"])
-    def test_integer_beyond_the_float_range_is_not_finite(self, tmp_path, capsys, field, text):
+    def test_integer_beyond_the_float_range_is_not_finite(self, tmp_path, capsys, field, text,
+                                                         message):
+        # the JSON path names the value as ScenarioConfig does
+        value = json.loads(text)
+        assert scenario_from_dict({field: value})[1] == [message]
+        assert ScenarioConfig(**{field: value}).violations() == [message]
         config = write_config(tmp_path, '{"%s": %s}' % (field, text))
         assert main(["validate", "--config", config]) == 1
-        assert f"violation: {field} must be finite" in capsys.readouterr().err
+        assert f"violation: {message}" in capsys.readouterr().err
         assert main(["run", "--config", config, "--runs", "1", "--out", str(tmp_path / "o")]) == 1
+
+    def test_an_invalid_config_prints_only_its_violations(self, tmp_path, capsys):
+        # the config holds the file's values, and a malformed range has no
+        # JSON form to print
+        config = write_config(tmp_path, {"search_range": 5, "dimension": 0})
+        assert main(["validate", "--config", config]) == 1
+        assert capsys.readouterr() == ("", "violation: dimension must be an integer >= 1\n"
+                                           "violation: search_range must be a two-element "
+                                           "numeric array\n")
 
     def test_unreadable_configs(self, tmp_path, capsys):
         for text, message in [("[1, 2]", "config root must be a JSON object"),
@@ -150,15 +173,19 @@ class TestValidate:
 
 class TestSchema:
     def test_each_kind_is_checked_in_one_pass(self):
-        cfg, problems = scenario_from_dict({
-            "dimension": 2.0, "bogus": 1, "rotation_enabled": 1, "shift_severity": True,
-            "search_range": [1], "height_range": [30, "70"], "seed": 4})
-        assert problems == ["dimension must be an integer", "unknown key 'bogus'",
-                            "rotation_enabled must be a boolean", "shift_severity must be a number",
+        data = {"dimension": 2.0, "bogus": 1, "rotation_enabled": 1, "shift_severity": True,
+                "search_range": [1], "height_range": [30, "70"], "seed": 4}
+        known = {key: value for key, value in data.items() if key != "bogus"}
+        cfg, problems = scenario_from_dict(data)
+        # the unknown keys, then the violations in field order
+        assert problems == ["unknown key 'bogus'"] + ScenarioConfig(**known).violations()
+        assert problems == ["unknown key 'bogus'", "dimension must be an integer >= 1",
+                            "shift_severity must be a number",
                             "search_range must be a two-element numeric array",
-                            "height_range must be a two-element numeric array"]
-        # the malformed keys keep their defaults
-        assert cfg == ScenarioConfig(seed=4)
+                            "height_range must be a two-element numeric array",
+                            "rotation_enabled must be a boolean"]
+        # the config holds the given values
+        assert cfg == ScenarioConfig(**known)
 
     @pytest.mark.parametrize("name", ["dimension", "num_components", "change_frequency",
                                       "num_environments", "seed"])
@@ -168,7 +195,31 @@ class TestSchema:
         cfg = ScenarioConfig(**dict(SMALL, **{name: True}))
         least = 0 if name == "seed" else 1
         assert cfg.violations() == [f"{name} must be an integer >= {least}"]
-        assert f"{name} must be an integer" in scenario_from_dict(scenario_to_dict(cfg))[1]
+        problems = scenario_from_dict(scenario_to_dict(cfg))[1]
+        assert f"{name} must be an integer >= {least}" in problems
+        assert problems == cfg.violations()
+
+    @pytest.mark.parametrize("name", FIELD_TYPES)
+    def test_every_json_value_is_named_or_round_trips(self, name):
+        for value in JSON_VALUES:
+            cfg, problems = scenario_from_dict({name: value})
+            assert problems == ScenarioConfig(**{name: value}).violations(), value
+            if not problems:
+                data = json.loads(json.dumps(scenario_to_dict(cfg)))
+                assert scenario_from_dict(data) == (cfg, []), value
+
+    def test_equal_scenarios_write_equal_bytes(self, tmp_path):
+        # an integer severity or range is the same scenario from Python and
+        # from JSON, and is written as the same float
+        data = dict(SMALL, shift_severity=1, height_severity=7, search_range=[-50, 50])
+        from_json, problems = scenario_from_dict(data)
+        assert problems == []
+        written = []
+        for name, scenario in (("python", ScenarioConfig(**data)), ("json", from_json)):
+            run_experiment(ExperimentSpec(scenario=scenario, run_count=1,
+                                          output_dir=tmp_path / name))
+            written.append((tmp_path / name / "results.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_round_trip(self):
         cfg = ScenarioConfig(dimension=3, shift_severity=2, width_range=(2, 5),

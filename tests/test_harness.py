@@ -69,16 +69,16 @@ class TestRunSession:
 
 
 class TestExperiment:
-    def test_solver_params_are_the_resolved_config(self):
+    def test_solver_params_are_the_resolved_config(self, tmp_path):
         scenario = ScenarioConfig(dimension=2, num_components=4, change_frequency=60,
                                   num_environments=2)
-        spec = ExperimentSpec(scenario=scenario, run_count=1)
+        spec = ExperimentSpec(scenario=scenario, run_count=1, output_dir=tmp_path)
         result = run_experiment(spec)
         resolved = SolverConfig.for_scenario(scenario)
         assert result["solver_params"] == dataclasses.asdict(resolved)
         assert run_experiment(dataclasses.replace(spec, solver="random"))["solver_params"] == {}
 
-    def test_each_run_uses_the_reported_config(self, monkeypatch):
+    def test_each_run_uses_the_reported_config(self, tmp_path, monkeypatch):
         configs = []
 
         class Capturing(harness.MQSO):
@@ -89,7 +89,8 @@ class TestExperiment:
         monkeypatch.setattr(harness, "MQSO", Capturing)
         scenario = ScenarioConfig(dimension=3, num_components=5, shift_severity=1.5,
                                   change_frequency=120, num_environments=1)
-        result = run_experiment(ExperimentSpec(scenario=scenario, run_count=3))
+        result = run_experiment(ExperimentSpec(scenario=scenario, run_count=3,
+                                               output_dir=tmp_path))
         assert len(configs) == 3
         assert [dataclasses.asdict(c) for c in configs] == [result["solver_params"]] * 3
         assert result["solver_params"]["cloud_radius"] == 1.5
@@ -98,9 +99,37 @@ class TestExperiment:
         ("run_count", "run_count must be an integer >= 1"),
         ("master_seed", "master_seed must be a nonnegative integer")])
     @pytest.mark.parametrize("value", [True, 1.0])
-    def test_counts_must_be_integers(self, name, value, message):
-        spec = ExperimentSpec(scenario=ScenarioConfig(), **{name: value})
+    def test_counts_must_be_integers(self, tmp_path, name, value, message):
+        spec = ExperimentSpec(scenario=ScenarioConfig(), output_dir=tmp_path, **{name: value})
         assert spec.violations() == [message]
+
+
+class TestLandscapeAt:
+    @pytest.mark.parametrize("scenario", [
+        ScenarioConfig(change_frequency=37, num_environments=6),
+        ScenarioConfig(dimension=20, num_components=50, change_frequency=100, num_environments=5),
+        ScenarioConfig(dimension=3, num_components=4, rotation_enabled=False, change_frequency=7,
+                       num_environments=9),
+    ], ids=["d10-m10", "d20-m50", "d3-m4-unrotated"])
+    def test_a_grid_shows_the_landscape_the_session_scores(self, scenario):
+        # the session and landscape_at each seed the benchmark stream
+        session = BenchmarkSession(scenario)
+
+        def shows(k):
+            expected = landscape_at(scenario, k)
+            return all(np.array_equal(getattr(session.landscape, name), getattr(expected, name))
+                       for name in ("centers", "rotations", "widths", "heights", "angles", "tau",
+                                    "eta"))
+
+        assert shows(0)
+        rng = np.random.default_rng(0)
+        last = scenario.num_environments - 1
+        for k in range(scenario.num_environments):
+            session.evaluate(rng.uniform(*session.bounds, (scenario.change_frequency,
+                                                           scenario.dimension)))
+            # a quota's last row moves the session on; after the last quota it stays
+            assert shows(min(k + 1, last)), k
+        assert session.ledger.complete
 
 
 class TestExportGrid:

@@ -861,15 +861,15 @@ class TestScenarioConfig:
         ("height_severity", -10 ** 400, "height_severity must be finite"),
     ], ids=["search_range", "tau_range", "width_range", "shift_severity", "height_severity"])
     def test_an_integer_beyond_the_float_range_is_not_finite(self, name, value, message):
-        # named, not crashed on; such a range is left as given, and the
-        # parser keeps its own words for the JSON form
+        # named, not crashed on; such a value is left as given, and the
+        # parser names its JSON form in the same words
         cfg = ScenarioConfig(**{name: value})
         assert getattr(cfg, name) == value
         assert cfg.violations() == [message]
         with pytest.raises(ValueError, match=message):
             cfg.validate()
         data = dict(scenario_to_dict(ScenarioConfig()), **{name: value})
-        assert scenario_from_dict(data)[1] == [f"{name} must be finite"]
+        assert scenario_from_dict(data)[1] == ScenarioConfig(**data).violations() == [message]
 
     @pytest.mark.parametrize("name, value, what", [
         ("shift_severity", True, "a number"),
@@ -882,8 +882,8 @@ class TestScenarioConfig:
         ("width_range", 5.0, "a two-element numeric array"),
     ])
     def test_a_field_of_the_wrong_type_is_named(self, name, value, what):
-        # named in the parser's words, with the checks that need its value
-        # skipped; the parser names its JSON form the same way
+        # named by the schema's type rule, with the checks that need its
+        # value skipped; the parser names its JSON form the same way
         cfg = ScenarioConfig(**{name: value})
         assert cfg.violations() == [f"{name} must be {what}"]
         with pytest.raises(ValueError, match=f"{name} must be {what}"):

@@ -193,10 +193,11 @@ class TestRadiusRule:
         with pytest.raises(ValueError, match=f"invalid solver config: {name} must be a number"):
             MQSO(session, cfg, np.random.default_rng(0))
 
-    def test_solver_uses_the_radii_the_experiment_reports(self):
+    def test_solver_uses_the_radii_the_experiment_reports(self, tmp_path):
         scenario = ScenarioConfig(dimension=5, num_components=25, shift_severity=2.0,
                                   change_frequency=200, num_environments=1)
-        result = run_experiment(ExperimentSpec(scenario=scenario, run_count=1))
+        result = run_experiment(ExperimentSpec(scenario=scenario, run_count=1,
+                                               output_dir=tmp_path))
         solver = MQSO(BenchmarkSession(scenario), SolverConfig.for_scenario(scenario),
                       np.random.default_rng(0))
         params = result["solver_params"]

@@ -1,21 +1,38 @@
-"""Byte pins: nine sessions' ledgers, hashed, must not change at all.
+"""Byte pins: nine sessions' ledgers, the CLI's output files and numpy's
+draw streams, hashed, must not change at all.
 
 The goldens compare at rtol 1e-9, so a change of the numbers below that
-passes them; these pins catch any change of a ledger's bytes. A ledger's
-bytes depend on the BLAS kernel and the SIMD target numpy dispatches to, so
-each pin is keyed by the dispatch fingerprint: the sha256 of what
-``test_golden.KERNEL_BLOCK`` prints. The check is exact only where a pin
-exists. On a fingerprint with no pin the test skips and names it; a change
-that means to move the numbers re-pins and lists the old and new hashes.
+passes them; these pins catch any change of a ledger's or an output file's
+bytes. Those bytes depend on the BLAS kernel and the SIMD target numpy
+dispatches to, so each of their pins is keyed by the dispatch fingerprint:
+the sha256 of what ``test_golden.KERNEL_BLOCK`` prints. The check is exact
+only where a pin exists. On a fingerprint with no pin the test skips and
+names it; a change that means to move the numbers re-pins and lists the old
+and new hashes.
+
+The draw canaries pin the stream of each ``numpy.random.Generator`` method
+the benchmark draws with, at the shapes it uses. NumPy keeps a bit
+generator's stream stable, but not every method's, so a numpy that changes
+one fails here, under the method's name, rather than as a golden mismatch.
+The draws do not depend on the dispatch, so they have one pin each.
+
+Run as a script, this file prints what a subprocess under another dispatch
+reports: ``python tests/test_pins.py [ledgers|outputs|draws]``.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gmpbench import ScenarioConfig, run_session
+from gmpbench.cli import main
 from test_golden import DISPATCH, KERNEL_BLOCK, run_in_checkout
 
 # dispatch fingerprint -> ledger hash, measured on an x86-64 machine with
@@ -42,6 +59,66 @@ SESSIONS = [
 ]
 SEEDS = (0, 1, 7919)
 
+# the configs of the pinned CLI commands
+SMALL = {"change_frequency": 1237, "num_environments": 3}
+GRID = {"dimension": 2, "num_components": 10, "num_environments": 10, "seed": 3}
+
+# dispatch fingerprint -> sha256 of each output of the pinned CLI commands,
+# measured as PINS is
+OUTPUT_PINS = {
+    # default dispatch
+    "be32ef47b01cd524cc2db673ee7d9f75e00a96189117e8fab2d81dac8b07b650": {
+        "mqso/results.json":
+            "1b35010b4e9f70173cc85b1ee7d5056c5197db89d4301fac9a00ca07048aeb41",
+        "mqso/runs.csv":
+            "1fe657048aa16777e5812362a235fb77de944e5d2c72676d0ff385bf7165a784",
+        "random/results.json":
+            "cefe3d97c2f26234c87588a95a76e4e33506149de67e529987ffb484c6592407",
+        "random/runs.csv":
+            "71684f11b9500319bb1926dce11871297f5836850b3777ec1a2cac70f8a0736e",
+        "grid.csv":
+            "1bac931f371a8d81d198f60f5b680a7221f88b976096f18d7bc1a4b6441605d7",
+        "grid.csv.meta.json":
+            "c4662158881f90fc01be83eac8275a919df395369137432f9c221368993e18b8",
+        "validate stdout":
+            "143ae2c4c835338dabf78ec815a844f0ea64875340c1be66bd220473f8136cd4",
+    },
+    # OPENBLAS_CORETYPE=Haswell
+    "c5b4089d308457cadf4d90e2eeb494bbf4a8d9bab3519dc3329c4a9bfe24487d": {
+        "mqso/results.json":
+            "f83d1e4354addfa4bdf1cbadc455842ee991892a24455040fd0af1efbdcebb1a",
+        "mqso/runs.csv":
+            "ae27982cdb74a4a53741d30381662ce3aaa6ddc99e219a7b639f514103d86f96",
+        "random/results.json":
+            "1ee3da4b78037fcd6c13f4d691ffd58418ef957ad02b3d9909687e8c660611c7",
+        "random/runs.csv":
+            "13f50c22cf4208037ecdde698861d5818dd23ed5640618c668eb1f582b5f4655",
+        "grid.csv":
+            "0f66c2d9b99778ea1b372bc37d2691c2ca79539a033ddfd3cb54e7de2619b258",
+        "grid.csv.meta.json":
+            "c4662158881f90fc01be83eac8275a919df395369137432f9c221368993e18b8",
+        "validate stdout":
+            "143ae2c4c835338dabf78ec815a844f0ea64875340c1be66bd220473f8136cd4",
+    },
+    # numpy's AVX-512 targets off
+    "213fbbf46f66c7d8b6fc1fdede1190b16d0151c83ab1bd232165b94ccba62af5": {
+        "mqso/results.json":
+            "1b35010b4e9f70173cc85b1ee7d5056c5197db89d4301fac9a00ca07048aeb41",
+        "mqso/runs.csv":
+            "1fe657048aa16777e5812362a235fb77de944e5d2c72676d0ff385bf7165a784",
+        "random/results.json":
+            "cefe3d97c2f26234c87588a95a76e4e33506149de67e529987ffb484c6592407",
+        "random/runs.csv":
+            "71684f11b9500319bb1926dce11871297f5836850b3777ec1a2cac70f8a0736e",
+        "grid.csv":
+            "fdb911f8b521ad97cb9fae0f80750ca24fdf10f4bec47509c434d625ecb934d1",
+        "grid.csv.meta.json":
+            "c4662158881f90fc01be83eac8275a919df395369137432f9c221368993e18b8",
+        "validate stdout":
+            "143ae2c4c835338dabf78ec815a844f0ea64875340c1be66bd220473f8136cd4",
+    },
+}
+
 
 def ledger_hash():
     """sha256 over each session's ledger values, then its optima."""
@@ -54,6 +131,92 @@ def ledger_hash():
     return digest.hexdigest()
 
 
+def output_hashes():
+    """sha256 of each output of ``gmpbench run --config small.json --runs 3
+    --seed 1`` for both solvers, of ``gmpbench grid --env 5 --resolution
+    101`` on the grid config, and of ``gmpbench validate``'s stdout on
+    small.json."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "small.json").write_text(json.dumps(SMALL))
+        (out / "grid-config.json").write_text(json.dumps(GRID))
+        small = str(out / "small.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            for solver in ("mqso", "random"):
+                assert main(["run", "--config", small, "--runs", "3", "--seed", "1",
+                             "--solver", solver, "--out", str(out / solver)]) == 0
+            assert main(["grid", "--config", str(out / "grid-config.json"), "--env", "5",
+                         "--resolution", "101", "--out", str(out / "grid.csv")]) == 0
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert main(["validate", "--config", small]) == 0
+        names = [f"{solver}/{name}" for solver in ("mqso", "random")
+                 for name in ("results.json", "runs.csv")] + ["grid.csv", "grid.csv.meta.json"]
+        hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    hashes["validate stdout"] = hashlib.sha256(printed.getvalue().encode()).hexdigest()
+    return hashes
+
+
+def _uniform(rng):
+    # init_landscape's arrays at d=10, m=10, a swarm's positions and a
+    # random-search block at d=20
+    return [rng.uniform(-100, 100, (10, 10)), rng.uniform(30, 70, 10),
+            rng.uniform(1, 12, (10, 10)), rng.uniform(-np.pi, np.pi, 10),
+            rng.uniform(-20, 20, (10, 4)), rng.uniform(-1, 1, 10),
+            rng.uniform(-100, 100, (10, 10)), rng.uniform(-100, 100, (16, 20))]
+
+
+def _standard_normal(rng):
+    # the (m, d, d) source matrices, the (m, 2d + 7) change block and a
+    # swarm's ball directions
+    return [rng.standard_normal((10, 10, 10)), rng.standard_normal((10, 27)),
+            rng.standard_normal((5, 10))]
+
+
+def _random(rng):
+    # mQSO's u for the neutral particles and the ball radii
+    return [rng.random((5, 2, 10)), rng.random(5)]
+
+
+def _permuted(rng):
+    # the plane orders of a change, permuted in place
+    orders = np.tile(np.arange(45), (10, 1))
+    return [rng.permuted(orders, axis=1, out=orders)]
+
+
+# method -> its draws from a generator seeded by the bare seed
+DRAWS = {"uniform": _uniform, "standard_normal": _standard_normal, "random": _random,
+         "permuted": _permuted}
+SOLVER_STREAM = "default_rng([seed, 1])"
+
+# method -> sha256 of its draws on SEEDS, measured as PINS is
+DRAW_PINS = {
+    "uniform":
+        "42cdbea5ff6dda245dd9606294e28987873a903264f82cffde76c5467f705bb9",
+    "standard_normal":
+        "9298c3b0bceae2f9821fed0b342c3961ffa5a499001cd11b6c473f17e725674a",
+    "random":
+        "8dc0205a3725dd721360d1144176b295665a47d6764bb6c9c46c5f493ae47d7b",
+    "permuted":
+        "6c71d71a172d7e17b65ed3b3e54433b5eefdd47324802e0a66f9695e9491b352",
+    SOLVER_STREAM:
+        "29d10c1b80cde0a9d38462ebc1cd8e6fea8bd80040912fc425142a1e1903cdda",
+}
+
+
+def draw_hash(method):
+    """sha256 of the method's draws on each of SEEDS in turn."""
+    digest = hashlib.sha256()
+    for seed in SEEDS:
+        if method == SOLVER_STREAM:
+            draws = [np.random.default_rng([seed, 1]).random(64)]
+        else:
+            draws = DRAWS[method](np.random.default_rng(seed))
+        for array in draws:
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 def fingerprint():
     """sha256 of the kernel block's bytes, computed in this process."""
     printed = io.StringIO()
@@ -62,10 +225,19 @@ def fingerprint():
     return hashlib.sha256(bytes.fromhex(printed.getvalue())).hexdigest()
 
 
-def check(key, ledger):
-    if key not in PINS:
-        pytest.skip(f"no pin for dispatch fingerprint {key} (ledger hash {ledger})")
-    assert ledger == PINS[key]
+def check(key, got, pins=PINS):
+    if key not in pins:
+        pytest.skip(f"no pin for dispatch fingerprint {key} (got {got})")
+    assert got == pins[key]
+
+
+def in_subprocess(name, what):
+    """The JSON this file prints for ``what`` when run as a script with the
+    dispatch setting ``name``; skips when the setting is rejected here."""
+    run = run_in_checkout({name: DISPATCH[name]}, __file__, what)
+    if run.returncode != 0:
+        pytest.skip(f"{name}={DISPATCH[name]!r} is rejected here: {run.stderr.strip()[-300:]}")
+    return json.loads(run.stdout)
 
 
 def test_ledgers_match_the_pin():
@@ -74,11 +246,33 @@ def test_ledgers_match_the_pin():
 
 @pytest.mark.parametrize("name", DISPATCH)
 def test_ledgers_match_the_pin_under_another_dispatch(name):
-    run = run_in_checkout({name: DISPATCH[name]}, __file__)
-    if run.returncode != 0:
-        pytest.skip(f"{name}={DISPATCH[name]!r} is rejected here: {run.stderr.strip()[-300:]}")
-    check(*run.stdout.split())
+    check(*in_subprocess(name, "ledgers"))
+
+
+def test_outputs_match_the_pin():
+    check(fingerprint(), output_hashes(), OUTPUT_PINS)
+
+
+@pytest.mark.parametrize("name", DISPATCH)
+def test_outputs_match_the_pin_under_another_dispatch(name):
+    check(*in_subprocess(name, "outputs"), OUTPUT_PINS)
+
+
+@pytest.mark.parametrize("method", DRAW_PINS)
+def test_draw_canary(method):
+    assert draw_hash(method) == DRAW_PINS[method], f"numpy's {method} stream changed"
+
+
+@pytest.mark.parametrize("name", DISPATCH)
+def test_draw_canaries_under_another_dispatch(name):
+    hashes = in_subprocess(name, "draws")
+    changed = [method for method in DRAW_PINS if hashes[method] != DRAW_PINS[method]]
+    assert not changed, f"under {name}, numpy's streams changed: {changed}"
 
 
 if __name__ == "__main__":
-    print(fingerprint(), ledger_hash())
+    what = sys.argv[1] if len(sys.argv) > 1 else "ledgers"
+    if what == "draws":
+        print(json.dumps({method: draw_hash(method) for method in DRAW_PINS}))
+    else:
+        print(json.dumps([fingerprint(), ledger_hash() if what == "ledgers" else output_hashes()]))

@@ -20,6 +20,7 @@ from gmpbench import (
     offline_error,
 )
 from gmpbench.protocol import CHANGE_DETECTION_TOL, EvaluationLedger
+from test_golden import run_in_checkout
 
 
 def feed(ledger, pairs):
@@ -308,6 +309,22 @@ class TestSession:
         value = s.evaluate(np.ma.array([[1.0, 2.0]], mask=[[False, False]]))
         assert s.ledger.total == 1
         np.testing.assert_array_equal(value, evaluate_raw(np.array([[1.0, 2.0]]), s.landscape))
+
+    def test_sessions_do_not_import_numpy_ma(self):
+        # a masked array cannot exist before numpy.ma is imported, so the
+        # masked-input rule needs no import of it (about 1 MiB of memory)
+        code = "\n".join([
+            "import sys",
+            "from gmpbench import ScenarioConfig, run_session",
+            "from gmpbench.harness import SOLVERS",
+            "scenario = ScenarioConfig(dimension=3, num_components=4, change_frequency=300,",
+            "                          num_environments=2)",
+            "for solver in SOLVERS:",
+            "    run_session(scenario, solver)",
+            "print('numpy.ma' in sys.modules)"])
+        run = run_in_checkout({}, "-c", code)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "False\n"
 
     def test_point_outside_box_rejected_without_spending_budget(self):
         s = BenchmarkSession(self.cfg())
