@@ -17,14 +17,12 @@ from .landscape import Landscape, ScenarioConfig, evaluate_batch, evaluate_raw
 from .dynamics import advance_environment, init_landscape
 from .protocol import (
     BenchmarkSession,
-    IncompleteLedgerError,
     ScenarioComplete,
     best_before_change_error,
     offline_error,
 )
 from .mqso import MQSO, SolverConfig
 from .harness import (
-    ExperimentError,
     ExperimentSpec,
     RandomSearch,
     export_grid,
@@ -40,10 +38,10 @@ __all__ = [
     "__version__",
     "Landscape", "ScenarioConfig", "evaluate_batch", "evaluate_raw",
     "advance_environment", "init_landscape",
-    "BenchmarkSession", "IncompleteLedgerError", "ScenarioComplete",
+    "BenchmarkSession", "ScenarioComplete",
     "best_before_change_error", "offline_error",
     "MQSO", "SolverConfig",
-    "ExperimentError", "ExperimentSpec", "RandomSearch", "export_grid",
+    "ExperimentSpec", "RandomSearch", "export_grid",
     "landscape_at", "run_experiment", "run_session",
     "scenario_from_dict", "scenario_to_dict", "validate_config",
 ]

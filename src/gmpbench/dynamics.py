@@ -36,7 +36,6 @@ bit-identical to orthonormalizing it alone.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -107,15 +106,6 @@ def _orthonormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, norms
 
 
-@functools.lru_cache(maxsize=16)
-def _pair_table(d: int) -> np.ndarray:
-    """All d*(d-1)/2 axis index pairs (p < q), in lexicographic order, as a
-    read-only (d*(d-1)/2, 2) index array."""
-    pairs = np.stack(np.triu_indices(d, 1), axis=1)
-    pairs.flags.writeable = False
-    return pairs
-
-
 def update_rotation(rotations: np.ndarray, angles: np.ndarray,
                     orders: np.ndarray) -> np.ndarray:
     """Rotation step of a change, as a fresh stack: matrix ``k`` of
@@ -134,9 +124,10 @@ def update_rotation(rotations: np.ndarray, angles: np.ndarray,
     # product[order[0]] @ product[order[1]] @ ... @ r applies the last factor
     # first. Step j updates rows (p_k, q_k) of every matrix k, found as rows
     # of the (m*d, d) stack; each gets the same 2x2 matmul as a lone matrix,
-    # so the result is bit-identical to rotating one matrix at a time.
+    # so the result is bit-identical to rotating one matrix at a time. Plane
+    # i is the i-th axis pair (p < q) in lexicographic order.
     flat = out.reshape(m * d, d)
-    steps = _pair_table(d).take(np.ascontiguousarray(orders[:, ::-1].T), axis=0)
+    steps = np.stack(np.triu_indices(d, 1), axis=1).take(np.ascontiguousarray(orders[:, ::-1].T), axis=0)
     steps += d * np.arange(m)[:, None]
     for pq in steps:
         flat[pq] = rot2 @ flat.take(pq, axis=0)

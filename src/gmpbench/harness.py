@@ -26,7 +26,6 @@ from .mqso import MQSO, SolverConfig
 from .protocol import BenchmarkSession, ScenarioComplete
 
 __all__ = [
-    "ExperimentError",
     "ExperimentSpec",
     "RandomSearch",
     "SOLVERS",
@@ -43,10 +42,6 @@ __all__ = [
 SOLVERS = ("mqso", "random")
 
 _RANDOM_BLOCK_ROWS = 16
-
-
-class ExperimentError(RuntimeError):
-    """A run inside an experiment failed; message carries run index and seed."""
 
 
 class RandomSearch:
@@ -111,6 +106,8 @@ def run_session(scenario: ScenarioConfig, solver: str = "mqso",
     ``SolverConfig.for_scenario(scenario)``; its radii do not depend on the
     seed.
     """
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}")
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
     session = BenchmarkSession(scenario)
@@ -118,10 +115,8 @@ def run_session(scenario: ScenarioConfig, solver: str = "mqso",
     try:
         if solver == "mqso":
             MQSO(session, SolverConfig.for_scenario(scenario), rng).run()
-        elif solver == "random":
-            RandomSearch(session, rng).run()
         else:
-            raise ValueError(f"unknown solver {solver!r}")
+            RandomSearch(session, rng).run()
     except ScenarioComplete:
         pass  # budget spent during solver setup; the ledger is complete
     e_o, e_bbc = session.indicators()
@@ -155,7 +150,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         try:
             record, _ = run_session(spec.scenario, spec.solver, seed=seed_i)
         except Exception as exc:
-            raise ExperimentError(f"run {i} (seed {seed_i}) failed: {exc}") from exc
+            raise RuntimeError(f"run {i} (seed {seed_i}) failed: {exc}") from exc
         record["run_index"] = i
         runs.append(record)
     result = {
@@ -177,21 +172,18 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     return result
 
 
-def write_result(result: dict, output_dir: str | Path) -> tuple[Path, Path]:
-    """Write results.json plus a per-run indicator CSV; returns both paths."""
+def write_result(result: dict, output_dir: str | Path) -> None:
+    """Write results.json plus a per-run indicator CSV."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    json_path = out / "results.json"
-    with open(json_path, "w") as fh:
+    with open(out / "results.json", "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    csv_path = out / "runs.csv"
-    with open(csv_path, "w") as fh:
+    with open(out / "runs.csv", "w") as fh:
         fh.write("run_index,seed,offline_error,best_before_change_error\n")
         for r in result["runs"]:
             fh.write(f"{r['run_index']},{r['seed']},"
                      f"{r['offline_error']!r},{r['best_before_change_error']!r}\n")
-    return json_path, csv_path
 
 
 # -- landscape grids ---------------------------------------------------------
@@ -222,7 +214,7 @@ def export_grid(scenario: ScenarioConfig, env_index: int, resolution: int,
     schema's rule. A grid of more than ``MAX_ARRAY_ELEMENTS`` points is
     rejected before any compute.
     """
-    if scenario.dimension != 2:
+    if scenario.validate().dimension != 2:
         raise ValueError(f"grid export requires a 2-d scenario, got dimension {scenario.dimension}")
     if not _is_integer(resolution) or resolution < 2:
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")

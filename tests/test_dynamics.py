@@ -17,7 +17,6 @@ from gmpbench import ScenarioConfig, advance_environment, init_landscape
 from gmpbench.dynamics import (
     ORTHOGONALITY_TOL,
     _orthonormalize,
-    _pair_table,
     reflect,
     update_rotation,
 )
@@ -290,16 +289,6 @@ class TestGivens:
         for pair in [(1, 1), (2, 1), (-1, 0), (0, 3)]:
             with pytest.raises(ValueError):
                 givens_matrix(3, pair, 0.5)
-
-    def test_plane_count(self):
-        for d in range(1, 9):
-            table = _pair_table(d)
-            assert table.shape == (d * (d - 1) // 2, 2) and table.dtype == np.intp
-            assert not table.flags.writeable
-            pairs = [tuple(pair) for pair in table.tolist()]
-            assert pairs == plane_pairs(d)
-            assert len(set(pairs)) == len(pairs)
-            assert all(0 <= p < q < d for p, q in pairs)
 
 
 class TestGramSchmidt:

@@ -67,6 +67,15 @@ class TestRunSession:
         assert len(record["env_final_errors"]) == 1
         assert record["env_final_errors"][0] == record["best_before_change_error"]
 
+    def test_an_unknown_solver_builds_no_session(self, monkeypatch):
+        # the name is checked before the landscape is drawn and the ledger filled
+        built = []
+        monkeypatch.setattr(harness, "BenchmarkSession",
+                            lambda scenario: built.append(scenario) or BenchmarkSession(scenario))
+        with pytest.raises(ValueError, match="unknown solver 'nope'"):
+            run_session(ScenarioConfig(), "nope")
+        assert built == []
+
 
 class TestExperiment:
     def test_solver_params_are_the_resolved_config(self, tmp_path):
@@ -151,6 +160,12 @@ class TestExportGrid:
         if name == "environment index":
             with pytest.raises(ValueError, match=name):
                 landscape_at(scenario, env_index)
+
+    def test_the_scenario_is_validated_before_its_dimension_is_read(self, tmp_path):
+        # "2" is not an integer, so it is named as such, not as a wrong dimension
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+            export_grid(ScenarioConfig(dimension="2"), 0, 5, tmp_path / "grid.csv")
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_csv_rows_are_grid_points_and_their_exact_values(self, tmp_path):
         scenario = ScenarioConfig(dimension=2, num_components=5, num_environments=3, seed=4)

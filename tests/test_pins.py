@@ -1,14 +1,17 @@
-"""Byte pins: nine sessions' ledgers, the CLI's output files and numpy's
-draw streams, hashed, must not change at all.
+"""Byte pins: nine sessions' ledgers, the CLI's output files, the default
+scenario's landscapes, a kernel block and numpy's draw streams, hashed, must
+not change at all.
 
 The goldens compare at rtol 1e-9, so a change of the numbers below that
-passes them; these pins catch any change of a ledger's or an output file's
-bytes. Those bytes depend on the BLAS kernel and the SIMD target numpy
-dispatches to, so each of their pins is keyed by the dispatch fingerprint:
-the sha256 of what ``test_golden.KERNEL_BLOCK`` prints. The check is exact
-only where a pin exists. On a fingerprint with no pin the test skips and
-names it; a change that means to move the numbers re-pins and lists the old
-and new hashes.
+passes them; these pins catch any change of a ledger's, an output file's, a
+landscape's or a kernel block's bytes. Those bytes depend on the BLAS kernel
+and the SIMD target numpy dispatches to, so each of their pins is keyed by
+the dispatch fingerprint: the sha256 of what ``PROBE`` prints. The probe
+imports numpy alone, so a change to the program's own arithmetic leaves the
+fingerprint as it is and fails the pins rather than skip them. The check is
+exact only where a pin exists. On a fingerprint with no pin, another
+machine's, the test skips and names it; a change that means to move the
+numbers re-pins and lists the old and new hashes.
 
 The draw canaries pin the stream of each ``numpy.random.Generator`` method
 the benchmark draws with, at the shapes it uses. NumPy keeps a bit
@@ -17,9 +20,10 @@ one fails here, under the method's name, rather than as a golden mismatch.
 The draws do not depend on the dispatch, so they have one pin each.
 
 Run as a script, this file prints what a subprocess under another dispatch
-reports: ``python tests/test_pins.py [ledgers|outputs|draws]``.
+reports: ``python tests/test_pins.py [ledgers|outputs|landscapes|draws]``.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -31,22 +35,35 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmpbench import ScenarioConfig, run_session
+from gmpbench import ScenarioConfig, advance_environment, init_landscape, run_session
 from gmpbench.cli import main
 from test_golden import DISPATCH, KERNEL_BLOCK, run_in_checkout
 
-# dispatch fingerprint -> ledger hash, measured on an x86-64 machine with
-# AVX-512, numpy 2.4.6 and OpenBLAS 0.3.31 built with DYNAMIC_ARCH
+# prints the bytes of numpy's own arithmetic on fixed inputs: batched
+# vector-matrix products and per-row dots, laid out as the kernel lays out
+# its own, and log, exp and sin
+PROBE = """
+import numpy as np
+rng = np.random.default_rng(0)
+a = rng.uniform(-100, 100, (10, 64, 1, 10))
+y = a @ rng.standard_normal((10, 10, 10)).transpose(0, 2, 1)[:, None]
+dots = rng.uniform(1, 12, (10, 64, 1, 10)) @ y.transpose(0, 1, 3, 2)
+ly = np.log(np.abs(y))
+print(b"".join(v.tobytes() for v in (y, dots, ly, np.exp(ly * 0.5), np.sin(ly * 7.0))).hex())
+"""
+
+# the default dispatch, OPENBLAS_CORETYPE=Haswell and numpy's AVX-512
+# targets off, on an x86-64 machine with AVX-512, numpy 2.4.6 and OpenBLAS
+# 0.3.31 built with DYNAMIC_ARCH
+DEFAULT = "4da625489dbfecf14a4bda34724a5ea2f08a9ae0c53e15836314154a586f0d73"
+HASWELL = "25aa5c164b2f0ef30f06165214714c3247961cd439b523a6099c3c6133d09cce"
+NO_AVX512 = "f69649f9a0784def679bea0cd7b54acf67fb12ac5fa938b9d51919b62568e902"
+
+# dispatch fingerprint -> ledger hash
 PINS = {
-    # default dispatch
-    "be32ef47b01cd524cc2db673ee7d9f75e00a96189117e8fab2d81dac8b07b650":
-        "ba2e52efbf74417535389225f16531b385aa3045951a015d3085aa0dd0dc3efd",
-    # OPENBLAS_CORETYPE=Haswell
-    "c5b4089d308457cadf4d90e2eeb494bbf4a8d9bab3519dc3329c4a9bfe24487d":
-        "67b0e7217a425b79ec3a161147080c95f5da649bd25c2200e6f20ce297286bee",
-    # numpy's AVX-512 targets off
-    "213fbbf46f66c7d8b6fc1fdede1190b16d0151c83ab1bd232165b94ccba62af5":
-        "87440968d6ad9277c8ccc79eaa087506874633a1c83806b0e2a6082af0bb4825",
+    DEFAULT: "ba2e52efbf74417535389225f16531b385aa3045951a015d3085aa0dd0dc3efd",
+    HASWELL: "67b0e7217a425b79ec3a161147080c95f5da649bd25c2200e6f20ce297286bee",
+    NO_AVX512: "87440968d6ad9277c8ccc79eaa087506874633a1c83806b0e2a6082af0bb4825",
 }
 
 # scenario-major: each (solver, scenario) on every seed before the next
@@ -63,11 +80,9 @@ SEEDS = (0, 1, 7919)
 SMALL = {"change_frequency": 1237, "num_environments": 3}
 GRID = {"dimension": 2, "num_components": 10, "num_environments": 10, "seed": 3}
 
-# dispatch fingerprint -> sha256 of each output of the pinned CLI commands,
-# measured as PINS is
+# dispatch fingerprint -> sha256 of each output of the pinned CLI commands
 OUTPUT_PINS = {
-    # default dispatch
-    "be32ef47b01cd524cc2db673ee7d9f75e00a96189117e8fab2d81dac8b07b650": {
+    DEFAULT: {
         "mqso/results.json":
             "1b35010b4e9f70173cc85b1ee7d5056c5197db89d4301fac9a00ca07048aeb41",
         "mqso/runs.csv":
@@ -83,8 +98,7 @@ OUTPUT_PINS = {
         "validate stdout":
             "143ae2c4c835338dabf78ec815a844f0ea64875340c1be66bd220473f8136cd4",
     },
-    # OPENBLAS_CORETYPE=Haswell
-    "c5b4089d308457cadf4d90e2eeb494bbf4a8d9bab3519dc3329c4a9bfe24487d": {
+    HASWELL: {
         "mqso/results.json":
             "f83d1e4354addfa4bdf1cbadc455842ee991892a24455040fd0af1efbdcebb1a",
         "mqso/runs.csv":
@@ -100,8 +114,7 @@ OUTPUT_PINS = {
         "validate stdout":
             "143ae2c4c835338dabf78ec815a844f0ea64875340c1be66bd220473f8136cd4",
     },
-    # numpy's AVX-512 targets off
-    "213fbbf46f66c7d8b6fc1fdede1190b16d0151c83ab1bd232165b94ccba62af5": {
+    NO_AVX512: {
         "mqso/results.json":
             "1b35010b4e9f70173cc85b1ee7d5056c5197db89d4301fac9a00ca07048aeb41",
         "mqso/runs.csv":
@@ -157,6 +170,43 @@ def output_hashes():
     return hashes
 
 
+# the seven arrays of a Landscape, in field order
+ARRAYS = ("centers", "rotations", "widths", "heights", "angles", "tau", "eta")
+
+# dispatch fingerprint -> sha256 of the default scenario's environments 0-3
+# on SEEDS, and of the bytes KERNEL_BLOCK prints
+LANDSCAPE_PINS = {
+    DEFAULT: {
+        "landscapes": "1d973fa0ff5805ed232a37237922db3d77ca2fde52c0d85b6b0151e1473249d3",
+        "kernel block": "be32ef47b01cd524cc2db673ee7d9f75e00a96189117e8fab2d81dac8b07b650",
+    },
+    HASWELL: {
+        "landscapes": "b3697c7724e45ea36ecaf6370f9e2258e200d0e340b6cf601e04d408b7cfadb8",
+        "kernel block": "c5b4089d308457cadf4d90e2eeb494bbf4a8d9bab3519dc3329c4a9bfe24487d",
+    },
+    NO_AVX512: {
+        "landscapes": "1d973fa0ff5805ed232a37237922db3d77ca2fde52c0d85b6b0151e1473249d3",
+        "kernel block": "213fbbf46f66c7d8b6fc1fdede1190b16d0151c83ab1bd232165b94ccba62af5",
+    },
+}
+
+
+def landscape_hashes():
+    """sha256 over each array, in field order, of the default scenario's
+    environments 0-3 on each of SEEDS in turn, and of the kernel block."""
+    scenario = ScenarioConfig()
+    digest = hashlib.sha256()
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        landscape = init_landscape(scenario, rng)
+        for env in range(4):
+            if env:
+                landscape = advance_environment(landscape, scenario, rng)
+            for name in ARRAYS:
+                digest.update(getattr(landscape, name).tobytes())
+    return {"landscapes": digest.hexdigest(), "kernel block": printed_hash(KERNEL_BLOCK)}
+
+
 def _uniform(rng):
     # init_landscape's arrays at d=10, m=10, a swarm's positions and a
     # random-search block at d=20
@@ -189,7 +239,7 @@ DRAWS = {"uniform": _uniform, "standard_normal": _standard_normal, "random": _ra
          "permuted": _permuted}
 SOLVER_STREAM = "default_rng([seed, 1])"
 
-# method -> sha256 of its draws on SEEDS, measured as PINS is
+# method -> sha256 of its draws on SEEDS, on the machine the fingerprints name
 DRAW_PINS = {
     "uniform":
         "42cdbea5ff6dda245dd9606294e28987873a903264f82cffde76c5467f705bb9",
@@ -217,12 +267,17 @@ def draw_hash(method):
     return digest.hexdigest()
 
 
-def fingerprint():
-    """sha256 of the kernel block's bytes, computed in this process."""
+def printed_hash(source):
+    """sha256 of the bytes that ``source`` prints as hex, run in this process."""
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
-        exec(KERNEL_BLOCK, {})
+        exec(source, {})
     return hashlib.sha256(bytes.fromhex(printed.getvalue())).hexdigest()
+
+
+def fingerprint():
+    """The dispatch fingerprint: sha256 of the probe's bytes."""
+    return printed_hash(PROBE)
 
 
 def check(key, got, pins=PINS):
@@ -258,6 +313,24 @@ def test_outputs_match_the_pin_under_another_dispatch(name):
     check(*in_subprocess(name, "outputs"), OUTPUT_PINS)
 
 
+def test_landscapes_match_the_pin():
+    check(fingerprint(), landscape_hashes(), LANDSCAPE_PINS)
+
+
+@pytest.mark.parametrize("name", DISPATCH)
+def test_landscapes_match_the_pin_under_another_dispatch(name):
+    check(*in_subprocess(name, "landscapes"), LANDSCAPE_PINS)
+
+
+def test_the_fingerprint_runs_numpy_alone():
+    # a probe that ran the program's code would move with it, and every pin
+    # would then skip instead of fail
+    imports = [node for node in ast.walk(ast.parse(PROBE))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [alias.name for node in imports for alias in node.names] == ["numpy"]
+    assert "gmpbench" not in PROBE
+
+
 @pytest.mark.parametrize("method", DRAW_PINS)
 def test_draw_canary(method):
     assert draw_hash(method) == DRAW_PINS[method], f"numpy's {method} stream changed"
@@ -275,4 +348,6 @@ if __name__ == "__main__":
     if what == "draws":
         print(json.dumps({method: draw_hash(method) for method in DRAW_PINS}))
     else:
-        print(json.dumps([fingerprint(), ledger_hash() if what == "ledgers" else output_hashes()]))
+        hashes = {"ledgers": ledger_hash, "outputs": output_hashes,
+                  "landscapes": landscape_hashes}[what]
+        print(json.dumps([fingerprint(), hashes()]))

@@ -25,12 +25,15 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # session's above and differs_from rules, mQSO's loop that resent the rows
 # a block cut short by the budget, now the session's ScenarioComplete, and
 # the guard against advancing past the last environment, which the session's
-# schedule and landscape_at already bound
+# schedule and landscape_at already bound; the error subclasses no caller
+# caught by type, now the ValueError and RuntimeError they subclassed, and
+# the cached plane-pair table, now built by update_rotation on each change
 DELETED = ("ComponentState", "make_landscape", "component_value",
            "update_component", "irregularity_transform", "optimum",
            "plane_pairs", "orthogonality_error", "gram_schmidt", "initial_rotation",
            "_rotate", "_fold", "_resolved_solver_config", "_above", "_differs_from",
-           "_evaluate_into", "ScenarioExhausted")
+           "_evaluate_into", "ScenarioExhausted", "IncompleteLedgerError",
+           "ExperimentError", "_pair_table")
 
 
 def load_tracer():
@@ -42,7 +45,7 @@ def load_tracer():
 
 
 def test_every_exported_name_resolves():
-    assert len(gmpbench.__all__) <= 24
+    assert len(gmpbench.__all__) <= 22
     assert len(set(gmpbench.__all__)) == len(gmpbench.__all__)
     for name in gmpbench.__all__:
         assert getattr(gmpbench, name) is not None, name
