@@ -146,7 +146,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     Path(spec.output_dir).mkdir(parents=True, exist_ok=True)
     runs = []
     for i in range(spec.run_count):
-        seed_i = spec.master_seed + i
+        seed_i = int(spec.master_seed) + i  # a numpy integer's sum could wrap
         try:
             record, _ = run_session(spec.scenario, spec.solver, seed=seed_i)
         except Exception as exc:
@@ -159,8 +159,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "solver": spec.solver,
         "solver_params": (dataclasses.asdict(SolverConfig.for_scenario(spec.scenario))
                           if spec.solver == "mqso" else {}),
-        "master_seed": spec.master_seed,
-        "run_count": spec.run_count,
+        "master_seed": int(spec.master_seed),
+        "run_count": int(spec.run_count),
         "runs": runs,
         "aggregate": {
             "offline_error": _mean_sem([r["offline_error"] for r in runs]),
@@ -218,6 +218,7 @@ def export_grid(scenario: ScenarioConfig, env_index: int, resolution: int,
         raise ValueError(f"grid export requires a 2-d scenario, got dimension {scenario.dimension}")
     if not _is_integer(resolution) or resolution < 2:
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
+    resolution = int(resolution)  # a numpy integer's square could wrap past the cap
     if resolution ** 2 > MAX_ARRAY_ELEMENTS:
         raise ValueError(f"resolution {resolution} gives {resolution ** 2} grid points, "
                          f"above the {MAX_ARRAY_ELEMENTS} a grid may hold")

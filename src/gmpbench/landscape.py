@@ -28,14 +28,14 @@ same function under its older name). A row's value does not depend on the block 
 it, so a point alone and inside any block score bit for bit the same.
 
 The kernel writes its (component, point, axis) temporaries into a
-workspace instead of fresh arrays, so a large block does not fault new
-pages in on every call. Each thread has its own workspace, so threads may
-score at once. It holds at most ``_BLOCK_ELEMENTS`` elements per
-temporary, and a piece larger than that (one row of a landscape with more
-than ``_BLOCK_ELEMENTS`` component-axis pairs) gets fresh arrays. A block
-scored in several pieces frees the workspace when it is done, so between
-calls a thread keeps only the workspace of its last one-piece blocks. No
-array :func:`evaluate_raw` returns is a view of a workspace.
+workspace instead of fresh arrays, so a block sent over and over does not
+fault new pages in on every call. One rule picks it: a block of at most
+``_BLOCK_ELEMENTS // (m * d)`` rows (a point is a one-row block) uses its
+thread's workspace, so threads may score at once; any other block is scored
+in pieces of that many rows (at least one) in a workspace of the call's own,
+dropped when the call returns. So a thread's workspace holds at most
+``_BLOCK_ELEMENTS`` elements per temporary and outlives every call. No array
+:func:`evaluate_raw` returns is a view of a workspace.
 
 Evaluation never mutates landscape state; all mutation goes through the
 dynamics module between environments.
@@ -76,13 +76,13 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def _is_integer(value) -> bool:
-    """The schema's integer rule: an ``int`` that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """The schema's integer rule: an ``int`` or numpy integer, not a ``bool`` or ``timedelta64``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.timedelta64))
 
 
 def _is_number(value) -> bool:
-    """The schema's number rule: an ``int`` or ``float`` that is not a ``bool``."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """The schema's number rule: an integer, a ``float`` or a numpy float."""
+    return _is_integer(value) or isinstance(value, (float, np.floating))
 
 
 def _is_finite(value) -> bool:
@@ -93,15 +93,16 @@ def _is_finite(value) -> bool:
 
 
 def _is_pair(value) -> bool:
-    """The schema's range rule: a two-element list or tuple of numbers."""
-    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+    """The schema's range rule: a two-element list, tuple or 1-D array of numbers."""
+    return (isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1) \
+        and len(value) == 2 and all(map(_is_number, value))
 
 
 # The schema's type rule, per field type: (accepts a value, what it must
-# be). ScenarioConfig.violations applies it, to Python and JSON input alike.
+# be). ScenarioConfig.violations applies it, to Python, numpy and JSON input.
 _TYPE_RULES = {
     tuple: (_is_pair, "a two-element numeric array"),
-    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    bool: (lambda v: isinstance(v, (bool, np.bool_)), "a boolean"),
     int: (_is_integer, "an integer"),
     float: (_is_number, "a number"),
 }
@@ -117,9 +118,9 @@ class ScenarioConfig:
     the number of static intervals, so a full run spends exactly
     ``change_frequency * num_environments`` evaluations.
 
-    A value from Python or from JSON is converted and named here alone:
-    ranges are stored as pairs of floats and severities as floats; any other
-    value is kept as given, for :meth:`violations` to name.
+    A value from Python, numpy or JSON is converted and named here alone:
+    an accepted value is stored as an ``int``, a ``bool``, a ``float`` or a
+    pair of floats; any other is kept as given, for :meth:`violations` to name.
     """
 
     dimension: int = 10
@@ -146,9 +147,8 @@ class ScenarioConfig:
         for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
             parts = value if kind is tuple else [value]
-            if (kind in (tuple, float) and _TYPE_RULES[kind][0](value)
-                    and all(map(_is_finite, filter(_is_integer, parts)))):
-                object.__setattr__(self, name, tuple(map(float, value)) if kind is tuple else float(value))
+            if _TYPE_RULES[kind][0](value) and all(map(_is_finite, filter(_is_integer, parts))):
+                object.__setattr__(self, name, tuple(map(float, value)) if kind is tuple else kind(value))
 
     @property
     def budget(self) -> int:
@@ -357,16 +357,12 @@ class _Workspace(threading.local):
     whose contents are dead takes the next temporary (the offsets become
     ``log|y|``, then ``widths * t``; the second gather becomes ``sign(y)``).
     ``mask`` and ``index`` hold the warp's bool and index temporaries. The
-    arrays grow to the largest piece seen since the last :meth:`release`, at
-    most ``_BLOCK_ELEMENTS`` elements per slot; the views of them are kept
-    per block shape.
+    arrays grow to the largest piece they have held; the views of them are
+    kept per block shape. ``_workspace`` is each thread's; a block that does
+    not fit it is scored in a ``_Workspace()`` of its call's own.
     """
 
     def __init__(self):
-        self.release()
-
-    def release(self) -> None:
-        """Free the arrays; the next piece allocates them again."""
         self.floats, self.mask, self.index = _arena(0)
         self.views = {}
 
@@ -375,9 +371,6 @@ class _Workspace(threading.local):
         if views is not None:
             return views
         size = m * n * d
-        if size > _BLOCK_ELEMENTS:
-            # one row of a landscape larger than the cap: fresh, not kept
-            return _carve(m, n, d, *_arena(size))
         if _slot(size) > self.mask.size:
             self.floats, self.mask, self.index = _arena(size)
             self.views = {}
@@ -417,7 +410,7 @@ def _carve(m: int, n: int, d: int, floats, mask, index) -> tuple:
 _workspace = _Workspace()
 
 
-def _peak_values(points: np.ndarray, landscape: Landscape) -> np.ndarray:
+def _peak_values(points: np.ndarray, landscape: Landscape, workspace: _Workspace) -> np.ndarray:
     """Landscape objective at each row of an ``(n, d)`` block of points.
 
     A row's value does not depend on the other rows of the block: every
@@ -425,12 +418,12 @@ def _peak_values(points: np.ndarray, landscape: Landscape) -> np.ndarray:
     (component, point). A single ``(m, n, d) @ (m, d, d)`` product would
     round differently for ``n == 1`` (gemv) and ``n >= 2`` (gemm).
 
-    Every temporary is written into this thread's workspace; the returned
-    maximum is a fresh array.
+    Every temporary is written into ``workspace``, chosen by the module's
+    workspace rule; the returned maximum is a fresh array.
     """
     centers, rotations_t, tau, eta, widths, heights = landscape._operands
     m, d = landscape.centers.shape
-    a, a4, y4, y, warp, values4, values = _workspace.scratch(m, points.shape[0], d)
+    a, a4, y4, y, warp, values4, values = workspace.scratch(m, points.shape[0], d)
     # y[k, i] = R_k (x_i - c_k); the offset form keeps a center's value exact
     np.subtract(points[None, :, :], centers, out=a)
     np.matmul(a4, rotations_t, out=y4)
@@ -447,25 +440,24 @@ def evaluate_raw(x: np.ndarray, landscape: Landscape):
     """Landscape objective at ``x``: max over components.
 
     A ``(d,)`` point gives a float; an ``(n, d)`` block gives an ``(n,)``
-    array, each row equal to the value of that point alone. A block is
-    scored in pieces of at most ``_BLOCK_ELEMENTS`` (component, point, axis)
-    elements, so memory stays bounded however many rows it has.
+    array, each row equal to the value of that point alone. A block of more
+    than ``_BLOCK_ELEMENTS`` (component, point, axis) elements is scored in
+    pieces, so memory stays bounded however many rows it has.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (landscape.dimension,) or x.ndim > 2:
         raise ValueError(f"point of shape {x.shape} does not match landscape dimension {landscape.dimension}")
-    if x.ndim == 1:
-        return float(_peak_values(x[None, :], landscape)[0])
-    rows = max(1, _BLOCK_ELEMENTS // landscape.centers.size)
-    if x.shape[0] <= rows:
-        return _peak_values(x, landscape)
-    values = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], rows):
-        values[start:start + rows] = _peak_values(x[start:start + rows], landscape)
-    # the pieces have shared the workspace; it is kept only for one-piece
-    # blocks, which a caller sends over and over
-    _workspace.release()
-    return values
+    points = x if x.ndim == 2 else x[None, :]
+    rows = _BLOCK_ELEMENTS // landscape.centers.size
+    if len(points) <= rows:
+        values = _peak_values(points, landscape, _workspace)
+    else:
+        workspace = _Workspace()
+        rows = max(rows, 1)
+        values = np.empty(len(points))
+        for start in range(0, len(points), rows):
+            values[start:start + rows] = _peak_values(points[start:start + rows], landscape, workspace)
+    return values if x.ndim == 2 else float(values[0])
 
 
 # The older name of the one kernel entry; the benchmark calls it, and its

@@ -76,6 +76,11 @@ class SolverConfig:
     exclusion_radius: float = field(kw_only=True)
     convergence_radius: float = field(kw_only=True)
 
+    def __post_init__(self):
+        # a numpy count is stored as an int, whose sums cannot wrap
+        for name in filter(lambda name: _is_integer(getattr(self, name)), _COUNTS):
+            setattr(self, name, int(getattr(self, name)))
+
     @classmethod
     def for_scenario(cls, scenario) -> "SolverConfig":
         """The default constants with the radii set from ``scenario`` by the

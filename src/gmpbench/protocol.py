@@ -44,8 +44,6 @@ __all__ = [
     "ScenarioComplete",
     "EvaluationLedger",
     "BenchmarkSession",
-    "offline_error",
-    "best_before_change_error",
     "CHANGE_DETECTION_TOL",
     "differs",
 ]
@@ -119,22 +117,12 @@ class EvaluationLedger:
         self.optima[self.total:end] = optimum_value
         self.total = end
 
-
-def offline_error(ledger: EvaluationLedger) -> float:
-    """Mean best-so-far error over all evaluations of a complete ledger."""
-    if not ledger.complete:
-        raise ValueError(
-            f"ledger holds {ledger.total} of {ledger.capacity} evaluations")
-    return float(np.mean(ledger.errors))
-
-
-def best_before_change_error(ledger: EvaluationLedger) -> float:
-    """Mean over the environments of a complete ledger of the final
-    best-so-far error in each."""
-    if not ledger.complete:
-        raise ValueError(
-            f"ledger holds {ledger.total} of {ledger.capacity} evaluations")
-    return float(np.mean(ledger.env_final_errors))
+    def indicators(self) -> tuple[float, float]:
+        """(offline error, best-before-change error) of a complete ledger: the
+        mean error over all evaluations and over the environments' final ones."""
+        if not self.complete:
+            raise ValueError(f"ledger holds {self.total} of {self.capacity} evaluations")
+        return float(np.mean(self.errors)), float(np.mean(self.env_final_errors))
 
 
 class BenchmarkSession:
@@ -263,4 +251,4 @@ class BenchmarkSession:
     def indicators(self) -> tuple[float, float]:
         """(offline error, best-before-change error) for this run, once its
         budget is spent."""
-        return offline_error(self.ledger), best_before_change_error(self.ledger)
+        return self.ledger.indicators()

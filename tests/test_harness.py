@@ -112,6 +112,21 @@ class TestExperiment:
         spec = ExperimentSpec(scenario=ScenarioConfig(), output_dir=tmp_path, **{name: value})
         assert spec.violations() == [message]
 
+    def test_numpy_integer_counts_write_the_same_bytes(self, tmp_path):
+        # a uint8 seed of 255 would wrap to 0 on the second run if summed as given
+        scenario = ScenarioConfig(dimension=2, num_components=3, change_frequency=40,
+                                  num_environments=2)
+        for name, run_count, master_seed in (("python", 2, 255),
+                                             ("numpy", np.int64(2), np.uint8(255))):
+            spec = ExperimentSpec(scenario=scenario, run_count=run_count,
+                                  master_seed=master_seed, output_dir=tmp_path / name)
+            assert not spec.violations()
+            run_experiment(spec)
+        for file in ("results.json", "runs.csv"):
+            assert (tmp_path / "numpy" / file).read_bytes() == \
+                (tmp_path / "python" / file).read_bytes()
+        assert b'"seed": 256' in (tmp_path / "numpy" / "results.json").read_bytes()
+
 
 class TestLandscapeAt:
     @pytest.mark.parametrize("scenario", [
@@ -140,6 +155,13 @@ class TestLandscapeAt:
             assert shows(min(k + 1, last)), k
         assert session.ledger.complete
 
+    def test_a_numpy_integer_index(self):
+        scenario = ScenarioConfig(dimension=3, num_components=4, num_environments=4)
+        got, expect = landscape_at(scenario, np.int64(2)), landscape_at(scenario, 2)
+        assert type(got.environment_index) is int and got.environment_index == 2
+        for name in ("centers", "rotations", "widths", "heights", "angles", "tau", "eta"):
+            assert np.array_equal(getattr(got, name), getattr(expect, name)), name
+
 
 class TestExportGrid:
     @pytest.mark.parametrize("env_index, resolution, name", [
@@ -160,6 +182,21 @@ class TestExportGrid:
         if name == "environment index":
             with pytest.raises(ValueError, match=name):
                 landscape_at(scenario, env_index)
+
+    def test_numpy_integer_arguments_write_the_same_bytes(self, tmp_path):
+        scenario = ScenarioConfig(dimension=2, num_components=3, num_environments=3, seed=2)
+        python = export_grid(scenario, 2, 21, tmp_path / "python.csv")
+        numpy = export_grid(scenario, np.int64(2), np.int64(21), tmp_path / "numpy.csv")
+        for got, expect in zip(numpy, python):
+            assert got.read_bytes() == expect.read_bytes()
+
+    def test_a_numpy_resolution_is_squared_as_an_int(self, tmp_path):
+        # np.int32(65536) ** 2 wraps to 0; the index is out of range, so a
+        # wrapped square that passed the cap would fail on the index instead
+        scenario = ScenarioConfig(dimension=2, num_components=3, num_environments=3)
+        with pytest.raises(ValueError, match="resolution 65536 gives 4294967296 grid points"):
+            export_grid(scenario, 99, np.int32(65536), tmp_path / "grid.csv")
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_the_scenario_is_validated_before_its_dimension_is_read(self, tmp_path):
         # "2" is not an integer, so it is named as such, not as a wrong dimension

@@ -1,5 +1,6 @@
 """Objective function: transform identities, component cones, max-composition."""
 
+import hashlib
 import json
 import math
 import os
@@ -294,15 +295,25 @@ class TestKernelOperands:
         kernel = module._peak_values
         calls = []
 
-        def counted(points, landscape):
+        def counted(points, landscape, workspace):
             calls.append(len(points))
-            return kernel(points, landscape)
+            return kernel(points, landscape, workspace)
 
         monkeypatch.setattr(module, "_peak_values", counted)
         for n, pieces in [(1, [1]), (rows, [rows]), (rows + 1, [rows, 1])]:
             calls.clear()
             assert same_bits(evaluate_raw(xs[:n], ls), expect[:n])
             assert calls == pieces
+
+
+def wide_landscape(rng):
+    """A d=1 landscape with more components than ``_BLOCK_ELEMENTS``, so that
+    one row of it is above the kernel's bound."""
+    m = _BLOCK_ELEMENTS + 3
+    return Landscape(environment_index=0, centers=rng.uniform(-100, 100, (m, 1)),
+                     rotations=np.ones((m, 1, 1)), widths=rng.uniform(1, 12, (m, 1)),
+                     heights=rng.uniform(30, 70, m), angles=np.zeros(m),
+                     tau=rng.uniform(-1, 1, m), eta=rng.uniform(-20, 20, (m, 4)))
 
 
 class TestWorkspace:
@@ -357,39 +368,77 @@ class TestWorkspace:
             assert not np.shares_memory(block, arena)
 
     def test_workspace_stays_within_the_block_bound(self, monkeypatch):
-        workspace = landscape_module._workspace
+        thread = landscape_module._workspace
         kernel = landscape_module._peak_values
-        sizes = []
+        handed = []
 
-        def measured(points, landscape):
-            values = kernel(points, landscape)
-            sizes.append((workspace.floats.size, workspace.mask.size, workspace.index.size))
+        def measured(points, landscape, workspace):
+            values = kernel(points, landscape, workspace)
+            handed.append((workspace, workspace.floats.size, workspace.mask.size,
+                           workspace.index.size))
             return values
+
+        def assert_as_found(found):
+            # the same arrays and the same views, kept for the same shapes
+            arrays, shapes = found
+            assert all(a is b for a, b in zip(
+                (thread.floats, thread.mask, thread.index, thread.views), arrays))
+            assert list(thread.views) == shapes
+
+        def assert_unaliased(values, workspaces):
+            for workspace in workspaces:
+                for arena in (workspace.floats, workspace.mask, workspace.index):
+                    assert not np.shares_memory(values, arena)
 
         monkeypatch.setattr(landscape_module, "_peak_values", measured)
         rng = np.random.default_rng(42)
         ls = init_landscape(ScenarioConfig(dimension=2, num_components=10), rng)
-        evaluate_raw(rng.uniform(-100, 100, (200_000, 2)), ls)
-        assert len(sizes) > 100
-        # four float slots and the values, each rounded up to 64 bytes
-        assert max(f for f, _, _ in sizes) <= 5 * _BLOCK_ELEMENTS
-        assert max(b for _, b, _ in sizes) <= _BLOCK_ELEMENTS
-        assert max(i for _, _, i in sizes) <= _BLOCK_ELEMENTS
-        # a block scored in pieces leaves no workspace behind
-        assert workspace.floats.size == workspace.mask.size == workspace.index.size == 0
-        # one row of this landscape is above the bound and gets fresh
-        # arrays, leaving the kept workspace as it was
-        m = _BLOCK_ELEMENTS + 3
-        wide = Landscape(environment_index=0, centers=rng.uniform(-100, 100, (m, 1)),
-                         rotations=np.ones((m, 1, 1)), widths=rng.uniform(1, 12, (m, 1)),
-                         heights=rng.uniform(30, 70, m), angles=np.zeros(m),
-                         tau=rng.uniform(-1, 1, m), eta=rng.uniform(-20, 20, (m, 4)))
-        x = rng.uniform(-100, 100, (3, 1))
         evaluate_raw(ls.centers, ls)
-        kept = workspace.floats
+        assert handed.pop()[0] is thread
+        found = ((thread.floats, thread.mask, thread.index, thread.views), list(thread.views))
+        # a block scored in pieces gets a workspace of the call's own and
+        # leaves the thread's as it found it
+        block = evaluate_raw(rng.uniform(-100, 100, (200_000, 2)), ls)
+        assert len(handed) > 100
+        own = handed[0][0]
+        assert own is not thread and all(w is own for w, *_ in handed)
+        # four float slots and the values, each rounded up to 64 bytes
+        assert max(f for _, f, _, _ in handed) <= 5 * _BLOCK_ELEMENTS
+        assert max(b for _, _, b, _ in handed) <= _BLOCK_ELEMENTS
+        assert max(i for _, _, _, i in handed) <= _BLOCK_ELEMENTS
+        assert_as_found(found)
+        assert_unaliased(block, (own, thread))
+        # one row of this landscape is above the bound: it is scored alone,
+        # in a workspace of the call's own, as the point by itself is
+        wide = wide_landscape(rng)
+        x = rng.uniform(-100, 100, (3, 1))
+        handed.clear()
         alone = np.array([evaluate_raw(p, wide) for p in x])
-        assert workspace.floats is kept
-        assert same_bits(evaluate_raw(x, wide), alone)
+        rows = evaluate_raw(x, wide)
+        assert same_bits(rows, alone)
+        assert len(handed) == 6 and not any(w is thread for w, *_ in handed)
+        assert all(b == landscape_module._slot(wide.centers.size) for _, _, b, _ in handed)
+        assert_as_found(found)
+        assert_unaliased(rows, [w for w, *_ in handed] + [thread])
+
+    def test_evaluation_never_mutates_the_landscape(self):
+        # the module docstring's promise, on each workspace rule's input: a
+        # one-piece block, a block scored in pieces and a row over the bound
+        def digest(landscape):
+            arrays = {name: getattr(landscape, name) for name in FIELDS + ("optimum_position",)}
+            arrays.update(("operand %d" % i, a) for i, a in enumerate(landscape._operands))
+            return {name: (a.dtype.str, a.shape, hashlib.sha256(a.tobytes()).hexdigest())
+                    for name, a in arrays.items()}
+
+        rng = np.random.default_rng(45)
+        ls = init_landscape(ScenarioConfig(dimension=2, num_components=10), rng)
+        wide = wide_landscape(rng)
+        for landscape, rows in ((ls, 16), (ls, 200_000), (wide, 1)):
+            d = landscape.dimension
+            assert (rows * landscape.num_components * d > _BLOCK_ELEMENTS) == (rows != 16)
+            before = digest(landscape)
+            evaluate_raw(rng.uniform(-100, 100, (rows, d)), landscape)
+            assert digest(landscape) == before
 
     def test_a_fresh_workspace_grows_to_every_block(self):
         rng = np.random.default_rng(44)
@@ -871,6 +920,27 @@ class TestScenarioConfig:
         data = dict(scenario_to_dict(ScenarioConfig()), **{name: value})
         assert scenario_from_dict(data)[1] == ScenarioConfig(**data).violations() == [message]
 
+    @pytest.mark.parametrize("name, value, python", [
+        ("dimension", np.int64(5), 5),
+        ("seed", np.uint32(7), 7),
+        ("change_frequency", np.int16(40), 40),
+        ("shift_severity", np.float32(0.5), 0.5),
+        ("height_severity", np.int64(3), 3.0),
+        ("search_range", np.array([-5.0, 5.0]), (-5.0, 5.0)),
+        ("width_range", np.array([1, 12]), (1.0, 12.0)),
+        ("tau_range", (np.float32(-0.5), np.int8(1)), (-0.5, 1.0)),
+        ("rotation_enabled", np.bool_(False), False),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_numpy_values_are_stored_as_python_values(self, name, value, python):
+        # the config built from a numpy value is the one built from the
+        # Python value: equal, of the same types, with the same JSON bytes
+        cfg, expect = ScenarioConfig(**{name: value}), ScenarioConfig(**{name: python})
+        assert not cfg.violations()
+        assert cfg == expect
+        # a numpy scalar's repr names its type, in a pair too
+        assert repr(getattr(cfg, name)) == repr(getattr(expect, name))
+        assert json.dumps(scenario_to_dict(cfg)) == json.dumps(scenario_to_dict(expect))
+
     @pytest.mark.parametrize("name, value, what", [
         ("shift_severity", True, "a number"),
         ("shift_severity", "1", "a number"),
@@ -880,6 +950,14 @@ class TestScenarioConfig:
         ("tau_range", (-1.0, True), "a two-element numeric array"),
         ("width_range", (1.0, 2.0, 3.0), "a two-element numeric array"),
         ("width_range", 5.0, "a two-element numeric array"),
+        ("dimension", np.bool_(True), "an integer >= 1"),
+        ("seed", np.timedelta64(5), "an integer >= 0"),
+        ("dimension", np.float64(5.0), "an integer >= 1"),
+        ("shift_severity", np.bool_(True), "a number"),
+        ("rotation_enabled", np.int64(1), "a boolean"),
+        ("search_range", np.array([[-5.0, 5.0], [0.0, 1.0]]), "a two-element numeric array"),
+        ("search_range", np.array([True, False]), "a two-element numeric array"),
+        ("tau_range", np.array([-1.0, 0.0, 1.0]), "a two-element numeric array"),
     ])
     def test_a_field_of_the_wrong_type_is_named(self, name, value, what):
         # named by the schema's type rule, with the checks that need its

@@ -146,6 +146,24 @@ class TestSolverConfig:
             MQSO(session, cfg, np.random.default_rng(0))
         assert session.ledger.total == 0
 
+    def test_numpy_integer_counts_run_as_python_ints(self):
+        scenario = ScenarioConfig(dimension=2, num_components=3, change_frequency=150,
+                                  num_environments=2, seed=3)
+        ledgers = []
+        for counts in (dict(num_swarms=3, neutral_count=2, quantum_count=2),
+                       dict(num_swarms=np.int64(3), neutral_count=np.int32(2),
+                            quantum_count=np.uint8(2))):
+            cfg = solver_config(scenario, **counts)
+            assert not cfg.violations()
+            session = BenchmarkSession(scenario)
+            MQSO(session, cfg, np.random.default_rng(8)).run()
+            ledgers.append(session.ledger.values)
+        assert np.array_equal(*ledgers)
+        # stored as ints: int8 counts of 100 would sum to -56 as given
+        cfg = SolverConfig(neutral_count=np.int8(100), quantum_count=np.int8(100), **RADII)
+        assert not cfg.violations()
+        assert (type(cfg.neutral_count), type(cfg.quantum_count)) == (int, int)
+
     def test_bad_config_rejected_at_attach(self):
         with pytest.raises(ValueError, match="chi"):
             MQSO(make_session(), SolverConfig(chi=0.0, **RADII), np.random.default_rng(0))

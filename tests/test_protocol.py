@@ -10,14 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmpbench import (
-    BenchmarkSession,
-    ScenarioComplete,
-    ScenarioConfig,
-    best_before_change_error,
-    evaluate_raw,
-    offline_error,
-)
+from gmpbench import BenchmarkSession, ScenarioComplete, ScenarioConfig, evaluate_raw
 from gmpbench.protocol import CHANGE_DETECTION_TOL, EvaluationLedger
 from test_golden import run_in_checkout
 
@@ -111,8 +104,7 @@ class TestLedger:
         assert led.errors[:4].mean() == pytest.approx(3.75)
         feed(led, [(8, 10), (8, 10), (8, 10), (8, 10)])
         assert led.complete
-        assert offline_error(led) == pytest.approx(2.875)
-        assert best_before_change_error(led) == pytest.approx(1.5)
+        assert led.indicators() == pytest.approx((2.875, 1.5))
 
     def test_first_evaluation_at_optimum(self):
         led = EvaluationLedger(1, 1)
@@ -157,12 +149,12 @@ class TestLedger:
         led = EvaluationLedger(5, 3)
         for optimum in (70.0, 75.0, 72.0):
             led.record(rng.uniform(0, 60, 5), optimum)
-        before = offline_error(led), best_before_change_error(led)
+        before = led.indicators()
         errors = led.errors
         errors[:] = -1.0
         led.env_final_errors[:] = -1.0
         assert led.errors is not errors
-        assert (offline_error(led), best_before_change_error(led)) == before
+        assert led.indicators() == before
 
     def test_nonincreasing_within_environment(self):
         rng = np.random.default_rng(0)
@@ -195,9 +187,7 @@ class TestLedger:
         led = EvaluationLedger(4, 2)
         led.record(1.0, 2.0)
         with pytest.raises(ValueError, match="ledger holds 1 of 8 evaluations"):
-            offline_error(led)
-        with pytest.raises(ValueError, match="ledger holds 1 of 8 evaluations"):
-            best_before_change_error(led)
+            led.indicators()
 
     @given(seed=st.integers(0, 10_000),
            frequency=st.integers(1, 20),
@@ -211,8 +201,7 @@ class TestLedger:
         led = EvaluationLedger(frequency, environments)
         feed(led, zip(values, optima))
         e_o, e_bbc = indicators_by_hand(values, optima, frequency)
-        assert offline_error(led) == pytest.approx(e_o, rel=1e-12)
-        assert best_before_change_error(led) == pytest.approx(e_bbc, rel=1e-12)
+        assert led.indicators() == pytest.approx((e_o, e_bbc), rel=1e-12)
         assert e_bbc <= e_o + 1e-12
 
 

@@ -26,14 +26,15 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # a block cut short by the budget, now the session's ScenarioComplete, and
 # the guard against advancing past the last environment, which the session's
 # schedule and landscape_at already bound; the error subclasses no caller
-# caught by type, now the ValueError and RuntimeError they subclassed, and
-# the cached plane-pair table, now built by update_rotation on each change
+# caught by type, now the ValueError and RuntimeError they subclassed, the
+# cached plane-pair table, now built by update_rotation on each change, and
+# protocol's two indicator functions, now EvaluationLedger.indicators
 DELETED = ("ComponentState", "make_landscape", "component_value",
            "update_component", "irregularity_transform", "optimum",
            "plane_pairs", "orthogonality_error", "gram_schmidt", "initial_rotation",
            "_rotate", "_fold", "_resolved_solver_config", "_above", "_differs_from",
            "_evaluate_into", "ScenarioExhausted", "IncompleteLedgerError",
-           "ExperimentError", "_pair_table")
+           "ExperimentError", "_pair_table", "offline_error", "best_before_change_error")
 
 
 def load_tracer():
@@ -45,7 +46,7 @@ def load_tracer():
 
 
 def test_every_exported_name_resolves():
-    assert len(gmpbench.__all__) <= 22
+    assert len(gmpbench.__all__) <= 20
     assert len(set(gmpbench.__all__)) == len(gmpbench.__all__)
     for name in gmpbench.__all__:
         assert getattr(gmpbench, name) is not None, name
@@ -113,6 +114,9 @@ def test_deleted_names_are_gone(module):
     assert not hasattr(protocol.EvaluationLedger, "environments_completed")
     assert not hasattr(mqso.MQSO, "_evaluate_into")
     assert not hasattr(mqso.Swarm, "neutral_positions")
+    # one workspace rule: a block that does not fit the thread's workspace
+    # gets one of its call's own, so nothing frees the thread's
+    assert not hasattr(landscape._Workspace, "release")
 
 
 def test_every_traced_name_is_defined_where_the_tracer_patches_it():
@@ -156,8 +160,7 @@ def test_traced_warp_is_the_code_that_runs():
 def test_signatures_without_the_removed_flags():
     # the history log and the partial-run indicators are gone
     assert list(inspect.signature(mqso.MQSO).parameters) == ["session", "config", "rng"]
-    for function in (protocol.offline_error, protocol.best_before_change_error,
-                     protocol.BenchmarkSession.indicators):
+    for function in (protocol.EvaluationLedger.indicators, protocol.BenchmarkSession.indicators):
         assert "partial" not in inspect.signature(function).parameters, function.__name__
 
 
