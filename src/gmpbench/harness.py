@@ -124,7 +124,7 @@ def run_session(scenario: ScenarioConfig, solver: str = "mqso",
         "seed": scenario.seed,
         "offline_error": e_o,
         "best_before_change_error": e_bbc,
-        "env_final_errors": [float(v) for v in session.ledger.env_final_errors],
+        "env_final_errors": session.ledger.env_final_errors.tolist(),
     }
     return record, session
 

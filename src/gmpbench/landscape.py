@@ -33,9 +33,11 @@ fault new pages in on every call. One rule picks it: a block of at most
 ``_BLOCK_ELEMENTS // (m * d)`` rows (a point is a one-row block) uses its
 thread's workspace, so threads may score at once; any other block is scored
 in pieces of that many rows (at least one) in a workspace of the call's own,
-dropped when the call returns. So a thread's workspace holds at most
-``_BLOCK_ELEMENTS`` elements per temporary and outlives every call. No array
-:func:`evaluate_raw` returns is a view of a workspace.
+dropped when the call returns. Every workspace has one layout, allocated
+once and never grown: a thread's holds ``_BLOCK_ELEMENTS`` elements per
+temporary and outlives every call, and a call's own holds the larger of
+that and one row. No array :func:`evaluate_raw` returns is a view of a
+workspace.
 
 Evaluation never mutates landscape state; all mutation goes through the
 dynamics module between environments.
@@ -120,7 +122,10 @@ class ScenarioConfig:
 
     A value from Python, numpy or JSON is converted and named here alone:
     an accepted value is stored as an ``int``, a ``bool``, a ``float`` or a
-    pair of floats; any other is kept as given, for :meth:`violations` to name.
+    pair of floats; any other is kept as given, for :meth:`violations` to name,
+    except that an array of one or more axes is kept as its ``tolist()``, so
+    that ``==`` still compares configs. A config that keeps a list, as given
+    or from an array, is unhashable.
     """
 
     dimension: int = 10
@@ -149,6 +154,8 @@ class ScenarioConfig:
             parts = value if kind is tuple else [value]
             if _TYPE_RULES[kind][0](value) and all(map(_is_finite, filter(_is_integer, parts))):
                 object.__setattr__(self, name, tuple(map(float, value)) if kind is tuple else kind(value))
+            elif isinstance(value, np.ndarray) and value.ndim:
+                object.__setattr__(self, name, value.tolist())
 
     @property
     def budget(self) -> int:
@@ -340,9 +347,9 @@ def transform_vector(y: np.ndarray, tau, eta: np.ndarray, *, scratch: tuple) -> 
 
 # Cap on the (component, point, axis) elements of one kernel call, so that
 # the temporaries of evaluate_raw stay bounded however many points it is
-# given. It bounds each thread's workspace too: five float64 slots (the
-# values take part of the fifth), one bool and one index slot of at most
-# this many elements.
+# given. It sizes each thread's workspace too: five float64 slots (the
+# values take part of the fifth), one bool and one index slot of this many
+# elements, allocated once.
 _BLOCK_ELEMENTS = 1 << 15
 
 # Block shapes whose workspace views a thread keeps; past this many the
@@ -351,60 +358,44 @@ _WORKSPACE_SHAPES = 256
 
 
 class _Workspace(threading.local):
-    """The kernel's temporaries, one arena per thread, reused across calls.
+    """The kernel's temporaries in one fixed arena, reused across calls.
 
-    ``floats`` holds four (m, n, d) slots and the (m, n) values; a slot
-    whose contents are dead takes the next temporary (the offsets become
-    ``log|y|``, then ``widths * t``; the second gather becomes ``sign(y)``).
-    ``mask`` and ``index`` hold the warp's bool and index temporaries. The
-    arrays grow to the largest piece they have held; the views of them are
-    kept per block shape. ``_workspace`` is each thread's; a block that does
-    not fit it is scored in a ``_Workspace()`` of its call's own.
+    ``floats`` holds five slots of ``elements``, each rounded up to 64 bytes
+    so that it starts as aligned as the arena: four (m, n, d) slots and the
+    (m, n) values. A slot whose contents are dead takes the next temporary
+    (the offsets become ``log|y|``, then ``widths * t``; the second gather
+    becomes ``sign(y)``). ``mask`` and ``index`` hold the warp's bool and
+    index temporaries. Nothing is reallocated; the views are kept per block
+    shape. ``_workspace`` is each thread's; a block that does not fit it is
+    scored in a ``_Workspace`` of its call's own.
     """
 
-    def __init__(self):
-        self.floats, self.mask, self.index = _arena(0)
+    def __init__(self, elements: int = _BLOCK_ELEMENTS):
+        step = -(-elements // 8) * 8
+        self.floats = np.empty(5 * step)
+        self.mask = np.empty(step, dtype=bool)
+        self.index = np.empty(step, dtype=np.intp)
         self.views = {}
 
     def scratch(self, m: int, n: int, d: int) -> tuple:
+        """The kernel's views of the arena for an (n, d) block of an
+        m-component landscape, in the order :func:`_peak_values` unpacks them."""
         views = self.views.get((m, n, d))
         if views is not None:
             return views
-        size = m * n * d
-        if _slot(size) > self.mask.size:
-            self.floats, self.mask, self.index = _arena(size)
+        if len(self.views) >= _WORKSPACE_SHAPES:
             self.views = {}
-        elif len(self.views) >= _WORKSPACE_SHAPES:
-            self.views = {}
-        views = self.views[m, n, d] = _carve(m, n, d, self.floats, self.mask, self.index)
+        size, step, floats = m * n * d, self.mask.size, self.floats
+        a, y, t, w = (floats[i * step:i * step + size].reshape(m, n, d) for i in range(4))
+        # the matmul outputs are laid out, with their length-1 axes, as a fresh
+        # result would be: strides pick the BLAS call
+        y4 = y.reshape(m, n, 1, d)
+        values4 = floats[4 * step:4 * step + m * n].reshape(m, n, 1, 1)
+        warp = (a, t, w, self.mask[:size].reshape(m, n, d), self.index[:size].reshape(m, n, d),
+                np.arange(0, 2 * m, 2).reshape(m, 1, 1))
+        views = self.views[m, n, d] = (a, a[:, :, None, :], y4, y4[:, :, 0, :], warp, values4,
+                                       values4[:, :, 0, 0])
         return views
-
-
-def _slot(size: int) -> int:
-    """Elements a slot of ``size`` takes, rounded up to 64 bytes so that
-    every slot starts as aligned as the arena."""
-    return -(-size // 8) * 8
-
-
-def _arena(size: int) -> tuple:
-    """Float, bool and index arrays with room for pieces of ``size``."""
-    step = _slot(size)
-    return np.empty(5 * step), np.empty(step, dtype=bool), np.empty(step, dtype=np.intp)
-
-
-def _carve(m: int, n: int, d: int, floats, mask, index) -> tuple:
-    """The kernel's views of an arena for an (n, d) block of an
-    m-component landscape, in the order :func:`_peak_values` unpacks them."""
-    size = m * n * d
-    step = _slot(size)
-    a, y, t, w = (floats[i * step:i * step + size].reshape(m, n, d) for i in range(4))
-    # the matmul outputs are laid out, with their length-1 axes, as a fresh
-    # result would be: strides pick the BLAS call
-    y4 = y.reshape(m, n, 1, d)
-    values4 = floats[4 * step:4 * step + m * n].reshape(m, n, 1, 1)
-    warp = (a, t, w, mask[:size].reshape(m, n, d), index[:size].reshape(m, n, d),
-            np.arange(0, 2 * m, 2).reshape(m, 1, 1))
-    return a, a[:, :, None, :], y4, y4[:, :, 0, :], warp, values4, values4[:, :, 0, 0]
 
 
 _workspace = _Workspace()
@@ -452,7 +443,8 @@ def evaluate_raw(x: np.ndarray, landscape: Landscape):
     if len(points) <= rows:
         values = _peak_values(points, landscape, _workspace)
     else:
-        workspace = _Workspace()
+        # room for one row too, when one row is over the cap
+        workspace = _Workspace(max(_BLOCK_ELEMENTS, landscape.centers.size))
         rows = max(rows, 1)
         values = np.empty(len(points))
         for start in range(0, len(points), rows):

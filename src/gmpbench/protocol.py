@@ -98,8 +98,10 @@ class EvaluationLedger:
 
     @property
     def env_final_errors(self) -> np.ndarray:
-        """Each environment's last error; NaN until it is completed."""
-        return self.errors[self.change_frequency - 1::self.change_frequency]
+        """Each environment's last error; NaN until it is completed. A row's
+        maximum is exact, so it is the last best-so-far value bit for bit."""
+        cf = self.change_frequency
+        return self.optima[cf - 1::cf] - self.values.reshape(-1, cf).max(axis=1)
 
     def record(self, values, optimum_value: float) -> None:
         """Record one evaluation, or a block of evaluations in order, all in
@@ -182,34 +184,36 @@ class BenchmarkSession:
         nothing, raises ``RuntimeError`` on a call made during another, and
         ``ValueError`` when both stop rules are given, when ``differs_from``
         does not hold one value per row, when ``x`` is complex or has a masked
-        element, or when a point has a NaN or infinite coordinate or lies
-        outside :attr:`bounds` (edges included): such points are rejected,
-        not cast or clamped into points never asked for. The rest is scored
-        from the session's own float64 copy of ``x``, so the rows checked are
-        the rows scored even if the caller's array changes during the call.
+        element, when ``x`` or a stop value cannot be read as real numbers
+        (chained from the conversion's ``TypeError``), or when a point has a
+        NaN or infinite coordinate or lies outside :attr:`bounds` (edges
+        included): such points are rejected, not cast or clamped into points
+        never asked for. The rest is scored from the session's own float64
+        copy of ``x``, so the rows checked are the rows scored even if the
+        caller's array changes during the call.
         """
         if not self._calling.acquire(blocking=False):
             raise RuntimeError("another call to evaluate is in progress on this session")
         try:
+            if above is not None and differs_from is not None:
+                raise ValueError("give at most one stop rule: above or differs_from")
             # a cast would drop an imaginary part or a mask without notice. A
             # masked array needs numpy.ma, which the session never imports
             if np.iscomplexobj(x) or ("numpy.ma" in sys.modules and np.ma.is_masked(x)):
                 raise ValueError("points must be real and unmasked, not complex or masked")
-            x = np.array(x, dtype=float)  # the session's own copy
+            try:  # the session's own copy; plain floats, so no solver code runs once values are scored
+                x = np.array(x, dtype=float)
+                above = None if above is None else float(above)
+                differs_from = None if differs_from is None else np.asarray(differs_from, dtype=float)
+            except TypeError as exc:
+                raise ValueError(f"points and stop values must be real numbers: {exc}") from exc
             config = self.config
             if x.ndim not in (1, 2) or x.shape[-1] != config.dimension:
                 raise ValueError(f"points of shape {x.shape} do not match dimension {config.dimension}")
             points = x if x.ndim == 2 else x[None, :]
             n = points.shape[0]
-            # plain floats, so that no solver code runs once values are scored
-            if above is not None:
-                if differs_from is not None:
-                    raise ValueError("give at most one stop rule: above or differs_from")
-                above = float(above)
-            elif differs_from is not None:
-                differs_from = np.asarray(differs_from, dtype=float)
-                if differs_from.shape != (n,):
-                    raise ValueError(f"differs_from of shape {differs_from.shape} does not match {n} rows")
+            if differs_from is not None and differs_from.shape != (n,):
+                raise ValueError(f"differs_from of shape {differs_from.shape} does not match {n} rows")
             if n == 0:
                 return np.empty(0)
             lb, ub = config.search_range

@@ -402,10 +402,10 @@ class TestWorkspace:
         assert len(handed) > 100
         own = handed[0][0]
         assert own is not thread and all(w is own for w, *_ in handed)
-        # four float slots and the values, each rounded up to 64 bytes
-        assert max(f for _, f, _, _ in handed) <= 5 * _BLOCK_ELEMENTS
-        assert max(b for _, _, b, _ in handed) <= _BLOCK_ELEMENTS
-        assert max(i for _, _, _, i in handed) <= _BLOCK_ELEMENTS
+        # four float slots and the values, one fixed layout for every piece
+        assert all(f == 5 * _BLOCK_ELEMENTS for _, f, _, _ in handed)
+        assert all(b == _BLOCK_ELEMENTS for _, _, b, _ in handed)
+        assert all(i == _BLOCK_ELEMENTS for _, _, _, i in handed)
         assert_as_found(found)
         assert_unaliased(block, (own, thread))
         # one row of this landscape is above the bound: it is scored alone,
@@ -417,7 +417,9 @@ class TestWorkspace:
         rows = evaluate_raw(x, wide)
         assert same_bits(rows, alone)
         assert len(handed) == 6 and not any(w is thread for w, *_ in handed)
-        assert all(b == landscape_module._slot(wide.centers.size) for _, _, b, _ in handed)
+        # its own workspace holds one row, m * d rounded up to 64 bytes per slot
+        slot = -(-wide.centers.size // 8) * 8
+        assert all((f, b, i) == (5 * slot, slot, slot) for _, f, b, i in handed)
         assert_as_found(found)
         assert_unaliased(rows, [w for w, *_ in handed] + [thread])
 
@@ -440,13 +442,36 @@ class TestWorkspace:
             evaluate_raw(rng.uniform(-100, 100, (rows, d)), landscape)
             assert digest(landscape) == before
 
-    def test_a_fresh_workspace_grows_to_every_block(self):
+    def test_a_thread_workspace_is_allocated_once(self):
+        rng = np.random.default_rng(46)
+        landscapes = [init_landscape(ScenarioConfig(dimension=d, num_components=m), rng)
+                      for d, m in ((10, 10), (20, 50))]
+        found = []
+
+        def work():
+            # a new thread's workspace holds its whole arena before any block
+            workspace = landscape_module._workspace
+            arrays = (workspace.floats, workspace.mask, workspace.index)
+            found.append(tuple(a.size for a in arrays))
+            for ls in landscapes:
+                for n in range(1, _BLOCK_ELEMENTS // ls.centers.size + 1):
+                    evaluate_raw(rng.uniform(-100, 100, (n, ls.dimension)), ls)
+            found.append(all(a is b for a, b in zip(
+                (workspace.floats, workspace.mask, workspace.index), arrays)))
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert found == [(5 * _BLOCK_ELEMENTS, _BLOCK_ELEMENTS, _BLOCK_ELEMENTS), True]
+
+    def test_a_fresh_workspace_scores_every_block(self):
         rng = np.random.default_rng(44)
         ls = init_landscape(ScenarioConfig(dimension=1, num_components=1), rng)
         xs = rng.uniform(-100, 100, (20, 1))
         expect = np.array([evaluate_raw(x, ls) for x in xs])
         got = []
-        # a new thread starts with an empty workspace
+        # a new thread starts with a workspace of its own
         worker = threading.Thread(target=lambda: got.extend(
             evaluate_raw(xs[:n], ls) for n in [*range(1, 21), *range(19, 0, -1)]))
         worker.start()
@@ -968,3 +993,15 @@ class TestScenarioConfig:
             cfg.validate()
         data = dict(scenario_to_dict(ScenarioConfig()), **{name: value})
         assert scenario_from_dict(data)[1] == [f"{name} must be {what}"]
+
+    @pytest.mark.parametrize("value", [np.array([[0.0, 1.0], [2.0, 3.0]]),
+                                       np.array([0.0, 1.0, 2.0])])
+    def test_a_rejected_array_still_compares(self, value):
+        # kept as its list, since an array's == has no single truth value
+        cfg = ScenarioConfig(search_range=value)
+        assert (cfg == ScenarioConfig()) is False
+        assert cfg == ScenarioConfig(search_range=value.tolist())
+        assert cfg.violations() == ["search_range must be a two-element numeric array"]
+        # a list is unhashable, as it is when given as a list
+        with pytest.raises(TypeError):
+            hash(cfg)

@@ -283,6 +283,13 @@ class TestSession:
                     [[1 + 500j, 2.0]], [np.complex128(1 + 1j), 2.0]):
             with pytest.raises(ValueError, match="complex"):
                 s.evaluate(bad)
+        # input that float() cannot read is a ValueError too, from its TypeError
+        for bad, rules in ((np.array([1 + 2j, 0], dtype=object), {}),
+                           (np.array([1.0, 2.0]), {"above": 1 + 2j}),
+                           (np.array([[1.0, 2.0]]), {"differs_from": [1 + 2j]})):
+            with pytest.raises(ValueError, match="real numbers") as raised:
+                s.evaluate(bad, **rules)
+            assert isinstance(raised.value.__cause__, TypeError)
         assert s.ledger.total == 0
         s.evaluate(np.array([[1.0, 2.0]]))
         assert s.ledger.total == 1

@@ -34,7 +34,8 @@ DELETED = ("ComponentState", "make_landscape", "component_value",
            "plane_pairs", "orthogonality_error", "gram_schmidt", "initial_rotation",
            "_rotate", "_fold", "_resolved_solver_config", "_above", "_differs_from",
            "_evaluate_into", "ScenarioExhausted", "IncompleteLedgerError",
-           "ExperimentError", "_pair_table", "offline_error", "best_before_change_error")
+           "ExperimentError", "_pair_table", "offline_error", "best_before_change_error",
+           "_slot", "_arena", "_carve")
 
 
 def load_tracer():
