@@ -29,7 +29,7 @@ def _load_scenario(path: str | None) -> ScenarioConfig | None:
     scenario, problems = validate_config(path)
     for p in problems:
         print(f"config error: {p}", file=sys.stderr)
-    return None if problems else scenario
+    return scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -218,7 +218,6 @@ def init_landscape(cfg: ScenarioConfig, rng: np.random.Generator) -> Landscape:
     exactly as alone. A source matrix with a pivot below ``_PIVOT_TOL``
     (probability zero) becomes the identity.
     """
-    cfg.validate()
     lb, ub = cfg.search_range
     m, d = cfg.num_components, cfg.dimension
     centers = rng.uniform(lb, ub, (m, d))

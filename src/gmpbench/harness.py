@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .dynamics import advance_environment, init_landscape
-from .landscape import FIELD_TYPES, MAX_ARRAY_ELEMENTS, ScenarioConfig, _is_integer, evaluate_batch
+from .landscape import (FIELD_TYPES, MAX_ARRAY_ELEMENTS, ScenarioConfig, _checked, _is_integer,
+                        evaluate_batch)
 from .mqso import MQSO, SolverConfig
 from .protocol import BenchmarkSession, ScenarioComplete
 
@@ -72,7 +73,9 @@ class ExperimentSpec:
     """A multi-run experiment: scenario, solver choice, seeds, output.
 
     The mQSO runs use ``SolverConfig.for_scenario(scenario)``, which the
-    result reports as ``solver_params``.
+    result reports as ``solver_params``. A spec that exists is valid: an
+    invalid one raises ``ValueError("invalid experiment spec: ...")``
+    naming every violation.
     """
 
     scenario: ScenarioConfig
@@ -81,15 +84,18 @@ class ExperimentSpec:
     master_seed: int = 0
     output_dir: str | Path = field(kw_only=True)
 
-    def violations(self) -> list[str]:
-        bad = list(self.scenario.violations())
+    def __post_init__(self):
+        bad = []
+        if not isinstance(self.scenario, ScenarioConfig):
+            bad.append("scenario must be a ScenarioConfig")
         if self.solver not in SOLVERS:
             bad.append(f"solver must be one of {SOLVERS}")
         if not _is_integer(self.run_count) or self.run_count < 1:
             bad.append("run_count must be an integer >= 1")
         if not _is_integer(self.master_seed) or self.master_seed < 0:
             bad.append("master_seed must be a nonnegative integer")
-        return bad
+        if bad:
+            raise ValueError("invalid experiment spec: " + "; ".join(bad))
 
 
 def _solver_rng(seed: int) -> np.random.Generator:
@@ -139,9 +145,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """Run all sessions of an experiment; writes the result record to
     ``spec.output_dir`` and returns it. Its ``solver_params`` is the mQSO
     config every run used, and empty for random search."""
-    bad = spec.violations()
-    if bad:
-        raise ValueError("invalid experiment spec: " + "; ".join(bad))
     # an unwritable output path fails here, before any run's compute
     Path(spec.output_dir).mkdir(parents=True, exist_ok=True)
     runs = []
@@ -191,7 +194,6 @@ def write_result(result: dict, output_dir: str | Path) -> None:
 def landscape_at(scenario: ScenarioConfig, env_index: int):
     """Fresh landscape advanced to the given environment index, an integer
     by the schema's rule (a ``bool`` is not one)."""
-    scenario.validate()
     if not _is_integer(env_index):
         raise ValueError(f"environment index must be an integer, got {env_index!r}")
     if not 0 <= env_index < scenario.num_environments:
@@ -214,7 +216,7 @@ def export_grid(scenario: ScenarioConfig, env_index: int, resolution: int,
     schema's rule. A grid of more than ``MAX_ARRAY_ELEMENTS`` points is
     rejected before any compute.
     """
-    if scenario.validate().dimension != 2:
+    if scenario.dimension != 2:
         raise ValueError(f"grid export requires a 2-d scenario, got dimension {scenario.dimension}")
     if not _is_integer(resolution) or resolution < 2:
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
@@ -278,29 +280,30 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return data
 
 
-def scenario_from_dict(data: dict) -> tuple[ScenarioConfig, list[str]]:
+def scenario_from_dict(data: dict) -> tuple[ScenarioConfig | None, list[str]]:
     """Build a config from a JSON object, filling defaults for omitted keys.
 
     The parser only routes keys: each key must name a ``ScenarioConfig``
     field (the schema is :data:`~gmpbench.landscape.FIELD_TYPES`), and the
-    known keys' values go to ``ScenarioConfig`` as given, which converts and
-    names them as it does Python input. Returns that config, holding the
-    file's values, plus every problem found: the unknown keys, then
-    :meth:`~gmpbench.landscape.ScenarioConfig.violations`. The config is
-    valid exactly when the problems are empty.
+    known keys' values are converted and named by the rules
+    ``ScenarioConfig`` applies to Python input. Returns ``(config, [])``,
+    the config Python builds from the same values, or ``(None, problems)``
+    naming every problem: the unknown keys, then the config's violations in
+    field order.
     """
     problems = [f"unknown key {key!r}" for key in data if key not in FIELD_TYPES]
-    cfg = ScenarioConfig(**{key: value for key, value in data.items() if key in FIELD_TYPES})
-    return cfg, problems + cfg.violations()
+    known = {key: value for key, value in data.items() if key in FIELD_TYPES}
+    problems += _checked(dict(vars(ScenarioConfig()), **known))[1]
+    return (None, problems) if problems else (ScenarioConfig(**known), [])
 
 
 def validate_config(path: str | Path) -> tuple[ScenarioConfig | None, list[str]]:
     """Read and parse a config file; returns (config, problems).
 
     The file must hold one JSON object, parsed by :func:`scenario_from_dict`.
-    The config is ``None`` when the file cannot be read or is not a JSON
-    object; otherwise it holds the file's values with defaults filled in.
-    It is valid exactly when the problems are empty, and then
+    The config is ``None`` exactly when there are problems: the file cannot
+    be read, is not a JSON object, or names an invalid scenario. A config
+    holds the file's values with defaults filled in, and
     :func:`scenario_to_dict` of it parses back to the same config.
     """
     try:

@@ -70,8 +70,8 @@ _MAX_DRAW = 64.0
 # Cap on the elements of one array that a run allocates: each of the
 # ledger's budget-length arrays (change_frequency * num_environments) and
 # the (m, d, d) rotation stack. 2**26 float64 elements are 512 MiB; a config
-# above it is rejected by validation rather than failing to allocate at run
-# time.
+# above it is rejected at construction rather than failing to allocate at
+# run time.
 MAX_ARRAY_ELEMENTS = 1 << 26
 
 _FLOAT_MAX = sys.float_info.max
@@ -101,7 +101,7 @@ def _is_pair(value) -> bool:
 
 
 # The schema's type rule, per field type: (accepts a value, what it must
-# be). ScenarioConfig.violations applies it, to Python, numpy and JSON input.
+# be). _checked applies it, to Python, numpy and JSON input.
 _TYPE_RULES = {
     tuple: (_is_pair, "a two-element numeric array"),
     bool: (lambda v: isinstance(v, (bool, np.bool_)), "a boolean"),
@@ -120,12 +120,11 @@ class ScenarioConfig:
     the number of static intervals, so a full run spends exactly
     ``change_frequency * num_environments`` evaluations.
 
-    A value from Python, numpy or JSON is converted and named here alone:
-    an accepted value is stored as an ``int``, a ``bool``, a ``float`` or a
-    pair of floats; any other is kept as given, for :meth:`violations` to name,
-    except that an array of one or more axes is kept as its ``tolist()``, so
-    that ``==`` still compares configs. A config that keeps a list, as given
-    or from an array, is unhashable.
+    A config that exists is valid: construction is the one check. A value
+    from Python, numpy or JSON is stored as an ``int``, a ``bool``, a
+    ``float`` or a pair of floats, and a config with any violation raises
+    ``ValueError("invalid scenario config: ...")`` naming every one. So
+    ``==`` and ``hash`` compare plain values.
     """
 
     dimension: int = 10
@@ -148,96 +147,93 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a malformed value or an int beyond the float range is kept for violations()
-        for name, kind in FIELD_TYPES.items():
-            value = getattr(self, name)
-            parts = value if kind is tuple else [value]
-            if _TYPE_RULES[kind][0](value) and all(map(_is_finite, filter(_is_integer, parts))):
-                object.__setattr__(self, name, tuple(map(float, value)) if kind is tuple else kind(value))
-            elif isinstance(value, np.ndarray) and value.ndim:
-                object.__setattr__(self, name, value.tolist())
+        values, bad = _checked(vars(self))
+        if bad:
+            raise ValueError("invalid scenario config: " + "; ".join(bad))
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     @property
     def budget(self) -> int:
         return self.change_frequency * self.num_environments
-
-    def violations(self) -> list[str]:
-        """All violated constraints, each naming the offending field. A
-        field of the wrong type is named by the schema's type rule, and
-        the checks that need its value are skipped."""
-        bad = []
-        for name, kind in FIELD_TYPES.items():
-            value = getattr(self, name)
-            accepts, what = _TYPE_RULES[kind]
-            if kind is int:
-                least = 0 if name == "seed" else 1
-                if not accepts(value) or value < least:
-                    bad.append(f"{name} must be an integer >= {least}")
-            elif not accepts(value):
-                bad.append(f"{name} must be {what}")
-            elif kind is float:  # a severity
-                if not _is_finite(value):
-                    bad.append(f"{name} must be finite")
-                elif value < 0:
-                    bad.append(f"{name} must be nonnegative")
-                elif not math.isfinite(_MAX_DRAW * value):
-                    # a change's step (severity times a standard normal draw)
-                    # would overflow
-                    bad.append(f"{name} is too large: {_MAX_DRAW:g} * {name} must be finite")
-            elif kind is tuple:
-                lo, hi = value
-                if not (_is_finite(lo) and _is_finite(hi)):
-                    bad.append(f"{name} bounds must be finite")
-                elif not _is_finite(hi - lo):
-                    bad.append(f"{name} width (upper - lower) must be finite")
-                elif name == "search_range" and not lo < hi:
-                    bad.append("search_range must satisfy lower < upper")
-                elif lo > hi:
-                    bad.append(f"{name} minimum exceeds maximum")
-        if _is_pair(self.width_range) and self.width_range[0] <= 0:
-            bad.append("width range must be positive")
-        d = self.dimension
-        # the largest quadratic form a component can reach, once its factors
-        # are valid: a rotated offset has at most d entries of magnitude at
-        # most sqrt(d) * (ub - lb), which the warp scales by at most
-        # e^(2 max|tau|), and each is weighted by at most the largest width.
-        # Its logarithm is compared, since math.exp raises OverflowError.
-        ranges = (self.search_range, self.width_range, self.tau_range)
-        if _is_integer(d) and d >= 1 and all(map(_is_pair, ranges)):
-            (lb, ub), (w_lo, w_hi), taus = ranges
-            if (all(map(_is_finite, (lb, ub, ub - lb, w_lo, w_hi, *taus)))
-                    and 0 < ub - lb and 0 < w_lo <= w_hi):
-                log_form = (2 * math.log(d) + math.log(w_hi) + 2 * math.log(ub - lb)
-                            + 4 * max(map(abs, taus)))
-                if not log_form < math.log(np.finfo(float).max):
-                    bad.append("dimension, search_range, width_range and tau_range overflow a "
-                               "component's value: dimension * max width * (sqrt(dimension) * "
-                               "search width * e**(2 * max|tau|))**2 must be finite")
-        # the largest arrays of a run, once their factors are valid
-        for names, factors in (
-                ("change_frequency * num_environments",
-                 (self.change_frequency, self.num_environments)),
-                ("num_components * dimension**2", (self.num_components, d, d))):
-            if not all(_is_integer(f) and f >= 1 for f in factors):
-                continue
-            size = math.prod(factors)
-            if size > MAX_ARRAY_ELEMENTS:
-                bad.append(f"{names} is {size}, above the {MAX_ARRAY_ELEMENTS} "
-                           "elements an array of a run may hold")
-        return bad
-
-    def validate(self) -> "ScenarioConfig":
-        """Return self, raising ``ValueError`` naming every violated constraint."""
-        bad = self.violations()
-        if bad:
-            raise ValueError("invalid scenario config: " + "; ".join(bad))
-        return self
 
 
 # The schema of a scenario, read once from the field defaults: the type of
 # each field's default, in declaration order. A range's is tuple (a (lower,
 # upper) pair); the severities' is float.
 FIELD_TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig)}
+
+
+def _checked(given: dict) -> tuple[dict, list[str]]:
+    """The scenario fields' values in ``given``, converted, and every
+    violated constraint, each naming its field. A value the schema's type
+    rule accepts is stored as the field's type (a range as a pair of
+    floats) unless it holds an ``int`` beyond the float range; a value of
+    the wrong type is named, and the checks that need it are skipped."""
+    values, bad = {}, []
+    for name, kind in FIELD_TYPES.items():
+        value = given[name]
+        accepts, what = _TYPE_RULES[kind]
+        parts = value if kind is tuple else [value]
+        if accepts(value) and all(map(_is_finite, filter(_is_integer, parts))):
+            value = tuple(map(float, value)) if kind is tuple else kind(value)
+        values[name] = value
+        if kind is int:
+            least = 0 if name == "seed" else 1
+            if not accepts(value) or value < least:
+                bad.append(f"{name} must be an integer >= {least}")
+        elif not accepts(value):
+            bad.append(f"{name} must be {what}")
+        elif kind is float:  # a severity
+            if not _is_finite(value):
+                bad.append(f"{name} must be finite")
+            elif value < 0:
+                bad.append(f"{name} must be nonnegative")
+            elif not math.isfinite(_MAX_DRAW * value):
+                # a change's step (severity times a standard normal draw)
+                # would overflow
+                bad.append(f"{name} is too large: {_MAX_DRAW:g} * {name} must be finite")
+        elif kind is tuple:
+            lo, hi = value
+            if not (_is_finite(lo) and _is_finite(hi)):
+                bad.append(f"{name} bounds must be finite")
+            elif not _is_finite(hi - lo):
+                bad.append(f"{name} width (upper - lower) must be finite")
+            elif name == "search_range" and not lo < hi:
+                bad.append("search_range must satisfy lower < upper")
+            elif lo > hi:
+                bad.append(f"{name} minimum exceeds maximum")
+    d, width_range = values["dimension"], values["width_range"]
+    if _is_pair(width_range) and width_range[0] <= 0:
+        bad.append("width range must be positive")
+    # the largest quadratic form a component can reach, once its factors
+    # are valid: a rotated offset has at most d entries of magnitude at
+    # most sqrt(d) * (ub - lb), which the warp scales by at most
+    # e^(2 max|tau|), and each is weighted by at most the largest width.
+    # Its logarithm is compared, since math.exp raises OverflowError.
+    ranges = (values["search_range"], width_range, values["tau_range"])
+    if _is_integer(d) and d >= 1 and all(map(_is_pair, ranges)):
+        (lb, ub), (w_lo, w_hi), taus = ranges
+        if (all(map(_is_finite, (lb, ub, ub - lb, w_lo, w_hi, *taus)))
+                and 0 < ub - lb and 0 < w_lo <= w_hi):
+            log_form = (2 * math.log(d) + math.log(w_hi) + 2 * math.log(ub - lb)
+                        + 4 * max(map(abs, taus)))
+            if not log_form < math.log(np.finfo(float).max):
+                bad.append("dimension, search_range, width_range and tau_range overflow a "
+                           "component's value: dimension * max width * (sqrt(dimension) * "
+                           "search width * e**(2 * max|tau|))**2 must be finite")
+    # the largest arrays of a run, once their factors are valid
+    for names, factors in (
+            ("change_frequency * num_environments",
+             (values["change_frequency"], values["num_environments"])),
+            ("num_components * dimension**2", (values["num_components"], d, d))):
+        if not all(_is_integer(f) and f >= 1 for f in factors):
+            continue
+        size = math.prod(factors)
+        if size > MAX_ARRAY_ELEMENTS:
+            bad.append(f"{names} is {size}, above the {MAX_ARRAY_ELEMENTS} "
+                       "elements an array of a run may hold")
+    return values, bad
 
 
 @dataclass(frozen=True, eq=False)

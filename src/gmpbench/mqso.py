@@ -46,7 +46,7 @@ _COUNTS = ("num_swarms", "neutral_count", "quantum_count")
 _RADII = ("cloud_radius", "exclusion_radius", "convergence_radius")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """mQSO parameters.
 
@@ -64,6 +64,11 @@ class SolverConfig:
     radii must be positive. The cloud radius may be 0, as it is for a
     scenario whose peaks do not move (``shift_severity`` 0): each quantum
     particle then samples the global best itself.
+
+    A config that exists is valid, and frozen, so it stays valid: a numpy
+    count is stored as an ``int``, and any violation raises ``ValueError(
+    "invalid solver config: ...")`` naming each (a ``bool`` or ``None`` is
+    not a number).
     """
 
     num_swarms: int = 10
@@ -79,21 +84,7 @@ class SolverConfig:
     def __post_init__(self):
         # a numpy count is stored as an int, whose sums cannot wrap
         for name in filter(lambda name: _is_integer(getattr(self, name)), _COUNTS):
-            setattr(self, name, int(getattr(self, name)))
-
-    @classmethod
-    def for_scenario(cls, scenario) -> "SolverConfig":
-        """The default constants with the radii set from ``scenario`` by the
-        rule of the class docstring."""
-        lb, ub = scenario.search_range
-        spacing = 0.5 * (ub - lb) / scenario.num_components ** (1.0 / scenario.dimension)
-        return cls(cloud_radius=scenario.shift_severity, exclusion_radius=spacing,
-                   convergence_radius=spacing)
-
-    def violations(self) -> list[str]:
-        """All violated constraints, each naming the offending field. A
-        constant or radius that is not a number (a ``bool`` or ``None`` is
-        not one) is named, and its range checks are skipped."""
+            object.__setattr__(self, name, int(getattr(self, name)))
         bad = [f"{name} must be an integer" for name in _COUNTS
                if not _is_integer(getattr(self, name))]
         if not bad:
@@ -120,7 +111,17 @@ class SolverConfig:
         for name in ("exclusion_radius", "convergence_radius"):
             if finite.get(name, 1.0) <= 0:
                 bad.append(f"{name} must be positive")
-        return bad
+        if bad:
+            raise ValueError("invalid solver config: " + "; ".join(bad))
+
+    @classmethod
+    def for_scenario(cls, scenario) -> "SolverConfig":
+        """The default constants with the radii set from ``scenario`` by the
+        rule of the class docstring."""
+        lb, ub = scenario.search_range
+        spacing = 0.5 * (ub - lb) / scenario.num_components ** (1.0 / scenario.dimension)
+        return cls(cloud_radius=scenario.shift_severity, exclusion_radius=spacing,
+                   convergence_radius=spacing)
 
 
 @dataclass(eq=False)
@@ -175,16 +176,12 @@ class MQSO:
     Each :meth:`step` runs change detection, particle moves, exclusion and
     anti-convergence. Swarm reinitializations evaluate the fresh particles
     right away, so the ledger accounts for every evaluation the solver
-    causes. A ``config`` with a violation is rejected with ``ValueError``.
-    Every random draw comes from ``rng``, so a run is reproducible from the
-    generator's seed.
+    causes. Every random draw comes from ``rng``, so a run is reproducible
+    from the generator's seed.
     """
 
     def __init__(self, session: BenchmarkSession, config: SolverConfig,
                  rng: np.random.Generator):
-        bad = config.violations()
-        if bad:
-            raise ValueError("invalid solver config: " + "; ".join(bad))
         self.session = session
         self.rng = rng
         self.config = config

@@ -146,7 +146,6 @@ class BenchmarkSession:
     """
 
     def __init__(self, config: ScenarioConfig):
-        config.validate()
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         self.landscape = init_landscape(config, self.rng)
@@ -183,24 +182,29 @@ class BenchmarkSession:
         rows outlast the budget, once the rows that fit are recorded. Spending
         nothing, raises ``RuntimeError`` on a call made during another, and
         ``ValueError`` when both stop rules are given, when ``differs_from``
-        does not hold one value per row, when ``x`` is complex or has a masked
-        element, when ``x`` or a stop value cannot be read as real numbers
-        (chained from the conversion's ``TypeError``), or when a point has a
-        NaN or infinite coordinate or lies outside :attr:`bounds` (edges
-        included): such points are rejected, not cast or clamped into points
-        never asked for. The rest is scored from the session's own float64
-        copy of ``x``, so the rows checked are the rows scored even if the
-        caller's array changes during the call.
+        does not hold one value per row, when ``x`` or a numpy stop value is
+        complex, when ``x`` has a masked element, when ``x`` or a stop value
+        cannot be read as real numbers (chained from the conversion's
+        ``TypeError``), or when a point has a NaN or infinite coordinate or
+        lies outside :attr:`bounds` (edges included): such points are
+        rejected, not cast or clamped into points never asked for. The rest
+        is scored from the session's own float64 copy of ``x``, so the rows
+        checked are the rows scored even if the caller's array changes during
+        the call.
         """
         if not self._calling.acquire(blocking=False):
             raise RuntimeError("another call to evaluate is in progress on this session")
         try:
             if above is not None and differs_from is not None:
                 raise ValueError("give at most one stop rule: above or differs_from")
-            # a cast would drop an imaginary part or a mask without notice. A
-            # masked array needs numpy.ma, which the session never imports
-            if np.iscomplexobj(x) or ("numpy.ma" in sys.modules and np.ma.is_masked(x)):
-                raise ValueError("points must be real and unmasked, not complex or masked")
+            # a cast would drop an imaginary part or a mask without notice (a
+            # Python complex fails the cast below). A masked array needs
+            # numpy.ma, which the session never imports
+            if (np.iscomplexobj(x)
+                    or type(above) is not float and isinstance(above, np.complexfloating)
+                    or isinstance(differs_from, np.ndarray) and differs_from.dtype.kind == "c"
+                    or "numpy.ma" in sys.modules and np.ma.is_masked(x)):
+                raise ValueError("points and stop values must be unmasked and not complex")
             try:  # the session's own copy; plain floats, so no solver code runs once values are scored
                 x = np.array(x, dtype=float)
                 above = None if above is None else float(above)

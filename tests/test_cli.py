@@ -17,6 +17,7 @@ from gmpbench import (
 from gmpbench import harness
 from gmpbench.cli import main
 from gmpbench.landscape import FIELD_TYPES
+from test_landscape import violations
 
 SMALL = {"dimension": 2, "num_components": 3, "change_frequency": 150, "num_environments": 2}
 
@@ -145,15 +146,14 @@ class TestValidate:
         # the JSON path names the value as ScenarioConfig does
         value = json.loads(text)
         assert scenario_from_dict({field: value})[1] == [message]
-        assert ScenarioConfig(**{field: value}).violations() == [message]
+        assert violations(ScenarioConfig, **{field: value}) == [message]
         config = write_config(tmp_path, '{"%s": %s}' % (field, text))
         assert main(["validate", "--config", config]) == 1
         assert f"violation: {message}" in capsys.readouterr().err
         assert main(["run", "--config", config, "--runs", "1", "--out", str(tmp_path / "o")]) == 1
 
     def test_an_invalid_config_prints_only_its_violations(self, tmp_path, capsys):
-        # the config holds the file's values, and a malformed range has no
-        # JSON form to print
+        # an invalid file gives no config, so nothing is printed
         config = write_config(tmp_path, {"search_range": 5, "dimension": 0})
         assert main(["validate", "--config", config]) == 1
         assert capsys.readouterr() == ("", "violation: dimension must be an integer >= 1\n"
@@ -178,32 +178,33 @@ class TestSchema:
         known = {key: value for key, value in data.items() if key != "bogus"}
         cfg, problems = scenario_from_dict(data)
         # the unknown keys, then the violations in field order
-        assert problems == ["unknown key 'bogus'"] + ScenarioConfig(**known).violations()
+        assert problems == ["unknown key 'bogus'"] + violations(ScenarioConfig, **known)
         assert problems == ["unknown key 'bogus'", "dimension must be an integer >= 1",
                             "shift_severity must be a number",
                             "search_range must be a two-element numeric array",
                             "height_range must be a two-element numeric array",
                             "rotation_enabled must be a boolean"]
-        # the config holds the given values
-        assert cfg == ScenarioConfig(**known)
+        # no config is built from them, as none is from Python
+        assert cfg is None
 
     @pytest.mark.parametrize("name", ["dimension", "num_components", "change_frequency",
                                       "num_environments", "seed"])
     def test_a_boolean_is_not_an_integer(self, name):
-        # a config that validates is written as results.json's scenario, which
-        # must parse back; a bool is written as true and parsed as no integer
-        cfg = ScenarioConfig(**dict(SMALL, **{name: True}))
+        # a config is written as results.json's scenario, which must parse
+        # back; a bool would be written as true and parsed as no integer
+        data = dict(SMALL, **{name: True})
         least = 0 if name == "seed" else 1
-        assert cfg.violations() == [f"{name} must be an integer >= {least}"]
-        problems = scenario_from_dict(scenario_to_dict(cfg))[1]
+        assert violations(ScenarioConfig, **data) == [f"{name} must be an integer >= {least}"]
+        problems = scenario_from_dict(json.loads(json.dumps(data)))[1]
         assert f"{name} must be an integer >= {least}" in problems
-        assert problems == cfg.violations()
+        assert problems == violations(ScenarioConfig, **data)
 
     @pytest.mark.parametrize("name", FIELD_TYPES)
     def test_every_json_value_is_named_or_round_trips(self, name):
         for value in JSON_VALUES:
             cfg, problems = scenario_from_dict({name: value})
-            assert problems == ScenarioConfig(**{name: value}).violations(), value
+            assert problems == violations(ScenarioConfig, **{name: value}), value
+            assert (cfg is None) == bool(problems), value
             if not problems:
                 data = json.loads(json.dumps(scenario_to_dict(cfg)))
                 assert scenario_from_dict(data) == (cfg, []), value

@@ -21,6 +21,7 @@ from gmpbench import (
     run_experiment,
     run_session,
 )
+from test_landscape import violations
 
 
 def writelines_grid(path, axis, values):
@@ -109,8 +110,8 @@ class TestExperiment:
         ("master_seed", "master_seed must be a nonnegative integer")])
     @pytest.mark.parametrize("value", [True, 1.0])
     def test_counts_must_be_integers(self, tmp_path, name, value, message):
-        spec = ExperimentSpec(scenario=ScenarioConfig(), output_dir=tmp_path, **{name: value})
-        assert spec.violations() == [message]
+        assert violations(ExperimentSpec, scenario=ScenarioConfig(), output_dir=tmp_path,
+                          **{name: value}) == [message]
 
     def test_numpy_integer_counts_write_the_same_bytes(self, tmp_path):
         # a uint8 seed of 255 would wrap to 0 on the second run if summed as given
@@ -118,10 +119,10 @@ class TestExperiment:
                                   num_environments=2)
         for name, run_count, master_seed in (("python", 2, 255),
                                              ("numpy", np.int64(2), np.uint8(255))):
-            spec = ExperimentSpec(scenario=scenario, run_count=run_count,
-                                  master_seed=master_seed, output_dir=tmp_path / name)
-            assert not spec.violations()
-            run_experiment(spec)
+            spec = dict(scenario=scenario, run_count=run_count, master_seed=master_seed,
+                        output_dir=tmp_path / name)
+            assert not violations(ExperimentSpec, **spec)
+            run_experiment(ExperimentSpec(**spec))
         for file in ("results.json", "runs.csv"):
             assert (tmp_path / "numpy" / file).read_bytes() == \
                 (tmp_path / "python" / file).read_bytes()

@@ -805,6 +805,20 @@ class TestOptimum:
         assert ls.optimum_value - vals.max() <= bound
 
 
+def violations(build, *args, **kwargs):
+    """The violations that ``build(*args, **kwargs)`` names, read in order
+    from the ``ValueError`` that an invalid config raises at construction
+    ("invalid scenario config: a; b"); empty when it builds."""
+    try:
+        build(*args, **kwargs)
+    except ValueError as exc:
+        kind, _, named = str(exc).partition(": ")
+        assert kind in ("invalid scenario config", "invalid solver config",
+                        "invalid experiment spec"), exc
+        return named.split("; ")
+    return []
+
+
 class TestScenarioConfig:
     def test_defaults_are_standard_settings(self):
         cfg = ScenarioConfig()
@@ -827,8 +841,8 @@ class TestScenarioConfig:
         assert cfg.budget == 500_000
 
     def test_violations_are_named(self):
-        cfg = ScenarioConfig(dimension=0, width_range=(0.0, 12.0), shift_severity=-1.0)
-        bad = "; ".join(cfg.violations())
+        bad = "; ".join(violations(ScenarioConfig, dimension=0, width_range=(0.0, 12.0),
+                                   shift_severity=-1.0))
         assert "dimension" in bad
         assert "width range must be positive" in bad
         assert "shift_severity" in bad
@@ -849,15 +863,15 @@ class TestScenarioConfig:
 
     def test_overflowing_severities_and_range_widths_are_violations(self):
         # 64 standard deviations bound every draw a severity scales
-        bad = "; ".join(ScenarioConfig(height_severity=1e308).violations())
+        bad = "; ".join(violations(ScenarioConfig, height_severity=1e308))
         assert "height_severity is too large" in bad
-        bad = "; ".join(ScenarioConfig(search_range=(-1e308, 1e308),
-                                       eta_range=(-1e308, 1e308)).violations())
+        bad = "; ".join(violations(ScenarioConfig, search_range=(-1e308, 1e308),
+                                   eta_range=(-1e308, 1e308)))
         assert "search_range width" in bad and "eta_range width" in bad
-        assert not ScenarioConfig(height_severity=1e306).violations()
+        assert not violations(ScenarioConfig, height_severity=1e306)
         # a finite search width that passes the width check: only the bound
         # on a component's value rejects it
-        bad = ScenarioConfig(height_severity=1e306, search_range=(-8e307, 8e307)).violations()
+        bad = violations(ScenarioConfig, height_severity=1e306, search_range=(-8e307, 8e307))
         assert len(bad) == 1 and "overflow a component's value" in bad[0]
 
     @pytest.mark.parametrize("data", [
@@ -870,7 +884,7 @@ class TestScenarioConfig:
         # infinite offline error for "tau" and "width", and about 2e10 for
         # "tau-400", whose bound overflows though that run's values did not
         data = dict(data, dimension=5, num_components=5)
-        bad = ScenarioConfig(**data).violations()
+        bad = violations(ScenarioConfig, **data)
         assert len(bad) == 1 and "overflow a component's value" in bad[0]
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(data))
@@ -882,7 +896,7 @@ class TestScenarioConfig:
         # + 4 max|tau|, here about 16.3 + 4 * 170 = 696.3 < log(max float),
         # which is about 709.8
         cfg = ScenarioConfig(dimension=5, num_components=5, tau_range=(-170.0, 170.0),
-                             change_frequency=200, num_environments=3).validate()
+                             change_frequency=200, num_environments=3)
         with np.errstate(over="raise", invalid="raise"):
             record, session = run_session(cfg, "random", seed=1)
         assert np.isfinite(session.ledger.values).all()
@@ -890,7 +904,7 @@ class TestScenarioConfig:
 
     def test_large_severity_keeps_the_landscape_finite(self):
         cfg = ScenarioConfig(dimension=2, num_components=3, height_severity=1e306,
-                             num_environments=30).validate()
+                             num_environments=30)
         rng = np.random.default_rng(0)
         ls = init_landscape(cfg, rng)
         for _ in range(29):
@@ -906,7 +920,7 @@ class TestScenarioConfig:
         ({"dimension": 100_000, "num_components": 1000}, "num_components * dimension**2"),
     ], ids=["ledger", "rotations"])
     def test_configs_too_large_to_allocate_are_violations(self, tmp_path, capsys, data, names):
-        bad = ScenarioConfig(**data).violations()
+        bad = violations(ScenarioConfig, **data)
         assert len(bad) == 1 and bad[0].startswith(names)
         assert str(MAX_ARRAY_ELEMENTS) in bad[0]
         path = tmp_path / "scenario.json"
@@ -914,18 +928,19 @@ class TestScenarioConfig:
         assert main(["validate", "--config", str(path)]) == 1
         assert f"violation: {names} is " in capsys.readouterr().err
         # at the cap itself the config is valid
-        assert not ScenarioConfig(change_frequency=MAX_ARRAY_ELEMENTS,
-                                  num_environments=1).violations()
+        assert not violations(ScenarioConfig, change_frequency=MAX_ARRAY_ELEMENTS,
+                              num_environments=1)
 
     def test_default_and_paper_scale_configs_are_valid(self):
-        assert not ScenarioConfig().violations()
+        assert not violations(ScenarioConfig)
         # 100 environments of 10 000 evaluations, d=20, m=100
-        assert not ScenarioConfig(dimension=20, num_components=100, change_frequency=10_000,
-                                  num_environments=100).violations()
+        assert not violations(ScenarioConfig, dimension=20, num_components=100,
+                              change_frequency=10_000, num_environments=100)
 
     def test_validate_raises(self):
-        with pytest.raises(ValueError, match="change_frequency"):
-            ScenarioConfig(change_frequency=0).validate()
+        # construction is the one check
+        with pytest.raises(ValueError, match="invalid scenario config: change_frequency"):
+            ScenarioConfig(change_frequency=0)
 
     @pytest.mark.parametrize("name, value, message", [
         ("search_range", (0, 10 ** 400), "search_range bounds must be finite"),
@@ -935,15 +950,11 @@ class TestScenarioConfig:
         ("height_severity", -10 ** 400, "height_severity must be finite"),
     ], ids=["search_range", "tau_range", "width_range", "shift_severity", "height_severity"])
     def test_an_integer_beyond_the_float_range_is_not_finite(self, name, value, message):
-        # named, not crashed on; such a value is left as given, and the
-        # parser names its JSON form in the same words
-        cfg = ScenarioConfig(**{name: value})
-        assert getattr(cfg, name) == value
-        assert cfg.violations() == [message]
-        with pytest.raises(ValueError, match=message):
-            cfg.validate()
+        # named, not crashed on, and the parser names its JSON form in the
+        # same words
+        assert violations(ScenarioConfig, **{name: value}) == [message]
         data = dict(scenario_to_dict(ScenarioConfig()), **{name: value})
-        assert scenario_from_dict(data)[1] == ScenarioConfig(**data).violations() == [message]
+        assert scenario_from_dict(data)[1] == violations(ScenarioConfig, **data) == [message]
 
     @pytest.mark.parametrize("name, value, python", [
         ("dimension", np.int64(5), 5),
@@ -959,8 +970,8 @@ class TestScenarioConfig:
     def test_numpy_values_are_stored_as_python_values(self, name, value, python):
         # the config built from a numpy value is the one built from the
         # Python value: equal, of the same types, with the same JSON bytes
+        assert not violations(ScenarioConfig, **{name: value})
         cfg, expect = ScenarioConfig(**{name: value}), ScenarioConfig(**{name: python})
-        assert not cfg.violations()
         assert cfg == expect
         # a numpy scalar's repr names its type, in a pair too
         assert repr(getattr(cfg, name)) == repr(getattr(expect, name))
@@ -987,21 +998,24 @@ class TestScenarioConfig:
     def test_a_field_of_the_wrong_type_is_named(self, name, value, what):
         # named by the schema's type rule, with the checks that need its
         # value skipped; the parser names its JSON form the same way
-        cfg = ScenarioConfig(**{name: value})
-        assert cfg.violations() == [f"{name} must be {what}"]
-        with pytest.raises(ValueError, match=f"{name} must be {what}"):
-            cfg.validate()
+        assert violations(ScenarioConfig, **{name: value}) == [f"{name} must be {what}"]
         data = dict(scenario_to_dict(ScenarioConfig()), **{name: value})
-        assert scenario_from_dict(data)[1] == [f"{name} must be {what}"]
+        assert scenario_from_dict(data) == (None, [f"{name} must be {what}"])
 
     @pytest.mark.parametrize("value", [np.array([[0.0, 1.0], [2.0, 3.0]]),
-                                       np.array([0.0, 1.0, 2.0])])
-    def test_a_rejected_array_still_compares(self, value):
-        # kept as its list, since an array's == has no single truth value
-        cfg = ScenarioConfig(search_range=value)
-        assert (cfg == ScenarioConfig()) is False
-        assert cfg == ScenarioConfig(search_range=value.tolist())
-        assert cfg.violations() == ["search_range must be a two-element numeric array"]
-        # a list is unhashable, as it is when given as a list
-        with pytest.raises(TypeError):
-            hash(cfg)
+                                       np.array([0.0, 1.0, 2.0]), np.array(5.0)])
+    def test_a_rejected_array_is_named_as_its_list(self, value):
+        # neither builds a config, so no array's == (which has no single
+        # truth value) is ever asked of one
+        message = "search_range must be a two-element numeric array"
+        assert violations(ScenarioConfig, search_range=value) == [message]
+        assert violations(ScenarioConfig, search_range=value.tolist()) == [message]
+
+    @pytest.mark.parametrize("name, value", [
+        ("rotation_enabled", 1), ("shift_severity", True), ("tau_range", (-1.0, True)),
+        ("search_range", np.array(5.0))])
+    def test_a_rejected_value_builds_no_config_to_compare(self, name, value):
+        # Python's True == 1 == 1.0 made such a config equal to the default
+        # one, and a 0-d array made == raise; now none exists to compare
+        with pytest.raises(ValueError, match=f"invalid scenario config: {name} must be"):
+            ScenarioConfig(**{name: value})

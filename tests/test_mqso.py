@@ -16,6 +16,7 @@ from gmpbench import (
 )
 from gmpbench.mqso import Swarm, _gbest_gaps
 from gmpbench.protocol import CHANGE_DETECTION_TOL
+from test_landscape import violations
 
 
 def make_session(**kw):
@@ -119,31 +120,30 @@ class TestSolverConfig:
         assert cfg.convergence_radius == cfg.exclusion_radius
 
     def test_violations(self):
-        assert SolverConfig(chi=1.5, **RADII).violations()
-        assert SolverConfig(num_swarms=0, **RADII).violations()
-        assert SolverConfig(**dict(RADII, cloud_radius=-1.0)).violations()
-        assert not SolverConfig(cloud_radius=1.0, exclusion_radius=2.0,
-                                convergence_radius=2.0).violations()
+        assert violations(SolverConfig, chi=1.5, **RADII)
+        assert violations(SolverConfig, num_swarms=0, **RADII)
+        assert violations(SolverConfig, **dict(RADII, cloud_radius=-1.0))
+        assert not violations(SolverConfig, cloud_radius=1.0, exclusion_radius=2.0,
+                              convergence_radius=2.0)
 
     def test_zero_cloud_is_allowed(self):
         # a scenario whose peaks do not move resolves the cloud radius to 0
-        assert not SolverConfig(cloud_radius=0.0, exclusion_radius=2.0,
-                                convergence_radius=2.0).violations()
-        assert (SolverConfig(**dict(RADII, cloud_radius=-1e-9)).violations()
+        assert not violations(SolverConfig, cloud_radius=0.0, exclusion_radius=2.0,
+                              convergence_radius=2.0)
+        assert (violations(SolverConfig, **dict(RADII, cloud_radius=-1e-9))
                 == ["cloud_radius must be nonnegative"])
         for name in ("exclusion_radius", "convergence_radius"):
-            assert (SolverConfig(**dict(RADII, **{name: 0.0})).violations()
+            assert (violations(SolverConfig, **dict(RADII, **{name: 0.0}))
                     == [f"{name} must be positive"])
 
     @pytest.mark.parametrize("name, value", [
         ("num_swarms", 2.5), ("neutral_count", 2.5), ("quantum_count", 1.5), ("num_swarms", True)])
     def test_counts_must_be_integers(self, name, value):
-        # rejected when the solver is built, before it evaluates anything
-        cfg = SolverConfig(**{name: value}, **RADII)
-        assert cfg.violations() == [f"{name} must be an integer"]
+        # rejected when the config is built, before a solver evaluates anything
+        assert violations(SolverConfig, **{name: value}, **RADII) == [f"{name} must be an integer"]
         session = make_session()
         with pytest.raises(ValueError, match=f"invalid solver config: {name} must be an integer"):
-            MQSO(session, cfg, np.random.default_rng(0))
+            MQSO(session, SolverConfig(**{name: value}, **RADII), np.random.default_rng(0))
         assert session.ledger.total == 0
 
     def test_numpy_integer_counts_run_as_python_ints(self):
@@ -153,15 +153,16 @@ class TestSolverConfig:
         for counts in (dict(num_swarms=3, neutral_count=2, quantum_count=2),
                        dict(num_swarms=np.int64(3), neutral_count=np.int32(2),
                             quantum_count=np.uint8(2))):
+            assert not violations(solver_config, scenario, **counts)
             cfg = solver_config(scenario, **counts)
-            assert not cfg.violations()
             session = BenchmarkSession(scenario)
             MQSO(session, cfg, np.random.default_rng(8)).run()
             ledgers.append(session.ledger.values)
         assert np.array_equal(*ledgers)
         # stored as ints: int8 counts of 100 would sum to -56 as given
-        cfg = SolverConfig(neutral_count=np.int8(100), quantum_count=np.int8(100), **RADII)
-        assert not cfg.violations()
+        counts = dict(neutral_count=np.int8(100), quantum_count=np.int8(100))
+        assert not violations(SolverConfig, **counts, **RADII)
+        cfg = SolverConfig(**counts, **RADII)
         assert (type(cfg.neutral_count), type(cfg.quantum_count)) == (int, int)
 
     def test_bad_config_rejected_at_attach(self):
@@ -177,23 +178,26 @@ class TestSolverConfig:
         # nan radii would switch exclusion off or reinitialize every step,
         # an infinite cloud sends quantum particles to the box corners; an
         # int beyond the float range is not finite either
-        cfg = solver_config(ScenarioConfig(dimension=2, num_components=3), **{name: value})
-        assert f"{name} must be finite" in "; ".join(cfg.violations())
+        scenario = ScenarioConfig(dimension=2, num_components=3)
+        bad = violations(solver_config, scenario, **{name: value})
+        assert f"{name} must be finite" in "; ".join(bad)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            MQSO(make_session(), cfg, np.random.default_rng(0))
+            MQSO(make_session(), solver_config(scenario, **{name: value}),
+                 np.random.default_rng(0))
 
     @pytest.mark.parametrize("name", ["chi", "c1", "c2", "cloud_radius",
                                       "exclusion_radius", "convergence_radius"])
     @pytest.mark.parametrize("value", ["0.5", True, [0.5]])
     def test_constants_that_are_not_numbers_are_violations(self, name, value):
         # named, not crashed on; a bool is not a number
-        cfg = solver_config(ScenarioConfig(dimension=2, num_components=3), **{name: value})
-        assert cfg.violations() == [f"{name} must be a number"]
+        scenario = ScenarioConfig(dimension=2, num_components=3)
+        assert violations(solver_config, scenario, **{name: value}) == [f"{name} must be a number"]
         with pytest.raises(ValueError, match=f"{name} must be a number"):
-            MQSO(make_session(), cfg, np.random.default_rng(0))
+            MQSO(make_session(), solver_config(scenario, **{name: value}),
+                 np.random.default_rng(0))
 
     def test_chi_left_unset_is_a_violation(self):
-        assert SolverConfig(chi=None, **RADII).violations() == ["chi must be a number"]
+        assert violations(SolverConfig, chi=None, **RADII) == ["chi must be a number"]
 
 
 class TestRadiusRule:
@@ -206,10 +210,10 @@ class TestRadiusRule:
         with pytest.raises(TypeError, match=name):
             SolverConfig(**{other: 1.0 for other in RADII if other != name})
         session = make_session()
-        cfg = solver_config(session.config, **{name: None})
-        assert cfg.violations() == [f"{name} must be a number"]
+        assert violations(solver_config, session.config, **{name: None}) == [
+            f"{name} must be a number"]
         with pytest.raises(ValueError, match=f"invalid solver config: {name} must be a number"):
-            MQSO(session, cfg, np.random.default_rng(0))
+            MQSO(session, solver_config(session.config, **{name: None}), np.random.default_rng(0))
 
     def test_solver_uses_the_radii_the_experiment_reports(self, tmp_path):
         scenario = ScenarioConfig(dimension=5, num_components=25, shift_severity=2.0,
@@ -265,10 +269,8 @@ class TestSolverStep:
         for scenario_seed in (5, 9, 13):
             for rng_seed in range(5):
                 s = make_session(seed=scenario_seed)
-                solver = make_solver(s, rng_seed=rng_seed, num_swarms=2)
-                solver.config.chi = 1e-12  # chi = 0 is rejected; this is numerically zero
-                solver.config.c1 = 0.0
-                solver.config.c2 = 0.0
+                # chi = 0 is rejected; 1e-12 is numerically zero
+                solver = make_solver(s, rng_seed=rng_seed, num_swarms=2, chi=1e-12, c1=0.0, c2=0.0)
                 before = [sw.positions[:sw.neutral_count].copy() for sw in solver.swarms]
                 start = [(sw.gbest_position.copy(), sw.gbest_value) for sw in solver.swarms]
                 env = s.landscape.environment_index

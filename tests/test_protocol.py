@@ -283,6 +283,10 @@ class TestSession:
                     [[1 + 500j, 2.0]], [np.complex128(1 + 1j), 2.0]):
             with pytest.raises(ValueError, match="complex"):
                 s.evaluate(bad)
+        # so are numpy complex stop values, which a cast reads as their real parts
+        for rules in ({"above": np.complex128(1 + 2j)}, {"differs_from": np.array([1 + 2j])}):
+            with pytest.raises(ValueError, match="complex"):
+                s.evaluate(np.array([[1.0, 2.0]]), **rules)
         # input that float() cannot read is a ValueError too, from its TypeError
         for bad, rules in ((np.array([1 + 2j, 0], dtype=object), {}),
                            (np.array([1.0, 2.0]), {"above": 1 + 2j}),

@@ -13,6 +13,7 @@ import pytest
 
 import gmpbench
 from gmpbench import dynamics, harness, landscape, mqso, protocol
+from test_cli import JSON_VALUES
 
 MODULES = (gmpbench, dynamics, harness, landscape, mqso, protocol)
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -118,6 +119,41 @@ def test_deleted_names_are_gone(module):
     # one workspace rule: a block that does not fit the thread's workspace
     # gets one of its call's own, so nothing frees the thread's
     assert not hasattr(landscape._Workspace, "release")
+
+
+def test_configs_are_checked_at_construction_alone():
+    # a config that exists is valid, so no method checks it again
+    for cls in (landscape.ScenarioConfig, mqso.SolverConfig, harness.ExperimentSpec):
+        assert not hasattr(cls, "validate"), cls.__name__
+        assert not hasattr(cls, "violations"), cls.__name__
+    # and a solver config is frozen, so it cannot become invalid
+    cfg = mqso.SolverConfig.for_scenario(landscape.ScenarioConfig())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.chi = 0.0
+    with pytest.raises(ValueError, match="invalid experiment spec: scenario must be a "):
+        harness.ExperimentSpec(scenario=None, output_dir="unused")
+
+
+def test_equal_configs_from_python_and_json_hash_alike():
+    # the parser returns a config only when Python builds the same one
+    # from the same values: equal, hashed alike, one set entry
+    for name in landscape.FIELD_TYPES:
+        for value in JSON_VALUES:
+            parsed, problems = harness.scenario_from_dict({name: value})
+            if problems:
+                assert parsed is None, (name, value)
+                with pytest.raises(ValueError, match="invalid scenario config: "):
+                    landscape.ScenarioConfig(**{name: value})
+                continue
+            built = landscape.ScenarioConfig(**{name: value})
+            assert hash(parsed) == hash(built) and len({parsed, built}) == 1, (name, value)
+    # numpy values too
+    built = landscape.ScenarioConfig(dimension=np.int64(3), shift_severity=np.float32(0.5),
+                                     search_range=np.array([-5, 5]), rotation_enabled=np.bool_(0))
+    parsed, _ = harness.scenario_from_dict({"dimension": 3, "shift_severity": 0.5,
+                                            "search_range": [-5.0, 5.0],
+                                            "rotation_enabled": False})
+    assert hash(parsed) == hash(built) and len({parsed, built}) == 1
 
 
 def test_every_traced_name_is_defined_where_the_tracer_patches_it():
