@@ -10,9 +10,10 @@ per-evaluation error sequence is non-increasing between changes.
 The ledger keeps only each evaluation's value and its environment's
 optimum; the errors and the indicators are derived from them when read.
 
-A session takes one caller at a time (another call raises ``RuntimeError``)
-and rejects complex, masked, non-finite and out-of-box points with
-``ValueError`` rather than cast or clamp them; neither costs an evaluation.
+A session takes one caller at a time (another call raises ``RuntimeError``).
+Points and stop values must have an integer or float dtype: bool, complex,
+string, object and datetime input, and masked, non-finite or out-of-box points
+raise ``ValueError`` rather than be cast or clamped, and cost no evaluation.
 
 A solver may hand the session a block of points, one per row. The rows are
 scored in order, exactly as if they had been sent one at a time: a block may
@@ -135,7 +136,7 @@ class BenchmarkSession:
     schedule are deliberately not part of that surface. Independent sessions
     share nothing. One caller at a time: a call made during another raises
     ``RuntimeError`` rather than wait, so no thread scheduler orders the
-    calls. The session scores its own float64 copy of the points it checks.
+    calls. It takes integer or float input and scores its own float64 copy.
 
     The surface is an API boundary, not a sandbox. ``evaluate.__self__``
     reaches the session, whose attributes are plain. Wall time reveals each
@@ -182,35 +183,34 @@ class BenchmarkSession:
         rows outlast the budget, once the rows that fit are recorded. Spending
         nothing, raises ``RuntimeError`` on a call made during another, and
         ``ValueError`` when both stop rules are given, when ``differs_from``
-        does not hold one value per row, when ``x`` or a numpy stop value is
-        complex, when ``x`` has a masked element, when ``x`` or a stop value
-        cannot be read as real numbers (chained from the conversion's
-        ``TypeError``), or when a point has a NaN or infinite coordinate or
-        lies outside :attr:`bounds` (edges included): such points are
-        rejected, not cast or clamped into points never asked for. The rest
-        is scored from the session's own float64 copy of ``x``, so the rows
-        checked are the rows scored even if the caller's array changes during
-        the call.
+        does not hold one value per row, when ``above`` is not one number,
+        when ``x`` or a stop value is not of an integer or float dtype (bool,
+        complex, string, object and datetime input), when ``x`` has a masked
+        element, or when a point has a NaN or infinite coordinate or lies
+        outside :attr:`bounds` (edges included): such input is rejected, not
+        cast or clamped into points never asked for. The rest is scored from
+        the session's own float64 copy of ``x``, so the rows checked are the
+        rows scored even if the caller's array changes during the call.
         """
         if not self._calling.acquire(blocking=False):
             raise RuntimeError("another call to evaluate is in progress on this session")
         try:
             if above is not None and differs_from is not None:
                 raise ValueError("give at most one stop rule: above or differs_from")
-            # a cast would drop an imaginary part or a mask without notice (a
-            # Python complex fails the cast below). A masked array needs
-            # numpy.ma, which the session never imports
-            if (np.iscomplexobj(x)
-                    or type(above) is not float and isinstance(above, np.complexfloating)
-                    or isinstance(differs_from, np.ndarray) and differs_from.dtype.kind == "c"
-                    or "numpy.ma" in sys.modules and np.ma.is_masked(x)):
-                raise ValueError("points and stop values must be unmasked and not complex")
-            try:  # the session's own copy; plain floats, so no solver code runs once values are scored
-                x = np.array(x, dtype=float)
-                above = None if above is None else float(above)
-                differs_from = None if differs_from is None else np.asarray(differs_from, dtype=float)
-            except TypeError as exc:
-                raise ValueError(f"points and stop values must be real numbers: {exc}") from exc
+            # the mask (numpy.ma is never imported here), then the schema's number rule on each dtype:
+            # a cast would drop a mask or an imaginary part, parse a string or run an object's __float__
+            if "numpy.ma" in sys.modules and np.ma.is_masked(x):
+                raise ValueError("points must be unmasked")
+            x = np.array(x)  # the session's own copy
+            stop = differs_from if above is None else above  # a Python float needs no check
+            stop = stop if stop is None or type(stop) is float else np.asarray(stop)
+            bad = stop if x.dtype.kind in "iuf" and type(stop) is np.ndarray else x
+            if bad.dtype.kind not in "iuf" or bad is stop and above is not None and bad.ndim:
+                raise ValueError(f"points and stop values must be real numbers (an integer or float"
+                                 f" dtype; above a single one), not {bad.dtype} of shape {bad.shape}")
+            x = x.astype(float, copy=False)
+            above = None if above is None else float(stop)
+            differs_from = None if differs_from is None else np.asarray(stop, dtype=float)
             config = self.config
             if x.ndim not in (1, 2) or x.shape[-1] != config.dimension:
                 raise ValueError(f"points of shape {x.shape} do not match dimension {config.dimension}")

@@ -1,6 +1,7 @@
 """Budget accounting, change scheduling, and the two performance indicators."""
 
 import math
+import re
 import sys
 import threading
 import time
@@ -287,16 +288,67 @@ class TestSession:
         for rules in ({"above": np.complex128(1 + 2j)}, {"differs_from": np.array([1 + 2j])}):
             with pytest.raises(ValueError, match="complex"):
                 s.evaluate(np.array([[1.0, 2.0]]), **rules)
-        # input that float() cannot read is a ValueError too, from its TypeError
+        # so is input that numpy reads as objects or as Python complex numbers
         for bad, rules in ((np.array([1 + 2j, 0], dtype=object), {}),
                            (np.array([1.0, 2.0]), {"above": 1 + 2j}),
                            (np.array([[1.0, 2.0]]), {"differs_from": [1 + 2j]})):
-            with pytest.raises(ValueError, match="real numbers") as raised:
+            with pytest.raises(ValueError, match="real numbers"):
                 s.evaluate(bad, **rules)
-            assert isinstance(raised.value.__cause__, TypeError)
         assert s.ledger.total == 0
         s.evaluate(np.array([[1.0, 2.0]]))
         assert s.ledger.total == 1
+
+    # a cast to float would score each of these as points or a stop value never sent
+    @pytest.mark.parametrize("bad, rules, dtype", [
+        (np.array([np.complex128(1 + 2j), 2.0], dtype=object), {}, "object"),
+        (np.array(["1.0", "2.0"]), {}, "<U3"),
+        (np.array([True, False]), {}, "bool"),
+        (np.array([[1.0, 2.0]]), {"differs_from": [np.complex128(1 + 2j)]}, "complex128"),
+        (np.array([[1.0, 2.0]]), {"differs_from": np.array([np.complex128(1 + 2j)], dtype=object)},
+         "object"),
+        (np.array([[1.0, 2.0]]), {"above": np.array(np.complex128(1 + 2j), dtype=object)}, "object"),
+        (np.array([[1.0, 2.0]]), {"above": True}, "bool"),
+    ], ids=["x-object-complex", "x-string", "x-bool", "differs-list-complex",
+            "differs-object-complex", "above-object-complex", "above-bool"])
+    def test_input_that_a_cast_would_read_is_rejected_without_spending_budget(self, bad, rules, dtype):
+        s = BenchmarkSession(self.cfg())
+        with pytest.raises(ValueError, match=f"not {dtype} of shape"):
+            s.evaluate(bad, **rules)
+        assert s.ledger.total == 0
+
+    KIND_SAMPLES = {
+        "b": np.array([True, False]),
+        "i": np.array([1, -2], dtype=np.int64),
+        "u": np.array([1, 2], dtype=np.uint16),
+        "f": np.array([1.5, -2.25], dtype=np.float32),
+        "c": np.array([1.5, -2.25], dtype=np.complex128),
+        "m": np.array([1, 2], dtype="m8[s]"),
+        "M": np.array([1, 2], dtype="M8[D]"),
+        "O": np.array([1.5, -2.25], dtype=object),
+        "S": np.array([b"1.5", b"2.0"]),
+        "U": np.array(["1.5", "2.0"]),
+        "V": np.array([(1.5,), (2.0,)], dtype=[("a", float)]),
+    }
+
+    @pytest.mark.parametrize("kind", list(KIND_SAMPLES))
+    def test_integer_and_float_dtypes_alone_are_accepted(self, kind):
+        # the schema's number rule, read from the dtype of the points and of each stop value
+        sample = self.KIND_SAMPLES[kind]
+        assert sample.dtype.kind == kind
+        accepted = kind in "iuf"
+        for x, rules in ((sample, {}), (np.zeros((1, 2)), {"differs_from": sample[:1]}),
+                         (np.zeros((1, 2)), {"above": sample[0, ...]})):
+            s = BenchmarkSession(self.cfg())
+            if not accepted:
+                with pytest.raises(ValueError, match=re.escape(f"not {sample.dtype} of shape")):
+                    s.evaluate(x, **rules)
+                assert s.ledger.total == 0
+                continue
+            expected = evaluate_raw(np.asarray(x, dtype=float).reshape(1, 2), s.landscape)
+            value = s.evaluate(x, **rules)
+            assert s.ledger.total == 1
+            # int64 and float32 points score bit-equal to their float64 values
+            assert_same_bits(np.asarray(value).reshape(1), expected)
 
     def test_masked_point_rejected_without_spending_budget(self):
         # a cast to float would score the data under the mask
@@ -681,10 +733,13 @@ class TestStopRulesAsData:
 
             __gt__ = __lt__
 
+        # an object is not a number: it is rejected before any value exists
         s = self.session()
-        values = s.evaluate(self.block(), above=Spy())
+        with pytest.raises(ValueError, match="object"):
+            s.evaluate(self.block(), above=Spy())
         assert shown == []
-        assert values.shape == (self.ROWS,) and s.ledger.total == self.ROWS
+        assert s.ledger.total == 0
+        assert np.isnan(s.ledger.values).all()
 
     @pytest.mark.parametrize("rules", [
         {"differs_from": np.zeros(ROWS - 1)},
