@@ -39,13 +39,31 @@ temporary and outlives every call, and a call's own holds the larger of
 that and one row. No array :func:`evaluate_raw` returns is a view of a
 workspace.
 
+A large warp takes its two sines side by side. When a block's warp has at
+least ``_SPLIT_ELEMENTS`` (component, point, axis) elements, the kernel
+forms both frequency products, hands ``sin(b * log|y|)`` to the process's
+one helper thread, takes ``sin(a * log|y|)`` itself and waits for the
+helper before adding them; large blocks from any thread queue on that
+helper. It is made on the first such block, never at import, and only when
+the process may run on two or more CPUs (``os.sched_getaffinity``, else
+``os.cpu_count()``). It runs each sine in a copy of the caller's context,
+so the caller's ``np.errstate`` holds there; a forked child drops its
+parent's helper and makes its own, and once interpreter shutdown has begun
+both sines run on the calling thread. A call never returns or raises while
+the helper still writes into its workspace. The sines are elementwise, so
+the values are bit for bit those of the serial order, which a smaller
+block keeps (every mQSO block at d = 10, m = 10 has at most 1 000
+elements).
+
 Evaluation never mutates landscape state; all mutation goes through the
 dynamics module between environments.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import sys
 import threading
 from dataclasses import dataclass, field, fields
@@ -313,7 +331,9 @@ def transform_vector(y: np.ndarray, tau, eta: np.ndarray, *, scratch: tuple) -> 
     The kernel is the one caller. ``scratch`` holds views of its workspace,
     shaped as ``y``, for ``log|y|``, the result, the second gather (then
     ``sign(y)``), the bool mask and the gather index, plus the component
-    rows ``2 * arange(m)`` laid out as ``eta``'s leading axes.
+    rows ``2 * arange(m)`` laid out as ``eta``'s leading axes. From
+    ``_SPLIT_ELEMENTS`` elements on, the second gather's sine runs on the
+    module's helper thread while this thread takes the first.
     """
     ly, out, wave, mask, pair, rows = scratch
     # log|y|, with a zero offset read as 1 so that it needs no mask: it maps
@@ -329,16 +349,94 @@ def transform_vector(y: np.ndarray, tau, eta: np.ndarray, *, scratch: tuple) -> 
     # indices are in range for any (..., 4) eta
     flat.take(pair, out=out, mode="clip")
     out *= ly
-    np.sin(out, out=out)
     flat[1:].take(pair, out=wave, mode="clip")
     wave *= ly
-    np.sin(wave, out=wave)
+    helper = out.size >= _SPLIT_ELEMENTS and _sine_helper()
+    if helper:
+        _sines_side_by_side(helper, out, wave)
+    else:
+        np.sin(out, out=out)
+        np.sin(wave, out=wave)
     out += wave
     out *= tau
     out += ly
     np.exp(out, out=out)
     out *= np.sign(y, out=wave)
     return out
+
+
+# Smallest warp, in (component, point, axis) elements, whose two sines run
+# side by side: about where the split starts to pay. Forced on every block
+# of a 2-vCPU AVX-512 machine, it read 0.49x on 1 000-element blocks (one
+# handoff, about 65 us, per call), 0.73x on 2 000, 0.95x on 4 100-element
+# d10/m10 and 1.10x on 4 000-element d20/m50 blocks, and 1.05-1.34x from
+# 8 000 elements on.
+_SPLIT_ELEMENTS = 4096
+
+# The process's sine helper: None until the first warp of at least
+# _SPLIT_ELEMENTS, then an executor of one thread, or False where the
+# process may run on one CPU only or no thread can be started.
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _drop_helper():
+    """Forget the helper in a forked child, whose copy of it has no thread."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _sine_helper():
+    """The process's sine helper, made and its thread started on first use."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            _helper = False
+            if cpus >= 2:
+                try:
+                    from concurrent.futures import ThreadPoolExecutor
+                    executor = ThreadPoolExecutor(1, thread_name_prefix="gmpbench-sine")
+                    # its thread starts here, so no later submit starts one
+                    # after queuing its work
+                    executor.submit(int).result()
+                    _helper = executor
+                except RuntimeError:  # interpreter shutdown has begun, or no thread starts
+                    pass
+        return _helper
+
+
+def _sines_side_by_side(helper, out, wave):
+    """``np.sin`` of ``out`` and of ``wave`` in place: ``wave``'s on the
+    helper thread, in a copy of the caller's context (numpy's error state is
+    a context variable), while this thread takes ``out``'s. Returns or
+    raises only once the helper is done with ``wave``; once interpreter
+    shutdown has begun the helper takes no work, and both run here."""
+    try:
+        future = helper.submit(contextvars.copy_context().run, np.sin, wave, out=wave)
+    except RuntimeError:
+        np.sin(out, out=out)
+        np.sin(wave, out=wave)
+        return
+    try:
+        np.sin(out, out=out)
+    finally:
+        # an exception from a signal handler (KeyboardInterrupt) can end the
+        # wait but not the helper's writes: it propagates once they are done
+        interrupt = None
+        while not future.done():
+            try:
+                future.exception()
+            except BaseException as exc:
+                interrupt = exc
+        if interrupt is not None:
+            raise interrupt
+        future.result()
 
 
 # Cap on the (component, point, axis) elements of one kernel call, so that
@@ -429,9 +527,19 @@ def evaluate_raw(x: np.ndarray, landscape: Landscape):
     A ``(d,)`` point gives a float; an ``(n, d)`` block gives an ``(n,)``
     array, each row equal to the value of that point alone. A block of more
     than ``_BLOCK_ELEMENTS`` (component, point, axis) elements is scored in
-    pieces, so memory stays bounded however many rows it has.
+    pieces, so memory stays bounded however many rows it has. Points are
+    taken by the session's number rule: any dtype but an integer or float
+    one (bool, complex, string, object, datetime) raises ``ValueError``
+    before any cast.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    if x.dtype != float:
+        # the session's number rule: a cast would drop an imaginary part,
+        # parse a string or read a bool as a coordinate
+        if x.dtype.kind not in "iuf":
+            raise ValueError(f"points must be real numbers (an integer or float dtype), "
+                             f"not {x.dtype} of shape {x.shape}")
+        x = x.astype(float)
     if x.shape[-1:] != (landscape.dimension,) or x.ndim > 2:
         raise ValueError(f"point of shape {x.shape} does not match landscape dimension {landscape.dimension}")
     points = x if x.ndim == 2 else x[None, :]

@@ -3,11 +3,16 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +513,309 @@ class TestWorkspace:
         assert int(child.stdout) / 50 < 5
 
 
+def usable_cpus():
+    """The CPUs this process may run on, by the kernel's rule for its helper."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.fixture
+def sine_helper(monkeypatch):
+    """The process's sine helper. Where the kernel makes none (one CPU), an
+    executor of one thread stands in for it, so the split runs anyway."""
+    made = landscape_module._sine_helper()
+    if made:
+        yield made
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    executor = ThreadPoolExecutor(1)
+    monkeypatch.setattr(landscape_module, "_helper", executor)
+    try:
+        yield executor
+    finally:
+        executor.shutdown()
+
+
+def scored_serially(jobs, monkeypatch):
+    """Each job's blocks, scored with both sines on the calling thread."""
+    with monkeypatch.context() as patch:
+        patch.setattr(landscape_module, "_sine_helper", lambda: False)
+        return [[evaluate_raw(xs, ls) for xs in blocks] for ls, blocks in jobs]
+
+
+def large_jobs(rng):
+    """Landscapes with blocks whose warp the kernel splits: one piece of
+    4 100 to 16 000 elements, or pieces of 32 760 (the d=2 block)."""
+    jobs = []
+    for d, m, rows in [(20, 50, 16), (10, 10, 41), (5, 20, 60), (3, 7, 200), (2, 10, 5000)]:
+        assert rows * m * d >= landscape_module._SPLIT_ELEMENTS
+        ls = init_landscape(ScenarioConfig(dimension=d, num_components=m), rng)
+        jobs.append((ls, [rng.uniform(-100, 100, (rows, d)) for _ in range(2)]))
+    return jobs
+
+
+class SlowHelper:
+    """A sine helper that starts each job 0.2 s late and notes its end."""
+
+    def __init__(self):
+        from concurrent.futures import ThreadPoolExecutor
+        self.pool = ThreadPoolExecutor(1)
+        self.ended = []
+
+    def submit(self, fn, *args, **kwargs):
+        def late():
+            time.sleep(0.2)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.ended.append(True)
+        return self.pool.submit(late)
+
+
+def _score_in_child(conn, landscape, points):
+    """A forked child's report: whether it started without the parent's
+    helper, and the bytes of its values."""
+    dropped = landscape_module._helper is None
+    conn.send((dropped, evaluate_raw(points, landscape).tobytes()))
+    conn.close()
+
+
+class TestSineHelper:
+    """A warp of at least ``_SPLIT_ELEMENTS`` elements takes its second sine
+    on the process's one helper thread: bit for bit the serial kernel, from
+    any thread, in a forked child, under the caller's error state."""
+
+    def test_a_large_block_scores_as_the_serial_kernel(self, sine_helper, monkeypatch):
+        jobs = large_jobs(np.random.default_rng(50))
+        expect = scored_serially(jobs, monkeypatch)
+        split = []
+        sines = landscape_module._sines_side_by_side
+        monkeypatch.setattr(landscape_module, "_sines_side_by_side",
+                            lambda *args: split.append(args[0]) or sines(*args))
+        got = [[evaluate_raw(xs, ls) for xs in blocks] for ls, blocks in jobs]
+        for blocks, values in zip(got, expect):
+            assert all(same_bits(a, b) for a, b in zip(blocks, values))
+        # one split per block, and per piece of a d=2 block but its last,
+        # 86 rows of 1 720 elements
+        assert split == [sine_helper] * (2 * 4 + 2 * 3)
+        # a block below the threshold keeps both sines on the calling thread
+        split.clear()
+        small = init_landscape(ScenarioConfig(), np.random.default_rng(51))
+        evaluate_raw(np.zeros((40, 10)), small)
+        assert split == []
+
+    def test_threads_score_large_blocks_as_a_serial_run(self, sine_helper, monkeypatch):
+        # more threads than CPUs, each cycling over the landscapes from its
+        # own start, so blocks of different shapes queue on the one helper
+        jobs = large_jobs(np.random.default_rng(52))
+        expect = scored_serially(jobs, monkeypatch)
+        count = max(4, usable_cpus() + 1)
+        rounds = [0] * count
+        wrong = []
+        start = threading.Barrier(count)
+
+        def work(i):
+            start.wait(timeout=30)
+            deadline = time.perf_counter() + 2.0
+            while not rounds[i] or time.perf_counter() < deadline:
+                for j in range(len(jobs)):
+                    ls, blocks = jobs[(i + j) % len(jobs)]
+                    for xs, values in zip(blocks, expect[(i + j) % len(jobs)]):
+                        if not same_bits(evaluate_raw(xs, ls), values):
+                            wrong.append((i, j))
+                rounds[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [] and all(rounds)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_a_forked_child_scores_as_its_parent(self, sine_helper):
+        rng = np.random.default_rng(53)
+        ls = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
+        xs = rng.uniform(-100, 100, (16, 20))
+        expect = evaluate_raw(xs, ls)  # the helper has run before the fork
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(target=_score_in_child, args=(writer, ls, xs))
+        child.start()
+        writer.close()
+        try:
+            # a child that submits to the parent's helper waits forever
+            assert reader.poll(60), "the forked child did not score its block"
+            got = reader.recv()
+            child.join(timeout=60)
+            assert not child.is_alive()
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+            reader.close()
+        assert child.exitcode == 0
+        assert got == (True, expect.tobytes())
+
+    def test_the_callers_error_state_reaches_the_helper(self, sine_helper):
+        # an infinite coordinate makes every sine of its point's offsets
+        # invalid, in both passes
+        rng = np.random.default_rng(54)
+        ls = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
+        xs = rng.uniform(-100, 100, (16, 20))
+        expect = evaluate_raw(xs, ls)
+        xs[3, 7] = np.inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+                evaluate_raw(xs, ls)
+            with np.errstate(all="ignore"):
+                values = evaluate_raw(xs, ls)
+        # a helper under its own thread's state would have warned
+        assert caught == []
+        assert np.isnan(values[3])
+        assert same_bits(np.delete(values, 3), np.delete(expect, 3))
+
+    def test_a_raising_sine_waits_for_the_helper(self, monkeypatch):
+        rng = np.random.default_rng(55)
+        ls = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
+        xs = rng.uniform(-100, 100, (16, 20))
+        expect = scored_serially([(ls, [xs])], monkeypatch)[0][0]
+        bad = xs.copy()
+        bad[5, 0] = -np.inf
+        slow = SlowHelper()
+        monkeypatch.setattr(landscape_module, "_helper", slow)
+        workspace = landscape_module._workspace
+        arrays = (workspace.floats, workspace.mask, workspace.index)
+        ended = None
+        try:
+            with np.errstate(invalid="raise"):
+                evaluate_raw(bad, ls)
+        except FloatingPointError:
+            ended = list(slow.ended)
+        finally:
+            slow.pool.shutdown()
+        # the caller's own sine raised at once; the call still waited for
+        # the helper's, which raised too
+        assert ended == [True]
+        # the next call scores in the same workspace, and the helper wrote
+        # nothing into it after the raise
+        slow = SlowHelper()
+        monkeypatch.setattr(landscape_module, "_helper", slow)
+        try:
+            assert same_bits(evaluate_raw(xs, ls), expect)
+        finally:
+            slow.pool.shutdown()
+        assert slow.ended == [True]
+        assert all(a is b for a, b in zip(
+            (workspace.floats, workspace.mask, workspace.index), arrays))
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
+    def test_an_interrupted_wait_still_waits_for_the_helper(self, monkeypatch):
+        class Interrupt(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupt
+
+        rng = np.random.default_rng(57)
+        ls = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
+        xs = rng.uniform(-100, 100, (16, 20))
+        expect = scored_serially([(ls, [xs])], monkeypatch)[0][0]
+        slow = SlowHelper()
+        monkeypatch.setattr(landscape_module, "_helper", slow)
+        handler = signal.signal(signal.SIGALRM, interrupt)
+        ended = None
+        try:
+            # the alarm comes while the kernel waits for the helper's late sine
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+            evaluate_raw(xs, ls)
+        except Interrupt:
+            ended = list(slow.ended)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+            slow.pool.shutdown()
+        assert ended == [True]
+        assert same_bits(evaluate_raw(xs, ls), expect)
+
+    def test_mqso_at_the_default_scale_never_asks_for_the_helper(self, monkeypatch):
+        # d = 10, m = 10: mQSO's largest block, a swarm or the sentinels,
+        # has 10 rows, 1 000 elements
+        def refuse():
+            raise AssertionError("the kernel asked for the sine helper")
+
+        monkeypatch.setattr(landscape_module, "_sine_helper", refuse)
+        _, session = run_session(ScenarioConfig(change_frequency=1000, num_environments=3),
+                                 "mqso", seed=5)
+        assert session.ledger.complete
+
+    @pytest.mark.parametrize("cpus", ["given", "one"])
+    def test_the_helper_starts_with_the_first_large_block(self, cpus, monkeypatch):
+        # a fresh interpreter: what it imports and which threads it runs
+        # after import, a small block, two large blocks and, from an atexit
+        # hook, one more after interpreter shutdown has begun
+        code = """if True:
+            import atexit, json, os, sys, threading
+            import numpy as np
+            import gmpbench
+            from gmpbench import ScenarioConfig, evaluate_raw, init_landscape
+            from gmpbench import landscape
+
+            if sys.argv[1] == "one":
+                os.sched_getaffinity = lambda pid: {0}
+                os.cpu_count = lambda: 1
+
+            def state():
+                return [threading.active_count(), "concurrent.futures" in sys.modules,
+                        "logging" in sys.modules]
+
+            seen = [state()]
+            rng = np.random.default_rng(56)
+            small = init_landscape(ScenarioConfig(), rng)
+            large = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
+            xs = rng.uniform(-100, 100, (16, 20))
+            evaluate_raw(rng.uniform(-100, 100, (40, 10)), small)
+            seen.append(state())
+            values = [evaluate_raw(xs, large)]
+            seen.append(state())
+            values.append(evaluate_raw(xs, large))
+            seen.append(state())
+
+            def at_exit():
+                values.append(evaluate_raw(xs, large))
+                seen.append(state())
+                print(json.dumps([seen, [v.tobytes().hex() for v in values]]))
+
+            atexit.register(at_exit)
+        """
+        rng = np.random.default_rng(56)
+        init_landscape(ScenarioConfig(), rng)
+        large = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
+        xs = rng.uniform(-100, 100, (16, 20))
+        expect = scored_serially([(large, [xs])], monkeypatch)[0][0].tobytes().hex()
+        src = str(Path(landscape_module.__file__).resolve().parents[1])
+        child = subprocess.run([sys.executable, "-c", code, cpus], capture_output=True,
+                               text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert child.returncode == 0, child.stderr
+        seen, values = json.loads(child.stdout)
+        assert values == [expect] * 3
+        # import and a block below the threshold start no thread and import nothing
+        assert seen[:2] == [[1, False, False]] * 2
+        if cpus == "one" or usable_cpus() < 2:
+            assert seen[2:] == [[1, False, False]] * 3
+        else:
+            # one helper thread, whose import brings logging; at exit it
+            # has been joined, and the last block was scored serially
+            assert seen[2:] == [[2, True, True], [2, True, True], [1, True, True]]
+
+
 class TestComponentValue:
     """The value of a single component: a one-component landscape."""
 
@@ -602,6 +910,31 @@ class TestEvaluateRaw:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         np.testing.assert_array_equal(values, [evaluate_raw(x, ls) for x in xs])
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[1 + 5j, 2.0]]), np.array([["1.0", "2.0"]]), np.array([[True, False]]),
+        np.array([[np.complex128(1 + 5j), 2.0]], dtype=object)],
+        ids=["complex", "string", "bool", "object-complex"])
+    def test_points_that_a_cast_would_read_are_rejected(self, bad):
+        # the session's number rule: at 6ebf15f each of these was cast and
+        # scored as the point [[1.0, 2.0]] (the bool one as [[1.0, 0.0]])
+        ls = plain_component([1.0, 2.0], 42.0, [2.0, 3.0])
+        for points in (bad, bad[0]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"(an integer or float dtype), not {bad.dtype} of shape {points.shape}")):
+                evaluate_raw(points, ls)
+
+    def test_integer_and_float_points_score_their_float64_bytes(self):
+        rng = np.random.default_rng(26)
+        ls = init_landscape(ScenarioConfig(dimension=3, num_components=4), rng)
+        ints = rng.integers(-100, 100, (9, 3))
+        expect = evaluate_raw(ints.astype(float), ls)
+        for points in (ints, ints.astype(np.int8), ints.astype(np.uint16) % 100,
+                       ints.astype(np.float32), ints.tolist(), ints.astype(float).tolist()):
+            reference = evaluate_raw(np.asarray(points).astype(float), ls)
+            assert same_bits(evaluate_raw(points, ls), reference)
+            assert [evaluate_raw(p, ls) for p in points] == reference.tolist()
+        assert same_bits(evaluate_raw(ints, ls), expect)
 
     def test_dimension_mismatch(self):
         ls = plain_component([0.0, 0.0], 50.0, [1.0, 1.0])
