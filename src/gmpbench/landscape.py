@@ -29,31 +29,33 @@ it, so a point alone and inside any block score bit for bit the same.
 
 The kernel writes its (component, point, axis) temporaries into a
 workspace instead of fresh arrays, so a block sent over and over does not
-fault new pages in on every call. One rule picks it: a block of at most
-``_BLOCK_ELEMENTS // (m * d)`` rows (a point is a one-row block) uses its
-thread's workspace, so threads may score at once; any other block is scored
-in pieces of that many rows (at least one) in a workspace of the call's own,
-dropped when the call returns. Every workspace has one layout, allocated
-once and never grown: a thread's holds ``_BLOCK_ELEMENTS`` elements per
-temporary and outlives every call, and a call's own holds the larger of
-that and one row. No array :func:`evaluate_raw` returns is a view of a
-workspace.
+fault new pages in on every call. One rule picks it: a piece of at most
+``_BLOCK_ELEMENTS // (m * d)`` rows (a point is a one-row piece) uses the
+workspace of the thread that scores it, so threads may score at once; only
+a landscape whose one row is over that cap scores its rows one at a time in
+a workspace of the call's own, dropped when the call returns. Every
+workspace has one layout, allocated once and never grown: a thread's holds
+``_BLOCK_ELEMENTS`` elements per temporary and outlives every call, and a
+call's own holds one row. No array :func:`evaluate_raw` returns is a view
+of a workspace.
 
-A large warp takes its two sines side by side. When a block's warp has at
-least ``_SPLIT_ELEMENTS`` (component, point, axis) elements, the kernel
-forms both frequency products, hands ``sin(b * log|y|)`` to the process's
-one helper thread, takes ``sin(a * log|y|)`` itself and waits for the
-helper before adding them; large blocks from any thread queue on that
-helper. It is made on the first such block, never at import, and only when
-the process may run on two or more CPUs (``os.sched_getaffinity``, else
-``os.cpu_count()``). It runs each sine in a copy of the caller's context,
-so the caller's ``np.errstate`` holds there; a forked child drops its
-parent's helper and makes its own, and once interpreter shutdown has begun
-both sines run on the calling thread. A call never returns or raises while
-the helper still writes into its workspace. The sines are elementwise, so
-the values are bit for bit those of the serial order, which a smaller
-block keeps (every mQSO block at d = 10, m = 10 has at most 1 000
-elements).
+A large block is scored two pieces at a time. A block of two or more rows
+and at least ``_SPLIT_ELEMENTS`` (component, point, axis) elements is cut
+into pieces of at most ``min(_BLOCK_ELEMENTS // (m * d), ceil(n / 2))``
+rows; of each pair the calling thread scores the first and the process's
+one helper thread the second, with the whole kernel, in its own thread's
+workspace, into the call's output. Large blocks from any thread queue on
+that helper. It is made on the first such block, never at import, and only
+when the process may run on two or more CPUs (``os.sched_getaffinity``,
+else ``os.cpu_count()``). It scores in a copy of the caller's context, so
+the caller's ``np.errstate`` holds there, and warps with the
+:func:`transform_vector` bound at import, so a wrapper patched over the
+module's name (the benchmark's tracer) runs on the calling thread alone. A
+forked child makes its own helper, and once interpreter shutdown has begun
+the calling thread scores both pieces. A call never returns or raises while
+the helper still writes. A row's value does not depend on its block, so the
+values are bit for bit those of one serial call, which a smaller block keeps
+(every mQSO block at d = 10, m = 10 has at most 1 000 elements).
 
 Evaluation never mutates landscape state; all mutation goes through the
 dynamics module between environments.
@@ -219,6 +221,10 @@ def _checked(given: dict) -> tuple[dict, list[str]]:
                 bad.append(f"{name} width (upper - lower) must be finite")
             elif name == "search_range" and not lo < hi:
                 bad.append("search_range must satisfy lower < upper")
+            elif name == "search_range" and hi - lo < sys.float_info.min:
+                # a subnormal width underflows mQSO's radii, width / m ** (1 / d)
+                bad.append(f"search_range width (upper - lower) must be at least "
+                           f"{sys.float_info.min!r}, the smallest normal float")
             elif lo > hi:
                 bad.append(f"{name} minimum exceeds maximum")
     d, width_range = values["dimension"], values["width_range"]
@@ -331,9 +337,8 @@ def transform_vector(y: np.ndarray, tau, eta: np.ndarray, *, scratch: tuple) -> 
     The kernel is the one caller. ``scratch`` holds views of its workspace,
     shaped as ``y``, for ``log|y|``, the result, the second gather (then
     ``sign(y)``), the bool mask and the gather index, plus the component
-    rows ``2 * arange(m)`` laid out as ``eta``'s leading axes. From
-    ``_SPLIT_ELEMENTS`` elements on, the second gather's sine runs on the
-    module's helper thread while this thread takes the first.
+    rows ``2 * arange(m)`` laid out as ``eta``'s leading axes. Both threads
+    that score a large block's pieces run it (see the module docstring).
     """
     ly, out, wave, mask, pair, rows = scratch
     # log|y|, with a zero offset read as 1 so that it needs no mask: it maps
@@ -349,14 +354,10 @@ def transform_vector(y: np.ndarray, tau, eta: np.ndarray, *, scratch: tuple) -> 
     # indices are in range for any (..., 4) eta
     flat.take(pair, out=out, mode="clip")
     out *= ly
+    np.sin(out, out=out)
     flat[1:].take(pair, out=wave, mode="clip")
     wave *= ly
-    helper = out.size >= _SPLIT_ELEMENTS and _sine_helper()
-    if helper:
-        _sines_side_by_side(helper, out, wave)
-    else:
-        np.sin(out, out=out)
-        np.sin(wave, out=wave)
+    np.sin(wave, out=wave)
     out += wave
     out *= tau
     out += ly
@@ -365,15 +366,12 @@ def transform_vector(y: np.ndarray, tau, eta: np.ndarray, *, scratch: tuple) -> 
     return out
 
 
-# Smallest warp, in (component, point, axis) elements, whose two sines run
-# side by side: about where the split starts to pay. Forced on every block
-# of a 2-vCPU AVX-512 machine, it read 0.49x on 1 000-element blocks (one
-# handoff, about 65 us, per call), 0.73x on 2 000, 0.95x on 4 100-element
-# d10/m10 and 1.10x on 4 000-element d20/m50 blocks, and 1.05-1.34x from
-# 8 000 elements on.
-_SPLIT_ELEMENTS = 4096
+# Smallest block, in (component, point, axis) elements, scored two pieces at
+# a time. With the second CPU free, the split's crossover was 4 000-8 000 by
+# shape and sweep; from 8 000 on it led on every shape swept (BENCH_29.json).
+_SPLIT_ELEMENTS = 8000
 
-# The process's sine helper: None until the first warp of at least
+# The process's kernel helper: None until the first block of at least
 # _SPLIT_ELEMENTS, then an executor of one thread, or False where the
 # process may run on one CPU only or no thread can be started.
 _helper = None
@@ -390,8 +388,8 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_helper)
 
 
-def _sine_helper():
-    """The process's sine helper, made and its thread started on first use."""
+def _kernel_helper():
+    """The process's kernel helper, made and its thread started on first use."""
     global _helper
     with _helper_lock:
         if _helper is None:
@@ -401,7 +399,7 @@ def _sine_helper():
             if cpus >= 2:
                 try:
                     from concurrent.futures import ThreadPoolExecutor
-                    executor = ThreadPoolExecutor(1, thread_name_prefix="gmpbench-sine")
+                    executor = ThreadPoolExecutor(1, thread_name_prefix="gmpbench-kernel")
                     # its thread starts here, so no later submit starts one
                     # after queuing its work
                     executor.submit(int).result()
@@ -409,34 +407,6 @@ def _sine_helper():
                 except RuntimeError:  # interpreter shutdown has begun, or no thread starts
                     pass
         return _helper
-
-
-def _sines_side_by_side(helper, out, wave):
-    """``np.sin`` of ``out`` and of ``wave`` in place: ``wave``'s on the
-    helper thread, in a copy of the caller's context (numpy's error state is
-    a context variable), while this thread takes ``out``'s. Returns or
-    raises only once the helper is done with ``wave``; once interpreter
-    shutdown has begun the helper takes no work, and both run here."""
-    try:
-        future = helper.submit(contextvars.copy_context().run, np.sin, wave, out=wave)
-    except RuntimeError:
-        np.sin(out, out=out)
-        np.sin(wave, out=wave)
-        return
-    try:
-        np.sin(out, out=out)
-    finally:
-        # an exception from a signal handler (KeyboardInterrupt) can end the
-        # wait but not the helper's writes: it propagates once they are done
-        interrupt = None
-        while not future.done():
-            try:
-                future.exception()
-            except BaseException as exc:
-                interrupt = exc
-        if interrupt is not None:
-            raise interrupt
-        future.result()
 
 
 # Cap on the (component, point, axis) elements of one kernel call, so that
@@ -460,7 +430,7 @@ class _Workspace(threading.local):
     (the offsets become ``log|y|``, then ``widths * t``; the second gather
     becomes ``sign(y)``). ``mask`` and ``index`` hold the warp's bool and
     index temporaries. Nothing is reallocated; the views are kept per block
-    shape. ``_workspace`` is each thread's; a block that does not fit it is
+    shape. ``_workspace`` is each thread's; a row that does not fit it is
     scored in a ``_Workspace`` of its call's own.
     """
 
@@ -495,8 +465,9 @@ class _Workspace(threading.local):
 _workspace = _Workspace()
 
 
-def _peak_values(points: np.ndarray, landscape: Landscape, workspace: _Workspace) -> np.ndarray:
-    """Landscape objective at each row of an ``(n, d)`` block of points.
+def _peak_values(points: np.ndarray, landscape: Landscape, workspace: _Workspace,
+                 out: np.ndarray, warp=transform_vector) -> None:
+    """Landscape objective at each row of an ``(n, d)`` block, into ``out``.
 
     A row's value does not depend on the other rows of the block: every
     product below is one vector-matrix or vector-vector product per
@@ -504,21 +475,22 @@ def _peak_values(points: np.ndarray, landscape: Landscape, workspace: _Workspace
     round differently for ``n == 1`` (gemv) and ``n >= 2`` (gemm).
 
     Every temporary is written into ``workspace``, chosen by the module's
-    workspace rule; the returned maximum is a fresh array.
+    workspace rule. The helper's pieces warp with the default ``warp``, bound
+    at import; the calling thread's pass the module's name as it reads now.
     """
     centers, rotations_t, tau, eta, widths, heights = landscape._operands
     m, d = landscape.centers.shape
-    a, a4, y4, y, warp, values4, values = workspace.scratch(m, points.shape[0], d)
+    a, a4, y4, y, scratch, values4, values = workspace.scratch(m, points.shape[0], d)
     # y[k, i] = R_k (x_i - c_k); the offset form keeps a center's value exact
     np.subtract(points[None, :, :], centers, out=a)
     np.matmul(a4, rotations_t, out=y4)
-    t = transform_vector(y, tau, eta, scratch=warp)
+    t = warp(y, tau, eta, scratch=scratch)
     # one (widths * t) . t dot product per component and point
     np.multiply(widths, t, out=a)
     np.matmul(a4, t[:, :, :, None], out=values4)
     np.sqrt(values, out=values)
     np.subtract(heights, values, out=values)
-    return values.max(axis=0)
+    values.max(axis=0, out=out)
 
 
 def evaluate_raw(x: np.ndarray, landscape: Landscape):
@@ -527,10 +499,10 @@ def evaluate_raw(x: np.ndarray, landscape: Landscape):
     A ``(d,)`` point gives a float; an ``(n, d)`` block gives an ``(n,)``
     array, each row equal to the value of that point alone. A block of more
     than ``_BLOCK_ELEMENTS`` (component, point, axis) elements is scored in
-    pieces, so memory stays bounded however many rows it has. Points are
-    taken by the session's number rule: any dtype but an integer or float
-    one (bool, complex, string, object, datetime) raises ``ValueError``
-    before any cast.
+    pieces, so memory stays bounded however many rows it has; a large block
+    is scored two pieces at a time. Points are taken by the session's number
+    rule: any dtype but an integer or float one (bool, complex, string,
+    object, datetime) raises ``ValueError`` before any cast.
     """
     x = np.asarray(x)
     if x.dtype != float:
@@ -543,16 +515,44 @@ def evaluate_raw(x: np.ndarray, landscape: Landscape):
     if x.shape[-1:] != (landscape.dimension,) or x.ndim > 2:
         raise ValueError(f"point of shape {x.shape} does not match landscape dimension {landscape.dimension}")
     points = x if x.ndim == 2 else x[None, :]
-    rows = _BLOCK_ELEMENTS // landscape.centers.size
-    if len(points) <= rows:
-        values = _peak_values(points, landscape, _workspace)
-    else:
-        # room for one row too, when one row is over the cap
-        workspace = _Workspace(max(_BLOCK_ELEMENTS, landscape.centers.size))
-        rows = max(rows, 1)
-        values = np.empty(len(points))
-        for start in range(0, len(points), rows):
-            values[start:start + rows] = _peak_values(points[start:start + rows], landscape, workspace)
+    n, size = len(points), landscape.centers.size
+    values = np.empty(n)
+    rows = _BLOCK_ELEMENTS // size
+    workspace = _workspace if rows else _Workspace(size)
+    helper = n >= 2 and n * size >= _SPLIT_ELEMENTS and rows and _kernel_helper()
+    rows = min(rows, -(-n // 2)) if helper else max(rows, 1)
+    if rows >= n:
+        # one kernel call and no slices: most of mQSO's calls score one point
+        _peak_values(points, landscape, workspace, values, transform_vector)
+        return values if x.ndim == 2 else float(values[0])
+    # pairs of pieces; with no helper, or once it takes no work, this thread scores both
+    for first in range(0, n, 2 * rows):
+        second = first + rows
+        piece = points[second:second + rows], landscape, workspace, values[second:second + rows]
+        future = None
+        if helper and second < n:
+            try:
+                future = helper.submit(contextvars.copy_context().run, _peak_values, *piece)
+            except RuntimeError:
+                pass
+        try:
+            _peak_values(points[first:second], landscape, workspace, values[first:second],
+                         transform_vector)
+        finally:
+            # a signal handler's exception (KeyboardInterrupt) can end the
+            # wait but not the helper's writes: it propagates once they are done
+            interrupt = None
+            while future is not None and not future.done():
+                try:
+                    future.exception()
+                except BaseException as exc:
+                    interrupt = exc
+            if interrupt is not None:
+                raise interrupt
+        if future is not None:
+            future.result()
+        elif second < n:
+            _peak_values(*piece, transform_vector)
     return values if x.ndim == 2 else float(values[0])
 
 

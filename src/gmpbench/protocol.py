@@ -134,11 +134,11 @@ class BenchmarkSession:
     Solvers may call :meth:`evaluate` and read :attr:`bounds` and
     :attr:`dimension`; the optimum, the remaining budget and the change
     schedule are deliberately not part of that surface. Independent sessions
-    share no state; large blocks from any thread queue on one helper
-    (see :mod:`gmpbench.landscape`). One caller at a time: a call made
-    during another raises ``RuntimeError`` rather than wait, so no thread
-    scheduler orders the calls. It takes integer or float input and scores
-    its own float64 copy.
+    share no state, but the helper thread that scores every other piece of
+    a large block serves all of them (see :mod:`gmpbench.landscape`). One
+    caller at a time: a call made during another raises ``RuntimeError``
+    rather than wait, so no thread scheduler orders the calls. It takes
+    integer or float input and scores its own float64 copy.
 
     The surface is an API boundary, not a sandbox. ``evaluate.__self__``
     reaches the session, whose attributes are plain. Wall time reveals each

@@ -290,25 +290,32 @@ class TestKernelOperands:
         with pytest.raises(ValueError, match=f"^{name} has shape"):
             Landscape(environment_index=0, **arrays)
 
-    def test_one_piece_block_is_scored_in_one_kernel_call(self, monkeypatch):
-        from gmpbench import landscape as module
+    def test_one_piece_block_is_scored_in_one_kernel_call(self, helper_thread, monkeypatch):
         ls = init_landscape(ScenarioConfig(dimension=3, num_components=5),
                             np.random.default_rng(37))
         rows = _BLOCK_ELEMENTS // ls.centers.size
+        small = -(-landscape_module._SPLIT_ELEMENTS // ls.centers.size) - 1
         xs = np.random.default_rng(38).uniform(-100, 100, (rows + 1, 3))
-        expect = evaluate_raw(xs, ls)
-        kernel = module._peak_values
-        calls = []
-
-        def counted(points, landscape, workspace):
-            calls.append(len(points))
-            return kernel(points, landscape, workspace)
-
-        monkeypatch.setattr(module, "_peak_values", counted)
-        for n, pieces in [(1, [1]), (rows, [rows]), (rows + 1, [rows, 1])]:
+        expect = np.array([evaluate_raw(x, ls) for x in xs])
+        calls = counted_pieces(monkeypatch)
+        main = threading.get_ident()
+        # a block below the split threshold is one kernel call on this thread
+        for n in (1, 2, small):
             calls.clear()
             assert same_bits(evaluate_raw(xs[:n], ls), expect[:n])
-            assert calls == pieces
+            assert calls == [(main, n)]
+        # a block from the threshold on is two pieces, one per thread
+        for n in (small + 1, rows, rows + 1):
+            calls.clear()
+            assert same_bits(evaluate_raw(xs[:n], ls), expect[:n])
+            assert sorted(calls, key=lambda call: call[0] != main) == [
+                (main, -(-n // 2)), (helper_thread, n // 2)]
+        # with no helper, a block over the cap is scored in pieces of the cap
+        monkeypatch.setattr(landscape_module, "_kernel_helper", lambda: False)
+        for n, pieces in [(small + 1, [small + 1]), (rows, [rows]), (rows + 1, [rows, 1])]:
+            calls.clear()
+            assert same_bits(evaluate_raw(xs[:n], ls), expect[:n])
+            assert calls == [(main, n) for n in pieces]
 
 
 def wide_landscape(rng):
@@ -372,61 +379,62 @@ class TestWorkspace:
         for arena in (workspace.floats, workspace.mask, workspace.index):
             assert not np.shares_memory(block, arena)
 
-    def test_workspace_stays_within_the_block_bound(self, monkeypatch):
+    def test_workspace_stays_within_the_block_bound(self, helper_thread, monkeypatch):
         thread = landscape_module._workspace
         kernel = landscape_module._peak_values
         handed = []
 
-        def measured(points, landscape, workspace):
-            values = kernel(points, landscape, workspace)
-            handed.append((workspace, workspace.floats.size, workspace.mask.size,
-                           workspace.index.size))
-            return values
+        def measured(points, landscape, workspace, out, *warp):
+            kernel(points, landscape, workspace, out, *warp)
+            # read on the thread that scored the piece, whose arrays these are
+            handed.append((threading.get_ident(), workspace, workspace.floats, workspace.mask,
+                           workspace.index))
 
-        def assert_as_found(found):
-            # the same arrays and the same views, kept for the same shapes
-            arrays, shapes = found
-            assert all(a is b for a, b in zip(
-                (thread.floats, thread.mask, thread.index, thread.views), arrays))
-            assert list(thread.views) == shapes
+        def arrays_of(work):
+            return {(ident, tuple(map(id, arrays))): arrays for ident, w, *arrays in work}
 
-        def assert_unaliased(values, workspaces):
-            for workspace in workspaces:
-                for arena in (workspace.floats, workspace.mask, workspace.index):
-                    assert not np.shares_memory(values, arena)
+        def assert_unaliased(values, arrays):
+            for arena in (a for group in arrays for a in group):
+                assert not np.shares_memory(values, arena)
 
         monkeypatch.setattr(landscape_module, "_peak_values", measured)
         rng = np.random.default_rng(42)
         ls = init_landscape(ScenarioConfig(dimension=2, num_components=10), rng)
         evaluate_raw(ls.centers, ls)
-        assert handed.pop()[0] is thread
-        found = ((thread.floats, thread.mask, thread.index, thread.views), list(thread.views))
-        # a block scored in pieces gets a workspace of the call's own and
-        # leaves the thread's as it found it
+        main = threading.get_ident()
+        ((ident, workspace, *found),) = handed
+        assert ident == main and workspace is thread
+        # a block of many pieces is scored in each thread's workspace: the
+        # same fixed arrays for every piece, never replaced or grown
+        handed.clear()
         block = evaluate_raw(rng.uniform(-100, 100, (200_000, 2)), ls)
-        assert len(handed) > 100
-        own = handed[0][0]
-        assert own is not thread and all(w is own for w, *_ in handed)
-        # four float slots and the values, one fixed layout for every piece
-        assert all(f == 5 * _BLOCK_ELEMENTS for _, f, _, _ in handed)
-        assert all(b == _BLOCK_ELEMENTS for _, _, b, _ in handed)
-        assert all(i == _BLOCK_ELEMENTS for _, _, _, i in handed)
-        assert_as_found(found)
-        assert_unaliased(block, (own, thread))
-        # one row of this landscape is above the bound: it is scored alone,
-        # in a workspace of the call's own, as the point by itself is
+        assert len(handed) > 100 and all(w is thread for _, w, *_ in handed)
+        arrays = arrays_of(handed)
+        assert sorted(ident for ident, _ in arrays) == sorted([main, helper_thread])
+        assert all(a is b for a, b in zip(arrays[main, tuple(map(id, found))], found))
+        for floats, mask, index in arrays.values():
+            assert (floats.size, mask.size, index.size) == (5 * _BLOCK_ELEMENTS,) + (_BLOCK_ELEMENTS,) * 2
+        assert_unaliased(block, arrays.values())
+        # one row of this landscape is above the bound: each row is scored
+        # alone on this thread, in a workspace of the call's own, as the
+        # point by itself is
         wide = wide_landscape(rng)
         x = rng.uniform(-100, 100, (3, 1))
         handed.clear()
         alone = np.array([evaluate_raw(p, wide) for p in x])
         rows = evaluate_raw(x, wide)
         assert same_bits(rows, alone)
-        assert len(handed) == 6 and not any(w is thread for w, *_ in handed)
+        assert len(handed) == 6
+        assert all(ident == main and w is not thread for ident, w, *_ in handed)
         # its own workspace holds one row, m * d rounded up to 64 bytes per slot
         slot = -(-wide.centers.size // 8) * 8
-        assert all((f, b, i) == (5 * slot, slot, slot) for _, f, b, i in handed)
-        assert_as_found(found)
-        assert_unaliased(rows, [w for w, *_ in handed] + [thread])
+        assert all(tuple(a.size for a in arrays) == (5 * slot, slot, slot)
+                   for _, _, *arrays in handed)
+        assert_unaliased(rows, [arrays for _, _, *arrays in handed] + [found])
+        # and the thread's arrays are still the ones found at the start
+        handed.clear()
+        evaluate_raw(ls.centers, ls)
+        assert all(a is b for a, b in zip(handed[0][2:], found))
 
     def test_evaluation_never_mutates_the_landscape(self):
         # the module docstring's promise, on each workspace rule's input: a
@@ -519,42 +527,67 @@ def usable_cpus():
 
 
 @pytest.fixture
-def sine_helper(monkeypatch):
-    """The process's sine helper. Where the kernel makes none (one CPU), an
-    executor of one thread stands in for it, so the split runs anyway."""
-    made = landscape_module._sine_helper()
+def helper_thread(monkeypatch):
+    """The identity of the process's kernel helper thread. Where the kernel
+    makes none (one CPU), an executor of one thread stands in for it, so
+    the split runs anyway."""
+    made = landscape_module._kernel_helper()
     if made:
-        yield made
+        yield made.submit(threading.get_ident).result()
         return
     from concurrent.futures import ThreadPoolExecutor
     executor = ThreadPoolExecutor(1)
     monkeypatch.setattr(landscape_module, "_helper", executor)
     try:
-        yield executor
+        yield executor.submit(threading.get_ident).result()
     finally:
         executor.shutdown()
 
 
+def counted_pieces(monkeypatch):
+    """A list that notes each piece the kernel scores, as (thread, rows)."""
+    kernel = landscape_module._peak_values
+    calls = []
+
+    def counted(points, *args):
+        calls.append((threading.get_ident(), len(points)))
+        kernel(points, *args)
+
+    monkeypatch.setattr(landscape_module, "_peak_values", counted)
+    return calls
+
+
 def scored_serially(jobs, monkeypatch):
-    """Each job's blocks, scored with both sines on the calling thread."""
+    """Each job's blocks, scored on the calling thread alone."""
     with monkeypatch.context() as patch:
-        patch.setattr(landscape_module, "_sine_helper", lambda: False)
+        patch.setattr(landscape_module, "_kernel_helper", lambda: False)
         return [[evaluate_raw(xs, ls) for xs in blocks] for ls, blocks in jobs]
 
 
 def large_jobs(rng):
-    """Landscapes with blocks whose warp the kernel splits: one piece of
-    4 100 to 16 000 elements, or pieces of 32 760 (the d=2 block)."""
+    """Landscapes with blocks that the kernel scores two pieces at a time:
+    two pieces of 8 000 to 16 000 elements in all, or pieces of 32 760
+    (the d=2 blocks: three of them, and four)."""
     jobs = []
-    for d, m, rows in [(20, 50, 16), (10, 10, 41), (5, 20, 60), (3, 7, 200), (2, 10, 5000)]:
+    for d, m, rows in [(20, 50, 16), (10, 10, 81), (5, 20, 80), (3, 7, 400), (2, 10, 4000),
+                       (2, 10, 5000)]:
         assert rows * m * d >= landscape_module._SPLIT_ELEMENTS
         ls = init_landscape(ScenarioConfig(dimension=d, num_components=m), rng)
         jobs.append((ls, [rng.uniform(-100, 100, (rows, d)) for _ in range(2)]))
     return jobs
 
 
+def pairs_of_pieces(n, landscape, main, helper):
+    """The pieces an n-row block of ``landscape`` is scored in, as (thread,
+    rows): at most min(the cap, ceil(n / 2)) rows each, the first of each
+    pair on ``main`` and the second on ``helper``."""
+    rows = min(_BLOCK_ELEMENTS // landscape.centers.size, -(-n // 2))
+    return [(helper if i % 2 else main, min(rows, n - start))
+            for i, start in enumerate(range(0, n, rows))]
+
+
 class SlowHelper:
-    """A sine helper that starts each job 0.2 s late and notes its end."""
+    """A kernel helper that starts each job 0.2 s late and notes its end."""
 
     def __init__(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -580,30 +613,75 @@ def _score_in_child(conn, landscape, points):
 
 
 class TestSineHelper:
-    """A warp of at least ``_SPLIT_ELEMENTS`` elements takes its second sine
-    on the process's one helper thread: bit for bit the serial kernel, from
-    any thread, in a forked child, under the caller's error state."""
+    """A block of at least ``_SPLIT_ELEMENTS`` elements is scored two
+    pieces at a time, the second of each pair on the process's one helper
+    thread: bit for bit the serial kernel, from any thread, in a forked
+    child, under the caller's error state, with every traced call on the
+    calling thread."""
 
-    def test_a_large_block_scores_as_the_serial_kernel(self, sine_helper, monkeypatch):
-        jobs = large_jobs(np.random.default_rng(50))
-        expect = scored_serially(jobs, monkeypatch)
-        split = []
-        sines = landscape_module._sines_side_by_side
-        monkeypatch.setattr(landscape_module, "_sines_side_by_side",
-                            lambda *args: split.append(args[0]) or sines(*args))
-        got = [[evaluate_raw(xs, ls) for xs in blocks] for ls, blocks in jobs]
-        for blocks, values in zip(got, expect):
-            assert all(same_bits(a, b) for a, b in zip(blocks, values))
-        # one split per block, and per piece of a d=2 block but its last,
-        # 86 rows of 1 720 elements
-        assert split == [sine_helper] * (2 * 4 + 2 * 3)
-        # a block below the threshold keeps both sines on the calling thread
-        split.clear()
+    def test_a_large_block_scores_as_the_serial_kernel(self, helper_thread, monkeypatch):
+        rng = np.random.default_rng(50)
+        jobs = large_jobs(rng)
+        expect = [[np.array([evaluate_raw(x, ls) for x in xs]) for xs in blocks]
+                  for ls, blocks in jobs]
+        assert all(same_bits(a, b) for got, want in zip(scored_serially(jobs, monkeypatch), expect)
+                   for a, b in zip(got, want))
+        calls = counted_pieces(monkeypatch)
+        main = threading.get_ident()
+        counts = []
+        for (ls, blocks), values in zip(jobs, expect):
+            for xs, value in zip(blocks, values):
+                calls.clear()
+                assert same_bits(evaluate_raw(xs, ls), value)
+                assert sorted(calls) == sorted(pairs_of_pieces(len(xs), ls, main, helper_thread))
+                counts.append(len(calls))
+        # two pieces per block, and an odd and an even count of pieces over the cap
+        assert counts == [2] * 8 + [3] * 2 + [4] * 2
+        # a block below the threshold is one kernel call on this thread
+        calls.clear()
         small = init_landscape(ScenarioConfig(), np.random.default_rng(51))
         evaluate_raw(np.zeros((40, 10)), small)
-        assert split == []
+        assert calls == [(main, 40)]
+        # and a landscape whose one row is over the cap scores row by row here
+        wide = wide_landscape(rng)
+        xs = rng.uniform(-100, 100, (3, 1))
+        alone = np.array([evaluate_raw(x, wide) for x in xs])
+        calls.clear()
+        assert same_bits(evaluate_raw(xs, wide), alone)
+        assert calls == [(main, 1)] * 3
 
-    def test_threads_score_large_blocks_as_a_serial_run(self, sine_helper, monkeypatch):
+    def test_the_tracer_stays_on_the_calling_thread(self, helper_thread, monkeypatch):
+        # the benchmark's tracer patches landscape.transform_vector; its one
+        # span stack is the calling thread's, so the patched warp must run
+        # on that thread alone, while the helper's pieces warp with the
+        # function bound at import
+        warp = landscape_module.transform_vector
+        warped = []
+
+        def traced(*args, **kwargs):
+            warped.append(threading.get_ident())
+            return warp(*args, **kwargs)
+
+        rng = np.random.default_rng(58)
+        grid = init_landscape(ScenarioConfig(dimension=2, num_components=10), rng)
+        big = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
+        blocks = [(grid, rng.uniform(-100, 100, (199_532, 2))),
+                  (big, rng.uniform(-100, 100, (16, 20)))]
+        expect = scored_serially([(ls, [xs]) for ls, xs in blocks], monkeypatch)
+        calls = counted_pieces(monkeypatch)
+        monkeypatch.setattr(landscape_module, "transform_vector", traced)
+        main = threading.get_ident()
+        for (ls, xs), (values,) in zip(blocks, expect):
+            calls.clear()
+            warped.clear()
+            assert same_bits(evaluate_raw(xs, ls), values)
+            assert sorted(calls) == sorted(pairs_of_pieces(len(xs), ls, main, helper_thread))
+            # one traced warp per piece of this thread, and the helper scored
+            # pieces of its own
+            assert warped == [main] * sum(thread == main for thread, _ in calls)
+            assert sum(thread == helper_thread for thread, _ in calls) >= 1
+
+    def test_threads_score_large_blocks_as_a_serial_run(self, helper_thread, monkeypatch):
         # more threads than CPUs, each cycling over the landscapes from its
         # own start, so blocks of different shapes queue on the one helper
         jobs = large_jobs(np.random.default_rng(52))
@@ -639,7 +717,7 @@ class TestSineHelper:
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
-    def test_a_forked_child_scores_as_its_parent(self, sine_helper):
+    def test_a_forked_child_scores_as_its_parent(self, helper_thread):
         rng = np.random.default_rng(53)
         ls = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
         xs = rng.uniform(-100, 100, (16, 20))
@@ -663,14 +741,15 @@ class TestSineHelper:
         assert child.exitcode == 0
         assert got == (True, expect.tobytes())
 
-    def test_the_callers_error_state_reaches_the_helper(self, sine_helper):
+    def test_the_callers_error_state_reaches_the_helper(self, helper_thread):
         # an infinite coordinate makes every sine of its point's offsets
-        # invalid, in both passes
+        # invalid; row 11 is in the helper's piece, rows 8 to 15, so only
+        # the helper can raise or warn
         rng = np.random.default_rng(54)
         ls = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
         xs = rng.uniform(-100, 100, (16, 20))
         expect = evaluate_raw(xs, ls)
-        xs[3, 7] = np.inf
+        xs[11, 7] = np.inf
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
@@ -679,31 +758,34 @@ class TestSineHelper:
                 values = evaluate_raw(xs, ls)
         # a helper under its own thread's state would have warned
         assert caught == []
-        assert np.isnan(values[3])
-        assert same_bits(np.delete(values, 3), np.delete(expect, 3))
+        assert np.isnan(values[11])
+        assert same_bits(np.delete(values, 11), np.delete(expect, 11))
 
     def test_a_raising_sine_waits_for_the_helper(self, monkeypatch):
+        # 100 rows of d20/m50 are four pieces of at most 32 rows: two pairs
         rng = np.random.default_rng(55)
         ls = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
-        xs = rng.uniform(-100, 100, (16, 20))
+        xs = rng.uniform(-100, 100, (100, 20))
         expect = scored_serially([(ls, [xs])], monkeypatch)[0][0]
-        bad = xs.copy()
-        bad[5, 0] = -np.inf
-        slow = SlowHelper()
-        monkeypatch.setattr(landscape_module, "_helper", slow)
         workspace = landscape_module._workspace
         arrays = (workspace.floats, workspace.mask, workspace.index)
-        ended = None
-        try:
-            with np.errstate(invalid="raise"):
-                evaluate_raw(bad, ls)
-        except FloatingPointError:
-            ended = list(slow.ended)
-        finally:
-            slow.pool.shutdown()
-        # the caller's own sine raised at once; the call still waited for
-        # the helper's, which raised too
-        assert ended == [True]
+        # a bad row in this thread's first piece, then in the helper's
+        for row in (5, 40):
+            bad = xs.copy()
+            bad[row, 0] = -np.inf
+            slow = SlowHelper()
+            monkeypatch.setattr(landscape_module, "_helper", slow)
+            ended = None
+            try:
+                with np.errstate(invalid="raise"):
+                    evaluate_raw(bad, ls)
+            except FloatingPointError:
+                ended = list(slow.ended)
+            finally:
+                slow.pool.shutdown()
+            # the raise came from the first pair, and only once the
+            # helper's piece of it was done; the second pair never started
+            assert ended == [True] and slow.ended == [True], row
         # the next call scores in the same workspace, and the helper wrote
         # nothing into it after the raise
         slow = SlowHelper()
@@ -712,7 +794,7 @@ class TestSineHelper:
             assert same_bits(evaluate_raw(xs, ls), expect)
         finally:
             slow.pool.shutdown()
-        assert slow.ended == [True]
+        assert slow.ended == [True, True]
         assert all(a is b for a, b in zip(
             (workspace.floats, workspace.mask, workspace.index), arrays))
 
@@ -724,16 +806,18 @@ class TestSineHelper:
         def interrupt(signum, frame):
             raise Interrupt
 
+        # two pairs of pieces, as in the raising test
         rng = np.random.default_rng(57)
         ls = init_landscape(ScenarioConfig(dimension=20, num_components=50), rng)
-        xs = rng.uniform(-100, 100, (16, 20))
+        xs = rng.uniform(-100, 100, (100, 20))
         expect = scored_serially([(ls, [xs])], monkeypatch)[0][0]
         slow = SlowHelper()
         monkeypatch.setattr(landscape_module, "_helper", slow)
         handler = signal.signal(signal.SIGALRM, interrupt)
         ended = None
         try:
-            # the alarm comes while the kernel waits for the helper's late sine
+            # the alarm comes while the kernel waits for the helper's first,
+            # late piece
             signal.setitimer(signal.ITIMER_REAL, 0.05)
             evaluate_raw(xs, ls)
         except Interrupt:
@@ -742,16 +826,17 @@ class TestSineHelper:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, handler)
             slow.pool.shutdown()
-        assert ended == [True]
+        # raised once that piece was done, and before the second pair
+        assert ended == [True] and slow.ended == [True]
         assert same_bits(evaluate_raw(xs, ls), expect)
 
     def test_mqso_at_the_default_scale_never_asks_for_the_helper(self, monkeypatch):
         # d = 10, m = 10: mQSO's largest block, a swarm or the sentinels,
         # has 10 rows, 1 000 elements
         def refuse():
-            raise AssertionError("the kernel asked for the sine helper")
+            raise AssertionError("the kernel asked for its helper")
 
-        monkeypatch.setattr(landscape_module, "_sine_helper", refuse)
+        monkeypatch.setattr(landscape_module, "_kernel_helper", refuse)
         _, session = run_session(ScenarioConfig(change_frequency=1000, num_environments=3),
                                  "mqso", seed=5)
         assert session.ledger.complete
@@ -772,9 +857,16 @@ class TestSineHelper:
                 os.sched_getaffinity = lambda pid: {0}
                 os.cpu_count = lambda: 1
 
+            # the threads that scored a piece since the last state
+            kernel, ran = landscape._peak_values, set()
+            landscape._peak_values = lambda *args: (
+                ran.add(threading.current_thread().name), kernel(*args))
+
             def state():
-                return [threading.active_count(), "concurrent.futures" in sys.modules,
-                        "logging" in sys.modules]
+                scored = sorted(ran)
+                ran.clear()
+                return [sorted(t.name for t in threading.enumerate()), scored,
+                        "concurrent.futures" in sys.modules, "logging" in sys.modules]
 
             seen = [state()]
             rng = np.random.default_rng(56)
@@ -807,13 +899,16 @@ class TestSineHelper:
         seen, values = json.loads(child.stdout)
         assert values == [expect] * 3
         # import and a block below the threshold start no thread and import nothing
-        assert seen[:2] == [[1, False, False]] * 2
+        main = ["MainThread"]
+        assert seen[:2] == [[main, [], False, False], [main, main, False, False]]
         if cpus == "one" or usable_cpus() < 2:
-            assert seen[2:] == [[1, False, False]] * 3
+            assert seen[2:] == [[main, main, False, False]] * 3
         else:
-            # one helper thread, whose import brings logging; at exit it
-            # has been joined, and the last block was scored serially
-            assert seen[2:] == [[2, True, True], [2, True, True], [1, True, True]]
+            # one helper thread, whose import brings logging, scores half of
+            # each large block; at exit it has been joined, and the last
+            # block was scored on the main thread alone
+            both = ["MainThread", "gmpbench-kernel_0"]
+            assert seen[2:] == [[both, both, True, True]] * 2 + [[main, main, True, True]]
 
 
 class TestComponentValue:
@@ -1206,6 +1301,25 @@ class TestScenarioConfig:
         # on a component's value rejects it
         bad = violations(ScenarioConfig, height_severity=1e306, search_range=(-8e307, 8e307))
         assert len(bad) == 1 and "overflow a component's value" in bad[0]
+
+    def test_a_subnormal_search_box_is_rejected(self):
+        # mQSO's radii divide the box width by m ** (1 / d): a subnormal
+        # width validated, and then underflowed them to 0
+        tiny = sys.float_info.min
+        for box in [(0.0, 5e-324), (0.0, np.nextafter(tiny, 0.0)), (-tiny / 4, tiny / 4)]:
+            assert violations(ScenarioConfig, search_range=box) == [
+                "search_range width (upper - lower) must be at least 2.2250738585072014e-308, "
+                "the smallest normal float"], box
+        # a box of the smallest normal width runs both solvers to the end,
+        # even where m ** (1 / d) is largest
+        for d, m in [(1, 1), (2, 5), (10, 10), (1, 1000)]:
+            for box in [(0.0, tiny), (-tiny / 2, tiny / 2)]:
+                scenario = ScenarioConfig(dimension=d, num_components=m, search_range=box,
+                                          change_frequency=60, num_environments=2)
+                for solver in ("mqso", "random"):
+                    _, session = run_session(scenario, solver, seed=3)
+                    indicators = session.indicators()
+                    assert all(math.isfinite(v) and v >= 0 for v in indicators), (d, m, solver)
 
     @pytest.mark.parametrize("data", [
         {"tau_range": [-1e6, 1e6]},

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +181,7 @@ def test_traced_dynamics_names_are_the_code_that_runs():
     assert tracer.calls("dynamics.reflect") == 6 * changes
 
 
-def test_traced_warp_is_the_code_that_runs():
+def test_traced_warp_is_the_code_that_runs(monkeypatch, tmp_path):
     # the kernel looks transform_vector up by its module-global name, so the
     # tracer's warp span opens once per kernel call; a block of random
     # search fits in one piece, so that is once per evaluate_raw call
@@ -192,6 +193,37 @@ def test_traced_warp_is_the_code_that_runs():
     with tracer.installed():
         harness.run_session(scenario, "random")
     assert tracer.calls("landscape.transform_vector") == tracer.calls("landscape.evaluate_raw") > 0
+    # a split block: one warp span per kernel call made on the calling
+    # thread, and none for the helper's pieces, whose spans would land on
+    # the calling thread's span stack. Where the kernel makes no helper (one
+    # CPU), an executor of one thread stands in for it.
+    stand_in = None
+    if not landscape._kernel_helper():
+        from concurrent.futures import ThreadPoolExecutor
+        stand_in = ThreadPoolExecutor(1)
+        monkeypatch.setattr(landscape, "_helper", stand_in)
+    kernel = landscape._peak_values
+    threads = []
+
+    def counted(*args):
+        threads.append(threading.get_ident())
+        kernel(*args)
+
+    monkeypatch.setattr(landscape, "_peak_values", counted)
+    tracer = load_tracer().Tracer()
+    large = landscape.ScenarioConfig(dimension=20, num_components=50, change_frequency=40,
+                                     num_environments=2, seed=6)
+    grid = landscape.ScenarioConfig(dimension=2, num_components=10, seed=6)
+    try:
+        with tracer.installed():
+            harness.run_session(large, "random")
+            harness.export_grid(grid, 0, 200, tmp_path / "grid.csv")
+    finally:
+        if stand_in is not None:
+            stand_in.shutdown()
+    main = threading.get_ident()
+    assert tracer.calls("landscape.transform_vector") == threads.count(main) > 0
+    assert len(threads) > threads.count(main)
 
 
 def test_signatures_without_the_removed_flags():
