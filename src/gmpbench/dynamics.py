@@ -28,6 +28,16 @@ applies each of the d(d-1)/2 plane steps to every rotation matrix with one
 batched 2x2 matmul. A one-component landscape is the change of a single
 component.
 
+A change is two steps: ``_draws`` makes its draws from the generator,
+and ``_apply`` computes the new landscape from them and the old one,
+touching no generator. :func:`advance_environment` is the two in a row. A
+session may make the draws itself and run ``_apply`` on the kernel helper
+thread, ahead of the change's boundary (see :mod:`gmpbench.protocol`);
+there ``_apply`` uses the :func:`update_rotation` and :func:`reflect` bound
+at import, so a wrapper patched over the module's names (the benchmark's
+tracer) runs on the calling thread alone. The draws are the same calls in
+the same order either way, so the trajectory is the same bit for bit.
+
 Every orthonormalization goes through one modified Gram-Schmidt routine on
 an (m, d, d) stack: the initial rotations and the re-orthonormalization of
 matrices that drifted during a change. Each matrix of a stack comes out
@@ -168,6 +178,48 @@ def reflect(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return v
 
 
+def _draws(landscape: Landscape, cfg: ScenarioConfig, rng: np.random.Generator) -> tuple:
+    """A change's draws from ``rng``, in the documented order: the
+    ``(m, 2d + 7)`` normal block and the plane orders, or None when
+    rotation is disabled."""
+    m, d = landscape.centers.shape
+    # per component: shift direction (d), height, widths (d), angle, eta (4), tau
+    draws = rng.standard_normal((m, 2 * d + 7))
+    orders = None
+    if cfg.rotation_enabled:
+        orders = np.tile(np.arange(d * (d - 1) // 2), (m, 1))
+        rng.permuted(orders, axis=1, out=orders)
+    return draws, orders
+
+
+def _apply(landscape: Landscape, cfg: ScenarioConfig, draws: tuple,
+           rotate=update_rotation, fold=reflect) -> Landscape:
+    """The landscape that a change's :func:`_draws` make of ``landscape``;
+    it touches no generator. :func:`advance_environment` passes the module's
+    names as they read now; the session runs it with the default ``rotate``
+    and ``fold``, bound at import, so a change on the kernel helper opens no
+    span of the benchmark's tracer."""
+    draws, orders = draws
+    d = landscape.dimension
+    shifts = draws[:, :d]
+    norms = _directions(shifts)
+    draws = draws[:, d:]  # height, widths (d), angle, eta (4), tau
+
+    lb, ub = cfg.search_range
+    angles = fold(landscape.angles + cfg.angle_severity * draws[:, d + 1], *cfg.angle_range)
+    return Landscape(
+        environment_index=landscape.environment_index + 1,
+        centers=fold(landscape.centers + cfg.shift_severity * shifts / norms[:, None], lb, ub),
+        heights=fold(landscape.heights + cfg.height_severity * draws[:, 0], *cfg.height_range),
+        widths=fold(landscape.widths + cfg.width_severity * draws[:, 1:d + 1], *cfg.width_range),
+        angles=angles,
+        eta=fold(landscape.eta + cfg.eta_severity * draws[:, d + 2:d + 6], *cfg.eta_range),
+        tau=fold(landscape.tau + cfg.tau_severity * draws[:, d + 6], *cfg.tau_range),
+        rotations=(landscape.rotations if orders is None
+                   else rotate(landscape.rotations, angles, orders)),
+    )
+
+
 def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
                         rng: np.random.Generator) -> Landscape:
     """The landscape after one environment change of every component.
@@ -184,29 +236,7 @@ def advance_environment(landscape: Landscape, cfg: ScenarioConfig,
     shift directions come from :func:`_directions`, so a degenerate one is
     the first axis and the step is still exactly ``shift_severity`` long.
     """
-    m, d = landscape.centers.shape
-    # per component: shift direction (d), height, widths (d), angle, eta (4), tau
-    draws = rng.standard_normal((m, 2 * d + 7))
-    if cfg.rotation_enabled:
-        orders = np.tile(np.arange(d * (d - 1) // 2), (m, 1))
-        rng.permuted(orders, axis=1, out=orders)
-    shifts = draws[:, :d]
-    norms = _directions(shifts)
-    draws = draws[:, d:]  # height, widths (d), angle, eta (4), tau
-
-    lb, ub = cfg.search_range
-    angles = reflect(landscape.angles + cfg.angle_severity * draws[:, d + 1], *cfg.angle_range)
-    return Landscape(
-        environment_index=landscape.environment_index + 1,
-        centers=reflect(landscape.centers + cfg.shift_severity * shifts / norms[:, None], lb, ub),
-        heights=reflect(landscape.heights + cfg.height_severity * draws[:, 0], *cfg.height_range),
-        widths=reflect(landscape.widths + cfg.width_severity * draws[:, 1:d + 1], *cfg.width_range),
-        angles=angles,
-        eta=reflect(landscape.eta + cfg.eta_severity * draws[:, d + 2:d + 6], *cfg.eta_range),
-        tau=reflect(landscape.tau + cfg.tau_severity * draws[:, d + 6], *cfg.tau_range),
-        rotations=(update_rotation(landscape.rotations, angles, orders) if cfg.rotation_enabled
-                   else landscape.rotations),
-    )
+    return _apply(landscape, cfg, _draws(landscape, cfg, rng), update_rotation, reflect)
 
 
 def init_landscape(cfg: ScenarioConfig, rng: np.random.Generator) -> Landscape:

@@ -44,8 +44,15 @@ and at least ``_SPLIT_ELEMENTS`` (component, point, axis) elements is cut
 into pieces of at most ``min(_BLOCK_ELEMENTS // (m * d), ceil(n / 2))``
 rows; of each pair the calling thread scores the first and the process's
 one helper thread the second, with the whole kernel, in its own thread's
-workspace, into the call's output. Large blocks from any thread queue on
-that helper. It is made on the first such block, never at import, and only
+workspace, into the call's output. Once the calling thread has scored its
+piece, it takes the helper's piece back (``Future.cancel``) if the helper has
+not started it, and scores it too: a helper busy with other work (another
+thread's block, or an environment change that a session handed it) never
+makes the caller wait for a piece that has not begun. Large blocks from any
+thread queue on that helper, and :func:`_split_helper` is the one split
+rule, which the session reads to decide when to hand the helper a change
+(see :mod:`gmpbench.protocol`). The helper is made on the first such
+block, never at import, and only
 when the process may run on two or more CPUs (``os.sched_getaffinity``,
 else ``os.cpu_count()``). It scores in a copy of the caller's context, so
 the caller's ``np.errstate`` holds there, and warps with the
@@ -493,6 +500,17 @@ def _peak_values(points: np.ndarray, landscape: Landscape, workspace: _Workspace
     values.max(axis=0, out=out)
 
 
+def _split_helper(n: int, landscape: Landscape):
+    """The helper that an ``n``-row block of ``landscape`` is split with, or
+    a false value where the block is scored on the calling thread alone: the
+    kernel's split rule, which the session reads too. A block splits when it
+    has two or more rows and at least ``_SPLIT_ELEMENTS`` elements, one row
+    fits the thread's workspace, and the process has a helper."""
+    size = landscape.centers.size
+    return (n >= 2 and n * size >= _SPLIT_ELEMENTS and size <= _BLOCK_ELEMENTS
+            and _kernel_helper())
+
+
 def evaluate_raw(x: np.ndarray, landscape: Landscape):
     """Landscape objective at ``x``: max over components.
 
@@ -519,13 +537,15 @@ def evaluate_raw(x: np.ndarray, landscape: Landscape):
     values = np.empty(n)
     rows = _BLOCK_ELEMENTS // size
     workspace = _workspace if rows else _Workspace(size)
-    helper = n >= 2 and n * size >= _SPLIT_ELEMENTS and rows and _kernel_helper()
+    helper = _split_helper(n, landscape)
     rows = min(rows, -(-n // 2)) if helper else max(rows, 1)
     if rows >= n:
         # one kernel call and no slices: most of mQSO's calls score one point
         _peak_values(points, landscape, workspace, values, transform_vector)
         return values if x.ndim == 2 else float(values[0])
-    # pairs of pieces; with no helper, or once it takes no work, this thread scores both
+    # pairs of pieces; with no helper, once it takes no work, or where it has
+    # not started its piece when this thread is done with its own, this
+    # thread scores both
     for first in range(0, n, 2 * rows):
         second = first + rows
         piece = points[second:second + rows], landscape, workspace, values[second:second + rows]
@@ -539,6 +559,9 @@ def evaluate_raw(x: np.ndarray, landscape: Landscape):
             _peak_values(points[first:second], landscape, workspace, values[first:second],
                          transform_vector)
         finally:
+            # a piece taken back never runs
+            if future is not None and future.cancel():
+                future = None
             # a signal handler's exception (KeyboardInterrupt) can end the
             # wait but not the helper's writes: it propagates once they are done
             interrupt = None

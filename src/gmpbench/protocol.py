@@ -29,17 +29,34 @@ code during a call, so a solver learns only the values it pays for.
 The session alone owns the budget's end: a block whose rows outlast the
 budget records the rows that fit and raises :class:`ScenarioComplete`, so a
 solver never sees a block cut short by the budget.
+
+The landscape advances at the boundary, as the call that fills the quota
+records its last row of the environment, and never before. An environment
+change depends on the seed alone, so its work may begin earlier: after a
+segment that the kernel split (its split rule, ``landscape._split_helper``)
+the session makes the next change's draws from its generator, on the
+calling thread, and hands the change's arithmetic to the kernel helper,
+provided no change is in hand and this is not the last environment. The
+boundary takes the result, and a change that raised on the helper raises
+at that call, once its rows are recorded. Every other change is made on the
+calling thread at its boundary, by :func:`~gmpbench.dynamics.advance_environment`
+or, from the draws made ahead, where the helper could not take the change
+(interpreter shutdown) or belongs to the parent of a forked child. The
+draws are the same calls in the same order either way, so the ledger and
+the landscapes are bit for bit the same.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 import sys
 import threading
 
 import numpy as np
 
-from .dynamics import advance_environment, init_landscape
-from .landscape import ScenarioConfig, evaluate_raw
+from .dynamics import _apply, _draws, advance_environment, init_landscape
+from .landscape import ScenarioConfig, _split_helper, evaluate_raw
 
 __all__ = [
     "ScenarioComplete",
@@ -135,7 +152,9 @@ class BenchmarkSession:
     :attr:`dimension`; the optimum, the remaining budget and the change
     schedule are deliberately not part of that surface. Independent sessions
     share no state, but the helper thread that scores every other piece of
-    a large block serves all of them (see :mod:`gmpbench.landscape`). One
+    a large block, and makes the next change of a session whose blocks it
+    splits (see the module docstring), serves all of them (see
+    :mod:`gmpbench.landscape`). One
     caller at a time: a call made during another raises ``RuntimeError``
     rather than wait, so no thread scheduler orders the calls. It takes
     integer or float input and scores its own float64 copy.
@@ -154,6 +173,9 @@ class BenchmarkSession:
         self.landscape = init_landscape(config, self.rng)
         self.ledger = EvaluationLedger(config.change_frequency, config.num_environments)
         self._calling = threading.Lock()
+        # the next change, made ahead: (its draws, the helper's future or
+        # None, the pid that submitted it), or None
+        self._next = None
 
     @property
     def dimension(self) -> int:
@@ -238,6 +260,7 @@ class BenchmarkSession:
                 end = min(n, done + ledger.change_frequency - ledger.env_eval_count)
                 segment = values[done:end]
                 segment[:] = evaluate_raw(points[done:end], self.landscape)
+                helper = _split_helper(end - done, self.landscape)
                 hit = None
                 if above is not None:
                     hit = segment > above
@@ -251,12 +274,38 @@ class BenchmarkSession:
                         segment = segment[:first + 1]
                 ledger.record(segment, self.landscape.optimum_value)
                 if ledger.env_eval_count == 0 and not ledger.complete:
-                    self.landscape = advance_environment(self.landscape, config, self.rng)
+                    self.landscape = self._advanced()
+                if (helper and self._next is None
+                        and self.landscape.environment_index < config.num_environments - 1):
+                    self._ahead(helper)
                 done = end
             # a copy: a view would keep the unconsumed rows reachable through .base
             return values[:done].copy() if x.ndim == 2 else float(values[0])
         finally:
             self._calling.release()
+
+    def _ahead(self, helper) -> None:
+        """Make the next change's draws here and hand its arithmetic to the
+        kernel helper, in a copy of this thread's context."""
+        draws = _draws(self.landscape, self.config, self.rng)
+        try:
+            future = helper.submit(contextvars.copy_context().run, _apply, self.landscape,
+                                   self.config, draws)
+        except RuntimeError:  # interpreter shutdown has begun
+            future = None
+        self._next = draws, future, os.getpid()
+
+    def _advanced(self):
+        """The landscape after the change due now: the helper's result, with its
+        exception raised here; else computed here, from the draws made ahead or
+        by :func:`advance_environment`. A forked child's future is the parent's."""
+        ahead, self._next = self._next, None
+        if ahead is None:
+            return advance_environment(self.landscape, self.config, self.rng)
+        draws, future, pid = ahead
+        if future is not None and pid == os.getpid():
+            return future.result()
+        return _apply(self.landscape, self.config, draws)
 
     def indicators(self) -> tuple[float, float]:
         """(offline error, best-before-change error) for this run, once its

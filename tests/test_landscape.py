@@ -586,8 +586,40 @@ def pairs_of_pieces(n, landscape, main, helper):
             for i, start in enumerate(range(0, n, rows))]
 
 
+def placed_pieces(monkeypatch):
+    """A list that notes each piece the kernel scores, as (thread, points)."""
+    kernel = landscape_module._peak_values
+    calls = []
+
+    def placed(points, *args):
+        calls.append((threading.get_ident(), points))
+        kernel(points, *args)
+
+    monkeypatch.setattr(landscape_module, "_peak_values", placed)
+    return calls
+
+
+def assert_pairs_of_pieces(calls, xs, landscape, main, helper):
+    """The pieces noted by :func:`placed_pieces` for the block ``xs``, each
+    scored once: their rows are :func:`pairs_of_pieces`, the first of each
+    pair is on ``main`` and the second on ``main`` (a piece taken back before
+    the helper started it) or ``helper``. Returns the thread of each piece."""
+    first = {(p.__array_interface__["data"][0] - xs.__array_interface__["data"][0])
+             // xs.strides[0]: (thread, len(p)) for thread, p in calls}
+    assert len(first) == len(calls), "a piece was scored twice"
+    placed = [first[row] for row in sorted(first)]
+    planned = pairs_of_pieces(len(xs), landscape, main, helper)
+    assert [rows for _, rows in placed] == [rows for _, rows in planned]
+    assert sorted(first) == list(range(0, len(xs), planned[0][1]))
+    assert all(thread == main if want == main else thread in (main, helper)
+               for (thread, _), (want, _) in zip(placed, planned))
+    return [thread for thread, _ in placed]
+
+
 class SlowHelper:
-    """A kernel helper that starts each job 0.2 s late and notes its end."""
+    """A kernel helper that starts each job 0.2 s late and notes its end.
+    A submit returns once the job has started, so the kernel never takes a
+    piece back from it."""
 
     def __init__(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -595,13 +627,18 @@ class SlowHelper:
         self.ended = []
 
     def submit(self, fn, *args, **kwargs):
+        started = threading.Event()
+
         def late():
+            started.set()
             time.sleep(0.2)
             try:
                 return fn(*args, **kwargs)
             finally:
                 self.ended.append(True)
-        return self.pool.submit(late)
+        future = self.pool.submit(late)
+        started.wait()
+        return future
 
 
 def _score_in_child(conn, landscape, points):
@@ -615,7 +652,8 @@ def _score_in_child(conn, landscape, points):
 class TestSineHelper:
     """A block of at least ``_SPLIT_ELEMENTS`` elements is scored two
     pieces at a time, the second of each pair on the process's one helper
-    thread: bit for bit the serial kernel, from any thread, in a forked
+    thread unless the calling thread takes it back before the helper has
+    started it: bit for bit the serial kernel, from any thread, in a forked
     child, under the caller's error state, with every traced call on the
     calling thread."""
 
@@ -626,19 +664,19 @@ class TestSineHelper:
                   for ls, blocks in jobs]
         assert all(same_bits(a, b) for got, want in zip(scored_serially(jobs, monkeypatch), expect)
                    for a, b in zip(got, want))
-        calls = counted_pieces(monkeypatch)
+        calls = placed_pieces(monkeypatch)
         main = threading.get_ident()
         counts = []
         for (ls, blocks), values in zip(jobs, expect):
             for xs, value in zip(blocks, values):
                 calls.clear()
                 assert same_bits(evaluate_raw(xs, ls), value)
-                assert sorted(calls) == sorted(pairs_of_pieces(len(xs), ls, main, helper_thread))
+                assert_pairs_of_pieces(calls, xs, ls, main, helper_thread)
                 counts.append(len(calls))
         # two pieces per block, and an odd and an even count of pieces over the cap
         assert counts == [2] * 8 + [3] * 2 + [4] * 2
         # a block below the threshold is one kernel call on this thread
-        calls.clear()
+        calls = counted_pieces(monkeypatch)
         small = init_landscape(ScenarioConfig(), np.random.default_rng(51))
         evaluate_raw(np.zeros((40, 10)), small)
         assert calls == [(main, 40)]
@@ -668,18 +706,48 @@ class TestSineHelper:
         blocks = [(grid, rng.uniform(-100, 100, (199_532, 2))),
                   (big, rng.uniform(-100, 100, (16, 20)))]
         expect = scored_serially([(ls, [xs]) for ls, xs in blocks], monkeypatch)
-        calls = counted_pieces(monkeypatch)
+        calls = placed_pieces(monkeypatch)
         monkeypatch.setattr(landscape_module, "transform_vector", traced)
         main = threading.get_ident()
+        helper_pieces = 0
         for (ls, xs), (values,) in zip(blocks, expect):
             calls.clear()
             warped.clear()
             assert same_bits(evaluate_raw(xs, ls), values)
-            assert sorted(calls) == sorted(pairs_of_pieces(len(xs), ls, main, helper_thread))
-            # one traced warp per piece of this thread, and the helper scored
-            # pieces of its own
-            assert warped == [main] * sum(thread == main for thread, _ in calls)
-            assert sum(thread == helper_thread for thread, _ in calls) >= 1
+            threads = assert_pairs_of_pieces(calls, xs, ls, main, helper_thread)
+            # one traced warp per piece of this thread
+            assert warped == [main] * threads.count(main)
+            helper_pieces += threads.count(helper_thread)
+        # and the helper scored pieces of its own (the grid block has 61 pairs)
+        assert helper_pieces >= 1
+
+    def test_a_busy_helper_never_keeps_a_piece(self, monkeypatch):
+        # a stand-in helper whose one worker waits until the blocks are
+        # scored: each piece handed to it is taken back unstarted, so this
+        # thread scores every piece, bit for bit, and no taken piece runs
+        from concurrent.futures import ThreadPoolExecutor
+        jobs = large_jobs(np.random.default_rng(59))
+        expect = scored_serially(jobs, monkeypatch)
+        pool = ThreadPoolExecutor(1)
+        release = threading.Event()
+        pool.submit(release.wait, 60)
+        helper = pool.submit(threading.get_ident)
+        monkeypatch.setattr(landscape_module, "_helper", pool)
+        calls = placed_pieces(monkeypatch)
+        main = threading.get_ident()
+        try:
+            for (ls, blocks), values in zip(jobs, expect):
+                for xs, value in zip(blocks, values):
+                    calls.clear()
+                    assert same_bits(evaluate_raw(xs, ls), value)
+                    threads = assert_pairs_of_pieces(calls, xs, ls, main, None)
+                    assert threads == [main] * len(threads) and len(threads) >= 2
+            calls.clear()
+            assert not helper.done()
+        finally:
+            release.set()
+            pool.shutdown()
+        assert helper.result() != main and calls == []
 
     def test_threads_score_large_blocks_as_a_serial_run(self, helper_thread, monkeypatch):
         # more threads than CPUs, each cycling over the landscapes from its
@@ -879,11 +947,20 @@ class TestSineHelper:
             seen.append(state())
             values.append(evaluate_raw(xs, large))
             seen.append(state())
+            # the helper may not have started its piece of those two when
+            # this thread was done with its own, and this thread took it
+            # back; a block more until the helper has scored one, 200 at most
+            for _ in range(200):
+                if "gmpbench-kernel_0" in ran:
+                    break
+                evaluate_raw(xs, large)
+            helped = "gmpbench-kernel_0" in ran
+            ran.clear()
 
             def at_exit():
                 values.append(evaluate_raw(xs, large))
                 seen.append(state())
-                print(json.dumps([seen, [v.tobytes().hex() for v in values]]))
+                print(json.dumps([seen, [v.tobytes().hex() for v in values], helped]))
 
             atexit.register(at_exit)
         """
@@ -896,19 +973,24 @@ class TestSineHelper:
         child = subprocess.run([sys.executable, "-c", code, cpus], capture_output=True,
                                text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
         assert child.returncode == 0, child.stderr
-        seen, values = json.loads(child.stdout)
+        seen, values, helped = json.loads(child.stdout)
         assert values == [expect] * 3
         # import and a block below the threshold start no thread and import nothing
         main = ["MainThread"]
         assert seen[:2] == [[main, [], False, False], [main, main, False, False]]
         if cpus == "one" or usable_cpus() < 2:
-            assert seen[2:] == [[main, main, False, False]] * 3
+            assert seen[2:] == [[main, main, False, False]] * 3 and not helped
         else:
-            # one helper thread, whose import brings logging, scores half of
-            # each large block; at exit it has been joined, and the last
-            # block was scored on the main thread alone
+            # one helper thread, whose import brings logging, scores the
+            # second piece of a large block unless this thread took it back
+            # unstarted; at exit it has been joined, and the last block was
+            # scored on the main thread alone
             both = ["MainThread", "gmpbench-kernel_0"]
-            assert seen[2:] == [[both, both, True, True]] * 2 + [[main, main, True, True]]
+            assert [state[0] for state in seen[2:4]] == [both, both]
+            assert all(state[1] in (main, both) and state[2:] == [True, True]
+                       for state in seen[2:4])
+            assert helped
+            assert seen[4:] == [[main, main, True, True]]
 
 
 class TestComponentValue:

@@ -1,6 +1,7 @@
 """Budget accounting, change scheduling, and the two performance indicators."""
 
 import math
+import multiprocessing
 import re
 import sys
 import threading
@@ -12,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmpbench import BenchmarkSession, ScenarioComplete, ScenarioConfig, evaluate_raw
+from gmpbench import landscape as landscape_module
+from gmpbench import protocol as protocol_module
 from gmpbench.protocol import CHANGE_DETECTION_TOL, EvaluationLedger
 from test_golden import run_in_checkout
+from test_landscape import helper_thread  # noqa: F401 (a fixture)
 
 
 def feed(ledger, pairs):
@@ -753,3 +757,160 @@ class TestStopRulesAsData:
             s.evaluate(self.block(), **rules)
         assert s.ledger.total == 0
         assert np.isnan(s.ledger.values).all()
+
+
+FIELDS = ("centers", "rotations", "widths", "heights", "angles", "tau", "eta")
+
+
+def drive(session, blocks, points):
+    """Send ``points`` to ``session`` in blocks of the given lengths until the
+    budget is spent; the ledger's bytes and the final landscape's arrays."""
+    cuts = np.cumsum([0] + blocks)
+    with pytest.raises(ScenarioComplete):
+        for a, b in zip(cuts, cuts[1:]):
+            session.evaluate(points[a:b])
+    land = session.landscape
+    return (session.ledger.values.tobytes(), session.ledger.optima.tobytes(),
+            [getattr(land, name).tobytes() for name in FIELDS])
+
+
+def churn(rotation=True, seed=7):
+    """A random-large-churn sized scenario (d = 20, m = 50, a change every
+    100 evaluations), four environments of it, and blocks of 1 to 47 rows
+    that cross changes and outlast the budget."""
+    cfg = ScenarioConfig(dimension=20, num_components=50, change_frequency=100,
+                         num_environments=4, rotation_enabled=rotation, seed=seed)
+    rng = np.random.default_rng(seed)
+    blocks = []
+    while sum(blocks) <= cfg.budget:
+        blocks.append(int(rng.integers(1, 48)))
+    return cfg, blocks, rng.uniform(-100, 100, (sum(blocks), cfg.dimension))
+
+
+def serial(cfg, blocks, points, monkeypatch):
+    """What :func:`drive` gives with the kernel helper refused, so that every
+    block is scored and every change computed on the calling thread."""
+    with monkeypatch.context() as patch:
+        patch.setattr(landscape_module, "_kernel_helper", lambda: False)
+        return drive(BenchmarkSession(cfg), blocks, points)
+
+
+def inline_changes(monkeypatch):
+    """A list that notes each change the session computes with
+    ``advance_environment``, on the calling thread, by its thread."""
+    advance = protocol_module.advance_environment
+    made = []
+
+    def noted(*args):
+        made.append(threading.get_ident())
+        return advance(*args)
+
+    monkeypatch.setattr(protocol_module, "advance_environment", noted)
+    return made
+
+
+def _drive_in_child(conn, session, blocks, points):
+    """A forked child's report: the bytes :func:`drive` gives."""
+    conn.send(drive(session, blocks, points))
+    conn.close()
+
+
+class TestChangesAhead:
+    """After a segment that the kernel split, the session makes the next
+    change's draws and hands its arithmetic to the kernel helper; the
+    boundary takes the result. The ledger and the landscape stay bit for
+    bit those of changes made at the boundary."""
+
+    @pytest.mark.parametrize("rotation", [True, False], ids=["rotation", "no-rotation"])
+    def test_the_ledger_is_that_of_changes_made_at_the_boundary(self, rotation, helper_thread,
+                                                                monkeypatch):
+        cfg, blocks, points = churn(rotation)
+        expect = serial(cfg, blocks, points, monkeypatch)
+        made = inline_changes(monkeypatch)
+        assert drive(BenchmarkSession(cfg), blocks, points) == expect
+        # most changes were made ahead: one made at its boundary follows an
+        # environment whose segments were all too small to split
+        assert len(made) < cfg.num_environments - 1
+
+    def test_a_change_that_raises_on_the_helper_raises_at_its_boundary(self, helper_thread,
+                                                                      monkeypatch):
+        cfg, _, points = churn()
+
+        def failing(*args):
+            failing.thread = threading.get_ident()
+            raise ValueError("rotation matrix 3 is not orthogonal after re-orthonormalization")
+
+        monkeypatch.setattr(protocol_module, "_apply", failing)
+        s = BenchmarkSession(cfg)
+        s.evaluate(points[:16])  # a split segment: the first change goes ahead
+        with pytest.raises(ValueError, match="not orthogonal"):
+            s.evaluate(points[16:116])  # fills the quota, then 16 rows more
+        assert failing.thread == helper_thread
+        # the rows that filled the quota are recorded, under environment 0
+        assert s.ledger.total == cfg.change_frequency
+        assert s.landscape.environment_index == 0
+        assert (s.ledger.optima[:100] == s.landscape.optimum_value).all()
+
+    def test_every_draw_is_made_on_the_calling_thread(self, helper_thread, monkeypatch):
+        cfg, blocks, points = churn(seed=8)
+        expect = serial(cfg, blocks, points, monkeypatch)
+
+        class Recorder:
+            """The session's generator, noting the thread of each draw."""
+
+            def __init__(self, rng):
+                self.rng, self.threads = rng, []
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def draw(*args, **kwargs):
+                    self.threads.append(threading.get_ident())
+                    return method(*args, **kwargs)
+                return draw
+
+        s = BenchmarkSession(cfg)
+        s.rng = Recorder(s.rng)
+        made = inline_changes(monkeypatch)
+        assert drive(s, blocks, points) == expect
+        # a normal block and the plane orders per change
+        assert s.rng.threads == [threading.get_ident()] * 2 * (cfg.num_environments - 1)
+        assert len(made) < cfg.num_environments - 1
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_a_child_forked_with_a_change_in_flight_finishes_as_the_serial_run(self,
+                                                                              monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+        cfg, blocks, points = churn(seed=9)
+        expect = serial(cfg, blocks, points, monkeypatch)
+        # a stand-in helper whose worker is held, so the change submitted
+        # after the first split segment is still in flight at the fork
+        pool = ThreadPoolExecutor(1)
+        release = threading.Event()
+        pool.submit(release.wait, 120)
+        monkeypatch.setattr(landscape_module, "_helper", pool)
+        s = BenchmarkSession(cfg)
+        s.evaluate(points[:blocks[0]])
+        assert blocks[0] >= 8 and s._next is not None and not s._next[1].done()
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(target=_drive_in_child, args=(writer, s, blocks[1:],
+                                                              points[blocks[0]:]))
+        try:
+            child.start()
+            writer.close()
+            # a child that waits for the parent's future waits forever
+            assert reader.poll(60), "the forked child did not finish its session"
+            got = reader.recv()
+            child.join(timeout=60)
+            assert not child.is_alive()
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+            reader.close()
+            release.set()
+            pool.shutdown()
+        assert child.exitcode == 0
+        assert got == expect

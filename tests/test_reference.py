@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 from gmpbench import MQSO, ScenarioConfig, SolverConfig, run_session
+from gmpbench import landscape as landscape_module
 from test_dynamics import oracle_change, oracle_init_landscape
 from test_golden import MQSO_SCENARIO, RANDOM_SCENARIO, RTOL
 from test_landscape import irregularity_transform
@@ -160,3 +161,40 @@ def test_the_reference_gives_the_reported_indicators(case):
     assert offline == pytest.approx(record["offline_error"], rel=RTOL, abs=0.0)
     assert bbc == pytest.approx(record["best_before_change_error"], rel=RTOL, abs=0.0)
     assert final == pytest.approx(record["env_final_errors"], rel=RTOL, abs=0.0)
+
+
+# The differential sweep: seeded small scenarios over the space the cases
+# above sample at a few points, at default ranges and severities. At d <= 4
+# and m <= 5 no block of either solver reaches the kernel's split threshold
+# (the test refuses the kernel helper), so every change is made at its
+# boundary; random-d20m50-golden stays the guard for changes made ahead.
+SWEEP = 400
+SWEEP_CHUNK = 50
+
+
+def sweep_scenario(index):
+    """Sweep scenario ``index``: d 1-4, m 1-5, a change every 1-60
+    evaluations, 1-4 environments, rotation on or off."""
+    rng = np.random.default_rng([2106, index])
+    return ScenarioConfig(dimension=int(rng.integers(1, 5)), num_components=int(rng.integers(1, 6)),
+                          change_frequency=int(rng.integers(1, 61)),
+                          num_environments=int(rng.integers(1, 5)),
+                          rotation_enabled=bool(rng.integers(2)), seed=int(rng.integers(1 << 31)))
+
+
+@pytest.mark.parametrize("start", range(0, SWEEP, SWEEP_CHUNK))
+def test_the_sweep_scenarios_match_the_reference(start, monkeypatch):
+    def refuse():
+        raise AssertionError("a block of the sweep asked for the kernel helper")
+
+    monkeypatch.setattr(landscape_module, "_kernel_helper", refuse)
+    for index in range(start, start + SWEEP_CHUNK):
+        scenario = sweep_scenario(index)
+        for solver in ("random", "mqso"):
+            record, _ = run_session(scenario, solver)
+            offline, bbc, final = reference_run(scenario, solver)
+            case = (index, solver, scenario)
+            assert offline == pytest.approx(record["offline_error"], rel=RTOL, abs=0.0), case
+            assert bbc == pytest.approx(record["best_before_change_error"], rel=RTOL,
+                                        abs=0.0), case
+            assert final == pytest.approx(record["env_final_errors"], rel=RTOL, abs=0.0), case

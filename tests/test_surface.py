@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import math
 import threading
 from pathlib import Path
 
@@ -224,6 +225,46 @@ def test_traced_warp_is_the_code_that_runs(monkeypatch, tmp_path):
     main = threading.get_ident()
     assert tracer.calls("landscape.transform_vector") == threads.count(main) > 0
     assert len(threads) > threads.count(main)
+
+
+def test_changes_made_ahead_open_no_span_off_the_calling_thread(monkeypatch):
+    # the helper computes a change with the update_rotation and reflect
+    # bound at import, so a traced d20/m50 session keeps the tracer's
+    # identity (self times sum to the traced wall time) and every span on
+    # the calling thread. Where the kernel makes no helper (one CPU), an
+    # executor of one thread stands in for it.
+    tracing = load_tracer()
+    threads = set()
+
+    class ThreadNoting(tracing.Tracer):
+        def wrap(self, name, fn, hook=None):
+            traced = super().wrap(name, fn, hook)
+
+            def noted(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return traced(*args, **kwargs)
+            return noted
+
+    stand_in = None
+    if not landscape._kernel_helper():
+        from concurrent.futures import ThreadPoolExecutor
+        stand_in = ThreadPoolExecutor(1)
+        monkeypatch.setattr(landscape, "_helper", stand_in)
+    scenario = landscape.ScenarioConfig(dimension=20, num_components=50, change_frequency=100,
+                                        num_environments=4, seed=7)
+    tracer = ThreadNoting()
+    try:
+        with tracer.installed():
+            harness.run_session(scenario, "random")
+    finally:
+        if stand_in is not None:
+            stand_in.shutdown()
+    metrics = tracing.layer_metrics(tracer)
+    assert math.isclose(tracing.attributed_sum(metrics), metrics["trace.wall_s"], rel_tol=1e-9)
+    assert threads == {threading.get_ident()}
+    # the changes were made ahead: a change made at its boundary opens the spans
+    assert tracer.calls("dynamics.advance_environment") < scenario.num_environments - 1
+    assert tracer.calls("dynamics.reflect") == 6 * tracer.calls("dynamics.advance_environment")
 
 
 def test_signatures_without_the_removed_flags():
