@@ -52,17 +52,17 @@ makes the caller wait for a piece that has not begun. Large blocks from any
 thread queue on that helper, and :func:`_split_helper` is the one split
 rule, which the session reads to decide when to hand the helper a change
 (see :mod:`gmpbench.protocol`). The helper is made on the first such
-block, never at import, and only
-when the process may run on two or more CPUs (``os.sched_getaffinity``,
-else ``os.cpu_count()``). It scores in a copy of the caller's context, so
-the caller's ``np.errstate`` holds there, and warps with the
-:func:`transform_vector` bound at import, so a wrapper patched over the
-module's name (the benchmark's tracer) runs on the calling thread alone. A
-forked child makes its own helper, and once interpreter shutdown has begun
-the calling thread scores both pieces. A call never returns or raises while
-the helper still writes. A row's value does not depend on its block, so the
-values are bit for bit those of one serial call, which a smaller block keeps
-(every mQSO block at d = 10, m = 10 has at most 1 000 elements).
+block, never at import, and only when the process may run on two or more
+CPUs (``os.sched_getaffinity``, else ``os.cpu_count()``). It scores in a
+copy of the caller's context, so the caller's ``np.errstate`` holds there,
+and warps with the :func:`transform_vector` bound at import, so a wrapper
+patched over the module's name (the benchmark's tracer) runs on the calling
+thread alone. A forked child makes its own helper, and once interpreter
+shutdown has begun the calling thread scores both pieces. A call never
+returns or raises while the helper still writes. A row's value does not
+depend on its block, so the values are bit for bit those of one serial
+call, which a smaller block keeps (every mQSO block at d = 10, m = 10 has
+at most 1 000 elements).
 
 Evaluation never mutates landscape state; all mutation goes through the
 dynamics module between environments.
